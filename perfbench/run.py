@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload branches-n20 --seed 0 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload branches-n20 --seed 0 --seconds 50 --trace 0
 
 A run builds a pool of episode configs from the seed, checks that a
 prefix of the first episode is bit-reproducible, then runs whole episodes
@@ -38,7 +38,14 @@ import sys
 from time import perf_counter
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
+
+# one BLAS thread, set before numpy loads and inherited by the set-up
+# probes: on a machine with few cores a second BLAS thread waits on
+# whatever else runs there, which shows as noise in every timing
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ[_var] = "1"
 
 END_TO_END = {
     "setup_s": "s",
@@ -83,7 +90,7 @@ def environment() -> dict:
         "blas_threads": _blas_threads(np),
         "blas_env": {
             k: os.environ[k]
-            for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+            for k in BLAS_THREAD_VARS
             if k in os.environ
         },
         "machine": platform.machine(),
@@ -106,16 +113,30 @@ def _blas_threads(np):
     return None
 
 
-def setup_samples(src: str, workload: str, seed: int) -> list:
-    """Cold set-up times from fresh interpreters (see setup_probe.py)."""
-    out = []
-    for _ in range(SETUP_REPEATS):
-        proc = subprocess.run(
-            [sys.executable, os.path.join(HERE, "setup_probe.py"), src, workload, str(seed)],
-            capture_output=True, text=True, timeout=120, check=True,
-        )
-        out.append(float(proc.stdout.strip().splitlines()[-1]))
-    return out
+class SetupProbes:
+    """Cold set-up times from fresh interpreters (see setup_probe.py).
+
+    The probes are spread evenly over the run, one between two episodes
+    when it is due, rather than all taken at its start, so that their
+    median sees the same drift in machine speed as the timed episodes."""
+
+    def __init__(self, src: str, workload: str, seed: int, seconds: float):
+        self.cmd = [sys.executable, os.path.join(HERE, "setup_probe.py"), src, workload, str(seed)]
+        self.interval = seconds / (SETUP_REPEATS - 1)
+        self.samples: list = []
+
+    def take(self) -> None:
+        proc = subprocess.run(self.cmd, capture_output=True, text=True, timeout=120, check=True)
+        self.samples.append(float(proc.stdout.strip().splitlines()[-1]))
+
+    def due(self, elapsed: float) -> None:
+        if len(self.samples) < SETUP_REPEATS and elapsed >= len(self.samples) * self.interval:
+            self.take()
+
+    def finish(self) -> list:
+        while len(self.samples) < SETUP_REPEATS:
+            self.take()
+        return self.samples
 
 
 class StepTimer:
@@ -207,11 +228,12 @@ def run_episode(scenario, path: str, timer: StepTimer, tracer=None) -> tuple:
     return ep, list(timer.durations)
 
 
-def run_pass(scenarios, min_seconds, min_steps, out_dir, tracer=None) -> dict:
+def run_pass(scenarios, min_seconds, min_steps, out_dir, tracer=None, between=None) -> dict:
     """Whole episodes until ``min_seconds`` have passed and ``min_steps``
     untraced control calls were timed.  With a tracer every episode runs
     untraced and traced, in alternating order, so that both see the same
-    drift in machine speed."""
+    drift in machine speed.  ``between(elapsed)`` is called before each
+    episode, outside the timed calls."""
     os.makedirs(out_dir, exist_ok=True)
     timer = StepTimer()
     timer.install()
@@ -221,6 +243,8 @@ def run_pass(scenarios, min_seconds, min_steps, out_dir, tracer=None) -> dict:
         for i, scenario in enumerate(scenarios):
             if perf_counter() - t_start >= min_seconds and len(durations[False]) >= min_steps:
                 break
+            if between is not None:
+                between(perf_counter() - t_start)
             order = (False,) if tracer is None else ((False, True) if i % 2 == 0 else (True, False))
             for traced in order:
                 path = os.path.join(out_dir, f"episode{i:03d}{'-traced' if traced else ''}.csv")
@@ -247,9 +271,11 @@ def end_to_end(workload, result: dict, setup: list) -> dict:
         "setup_s": statistics.median(setup),
         "step_ms_p50": _p50_ms(d),
         "step_ms_p95": float(np.percentile(d, 95)) * 1e3 if d else 0.0,
-        "control_hz": _ratio(sum(e["steps"] for e in ran), sum(e["loop_s"] for e in ran)),
-        "sim_steps_per_s": _ratio(
-            sum(workload.sim_steps(e["steps"]) for e in ran), sum(e["step_s"] for e in ran)
+        # rates are medians over episodes, so that one slow spell of the
+        # machine moves them no more than it moves the other medians
+        "control_hz": _median([_ratio(e["steps"], e["loop_s"]) for e in ran]),
+        "sim_steps_per_s": _median(
+            [_ratio(workload.sim_steps(e["steps"]), e["step_s"]) for e in ran]
         ),
         "episode_s": statistics.median([e["loop_s"] + e["write_s"] for e in ran]) if ran else 0.0,
         "goal_rate": _ratio(sum(bool(e.get("reached")) for e in eps), len(eps)),
@@ -264,6 +290,10 @@ def end_to_end(workload, result: dict, setup: list) -> dict:
 
 def _ratio(num, den) -> float:
     return num / den if den else 0.0
+
+
+def _median(values) -> float:
+    return statistics.median(values) if values else 0.0
 
 
 def trace_metrics(workload, tr, result: dict, out_dir: str) -> tuple:
@@ -313,7 +343,7 @@ def main(argv=None) -> int:
     shutil.rmtree(out_dir, ignore_errors=True)
     os.makedirs(out_dir)
 
-    setup = [] if args.trace else setup_samples(src, workload.name, args.seed)
+    probes = None if args.trace else SetupProbes(src, workload.name, args.seed, args.seconds)
     tr = None
     if args.trace:
         import tracer as tracing
@@ -338,12 +368,14 @@ def main(argv=None) -> int:
         "trace": args.trace,
         "environment": environment(),
         "shape": workload.shape(),
-        "setup_samples_s": setup,
         "determinism_problems": determinism,
     }
     # a traced run splits its time between untraced and traced episodes
     min_steps = workloads.MIN_STEPS // 2 if args.trace else workloads.MIN_STEPS
-    result = run_pass(scenarios, args.seconds, min_steps, os.path.join(out_dir, "traces"), tr)
+    result = run_pass(scenarios, args.seconds, min_steps, os.path.join(out_dir, "traces"), tr,
+                      between=probes.due if probes is not None else None)
+    setup = probes.finish() if probes is not None else []
+    report["setup_samples_s"] = setup
     episodes = result["episodes"]
     report["step_samples"] = len(result["durations"])
     if args.trace:
