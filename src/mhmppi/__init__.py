@@ -4,7 +4,6 @@ from .controller import ControllerParams, ControllerState, StepDiagnostics, cont
 from .cost import Mission, MissionSet, ObstacleSet, cost_vector, tail_cost_vector
 from .dynamics import DoubleIntegrator, ModeParams, SimpleCar, rollout, step
 from .errors import ConfigError, InfeasibleConstraintError
-from .mppi import MppiState, mppi_step
 from .multi_horizon import MultiHorizonInput, MultiHorizonTrajectory, dims, expand
 from .weights import WeightLawParams, desired_weights, update_weights
 
@@ -17,7 +16,6 @@ __all__ = [
     "Mission",
     "MissionSet",
     "ModeParams",
-    "MppiState",
     "MultiHorizonInput",
     "MultiHorizonTrajectory",
     "ObstacleSet",
@@ -29,7 +27,6 @@ __all__ = [
     "desired_weights",
     "dims",
     "expand",
-    "mppi_step",
     "rollout",
     "step",
     "tail_cost_vector",

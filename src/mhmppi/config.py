@@ -64,7 +64,6 @@ _CONTROLLER_KEYS = {
     "temperature": None,
     "noise_cov": None,
     "seed": None,
-    "workers": None,
     "control_cost": None,
 }
 _WEIGHT_KEYS = {"gamma": None, "temperature": None, "metric": None}
@@ -180,7 +179,6 @@ def scenario_from_dict(cfg: dict, name: str = "custom") -> Scenario:
             noise_cov=ctrl_cfg.get("noise_cov", 1.0),
             temperature=float(ctrl_cfg.get("temperature", 0.5)),
             seed=int(ctrl_cfg.get("seed", 0)),
-            parallel_workers=int(ctrl_cfg.get("workers", 1)),
             control_cost=bool(ctrl_cfg.get("control_cost", False)),
         )
 

@@ -18,10 +18,21 @@ Noise reproducibility contract
 Sample q of step t draws from the dedicated counter-block stream
 ``Philox(key=stream_key(seed, t), counter=q * 2**192)``; the first rows of
 that stream are the primary-horizon noise.  Any sampler honoring this
-convention (e.g. the single-horizon controller in :mod:`mhmppi.mppi`)
-produces bit-identical primary noise for the same (seed, step, q),
-regardless of batch width or worker scheduling.  The weighted reduction
-over samples runs in a fixed order, so whole runs are bit-reproducible.
+convention (e.g. the m=0 case of this step) produces bit-identical primary
+noise for the same (seed, step, q), regardless of batch width.  The
+weighted reduction over samples runs in a fixed order, so whole runs are
+bit-reproducible.
+
+Plain MPPI is the m=0 case
+--------------------------
+With no backup missions the flat plan is the primary horizon and the
+projected weight is exactly ``[1.0]``, so the step is plain single-horizon
+MPPI; the closed-loop harness runs the post-abort phase this way.  With the
+backup-weight gamma at zero the weights stay ``[1, 0, ..., 0]``, and a step
+over m backup missions executes bit-identical inputs to the m=0 step on the
+primary mission alone.  That equivalence does not hold with
+``control_cost=True``: the penalty spans every flat row, backup tails
+included, so the two diverge as soon as the shifted plan is nonzero.
 """
 
 from __future__ import annotations
@@ -50,8 +61,9 @@ class ControllerParams:
     noise_chol: np.ndarray  # lower Cholesky factor of noise_cov
     temperature: float = 0.5
     seed: int = 0
-    parallel_workers: int = 1  # scheduling hint; results never depend on it
-    control_cost: bool = False  # adds the noise-alignment penalty to sample costs
+    # Adds the noise-alignment penalty over every flat row to the sample
+    # costs; with it on, gamma=0 no longer reduces the step to the m=0 case.
+    control_cost: bool = False
 
     @classmethod
     def build(
@@ -63,15 +75,12 @@ class ControllerParams:
         noise_cov=1.0,
         temperature: float = 0.5,
         seed: int = 0,
-        parallel_workers: int = 1,
         control_cost: bool = False,
     ) -> "ControllerParams":
         if n_samples < 1:
             raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
         if temperature <= 0.0:
             raise ConfigError(f"temperature must be > 0, got {temperature}")
-        if parallel_workers < 1:
-            raise ConfigError(f"parallel_workers must be >= 1, got {parallel_workers}")
         dims(horizon, n_alternatives)  # validates horizon/alternative counts
         cov = np.asarray(noise_cov, dtype=float)
         if cov.ndim == 0:
@@ -94,7 +103,6 @@ class ControllerParams:
             chol,
             temperature,
             seed,
-            parallel_workers,
             control_cost,
         )
 
@@ -200,11 +208,6 @@ def mppi_update(
     return inputs.with_flat(inputs.flat + delta)
 
 
-def _mission_stack(missions: MissionSet, model: DynamicsModel):
-    scales = np.stack([model.mode_scale(mission.mode) for mission in missions.missions])
-    return scales
-
-
 def rollout_primary_batch(
     model: DynamicsModel, x0: np.ndarray, inputs: np.ndarray, scale: np.ndarray
 ) -> np.ndarray:
@@ -242,7 +245,7 @@ def evaluate_plan_batch(
             f"flat batch has {flat_batch.shape[1]} input rows, expected "
             f"{dims(horizon, m)[0]} for horizon {horizon} with {m} alternatives"
         )
-    scales = _mission_stack(missions, model)
+    scales = np.stack([model.mode_scale(mission.mode) for mission in missions.missions])
 
     primary_inputs = flat_batch[:, :horizon]
     states = rollout_primary_batch(model, x0, primary_inputs, scales[0])

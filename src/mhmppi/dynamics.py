@@ -148,11 +148,6 @@ def step(model: DynamicsModel, x: np.ndarray, u: np.ndarray, mode: int = 0) -> n
     return model.update(x, model.mode_scale(mode) * u)
 
 
-def step_batch(model: DynamicsModel, x: np.ndarray, u: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Unvalidated batched transition with a pre-broadcast input scale (hot path)."""
-    return model.update(x, scale * u)
-
-
 def rollout(model: DynamicsModel, x0: np.ndarray, inputs, mode: int = 0) -> np.ndarray:
     """Simulate an input sequence; returns len(inputs)+1 states starting at x0."""
     inputs = np.asarray(inputs, dtype=float)

@@ -8,9 +8,10 @@ of the active mission or after ``max_steps``.
 
 An optional abort specification switches the true dynamics mode at a
 given step, selects one backup mission (cheapest current branch average,
-or nearest), and hands control to the plain single-horizon controller
-toward that mission for the rest of the run -- the recorded weight row
-becomes the one-hot of the chosen mission.
+or nearest), and hands control over to the same controller step on the
+one-mission problem: the chosen mission alone, in the abort mode, with no
+backup horizons.  The recorded weight row becomes the one-hot of the
+chosen mission.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import controller as ctrl
-from . import mppi
-from .cost import MissionSet, ObstacleSet, cost_vector, distance
+from .cost import MissionSet, ObstacleSet, distance
 from .dynamics import DynamicsModel, step
 from .errors import ConfigError
-from .multi_horizon import expand
+from .multi_horizon import MultiHorizonInput
 from .weights import WeightLawParams, desired_weights
 
 ABORT_POLICIES = ("min_cost", "nearest")
@@ -155,9 +155,10 @@ def _choose_backup(scenario: Scenario, x: np.ndarray, state: ctrl.ControllerStat
         ]
         return 1 + int(np.argmin(dists))
     shifted = state.inputs.shift()
-    plan = expand(scenario.model, x, shifted, missions.modes)
-    costs = cost_vector(plan, shifted, missions, scenario.obstacles)
-    return 1 + int(np.argmin(costs[1:]))
+    costs, _, _, _ = ctrl.evaluate_plan_batch(
+        scenario.model, x, shifted.flat[None], shifted.horizon, missions, scenario.obstacles
+    )
+    return 1 + int(np.argmin(costs[0, 1:]))
 
 
 def run_closed_loop(scenario: Scenario, seed: int | None = None) -> ClosedLoopTrace:
@@ -169,8 +170,8 @@ def run_closed_loop(scenario: Scenario, seed: int | None = None) -> ClosedLoopTr
     x = scenario.x0.copy()
     mode = 0
     goal = 0
+    active = missions  # the mission set the controller plans for
     state = ctrl.init_state(x, params, missions, scenario.weight_law)
-    backup_state: mppi.MppiState | None = None
 
     records: list[StepRecord] = []
     diags = []
@@ -179,31 +180,28 @@ def run_closed_loop(scenario: Scenario, seed: int | None = None) -> ClosedLoopTr
         if scenario.abort is not None and t == scenario.abort.step:
             goal = _choose_backup(scenario, x, state)
             mode = scenario.abort.new_mode
+            active = MissionSet((replace(missions[goal], mode=mode),))
+            params = replace(params, n_alternatives=0)
             # The stored branch plan for an abort right after the executed
-            # input becomes the warm start of the single-horizon controller.
-            # Its row 0 is that executed input, so mppi_step's shift leaves
-            # exactly the branch tail, padded with one zero input.
-            warm = state.inputs.branch_view(goal, 0)
-            backup_state = mppi.init_mppi_state(params, warm, state.step_index)
+            # input becomes the primary plan of the one-mission problem.
+            # Its row 0 is that executed input, so control_step's shift
+            # leaves exactly the branch tail, padded with one zero input.
+            warm = MultiHorizonInput(params.horizon, 0, state.inputs.branch_view(goal, 0))
+            state = ctrl.ControllerState(warm, np.ones(1), state.step_index)
 
         target = missions[goal].target
         if is_completed(x, target, scenario.completion_metric, scenario.completion_tol):
-            kind = "completed" if backup_state is None else "aborted_completed"
+            kind = "completed" if goal == 0 else "aborted_completed"
             termination = Termination(kind, goal, t)
             break
 
-        if backup_state is None:
-            u, state, diag = ctrl.control_step(
-                x, state, model, missions, obstacles, params, scenario.weight_law
-            )
-            alpha = diag.alpha
-        else:
-            u, backup_state, diag = mppi.mppi_step(
-                x, backup_state, model, missions[goal], obstacles, params, mode
-            )
+        u, state, diag = ctrl.control_step(
+            x, state, model, active, obstacles, params, scenario.weight_law
+        )
+        alpha = diag.alpha
+        if goal != 0:
             alpha = np.zeros(n_missions)
             alpha[goal] = 1.0
-            diag.alpha = alpha
 
         records.append(
             StepRecord(t, x.copy(), u, alpha, diag.cost_mean, diag.cost_std, diag.seconds)

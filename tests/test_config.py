@@ -62,10 +62,11 @@ def test_all_builtin_scenarios_build():
 
 
 def test_unknown_keys_rejected_with_path():
-    with pytest.raises(ConfigError, match="controller"):
-        scenario_from_dict(
-            {**get_scenario_dict("uav-free-1"), "controller": {"samples": 10, "bogus": 1}}
-        )
+    for key in ("bogus", "workers"):
+        with pytest.raises(ConfigError, match=f"controller: unknown key '{key}'"):
+            scenario_from_dict(
+                {**get_scenario_dict("uav-free-1"), "controller": {"samples": 10, key: 1}}
+            )
     with pytest.raises(ConfigError, match="unknown key"):
         experiment_from_dict({"scenario": "uav-free-1", "extra": 1})
 

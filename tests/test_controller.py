@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mhmppi import controller as ctrl
+from mhmppi.config import scenario_from_dict
 from mhmppi.cost import Mission, MissionSet, ObstacleSet, cost_vector
 from mhmppi.dynamics import DoubleIntegrator, step
 from mhmppi.errors import ConfigError
 from mhmppi.multi_horizon import MultiHorizonInput, dims, expand
+from mhmppi.scenarios import get_scenario_dict
 from mhmppi.weights import WeightLawParams
 
 NO_OBS = ObstacleSet.empty()
@@ -286,3 +290,39 @@ def test_control_cost_flag_changes_weighting():
     )
     u_on, _, _ = ctrl.control_step(x, state0, model, UAV_MISSIONS, NO_OBS, params_on, wl)
     assert not np.array_equal(u_off, u_on)
+
+
+def _gamma_zero_runs(control_cost: bool, n_steps: int = 40):
+    """Executed inputs of the m=2 step with gamma=0 and of the m=0 step on
+    the primary mission alone, each closing the loop on its own inputs."""
+    cfg = get_scenario_dict("uav-obstacles")
+    cfg["controller"].update(samples=50, horizon=10, control_cost=control_cost)
+    scenario = scenario_from_dict(cfg)
+    model, obstacles = scenario.model, scenario.obstacles
+    wl = WeightLawParams(gamma=0.0)
+    runs = []
+    for missions, params in (
+        (scenario.missions, scenario.controller),
+        (MissionSet((scenario.missions[0],)), replace(scenario.controller, n_alternatives=0)),
+    ):
+        x = scenario.x0.copy()
+        state = ctrl.init_state(x, params, missions, wl)
+        inputs = []
+        for _ in range(n_steps):
+            u, state, _ = ctrl.control_step(x, state, model, missions, obstacles, params, wl)
+            inputs.append(u)
+            x = step(model, x, u)
+        runs.append(np.stack(inputs))
+    return runs
+
+
+def test_gamma_zero_matches_single_mission_step():
+    # with no weight on the backups, the branch tails change nothing the
+    # plant sees: the m=0 step on the primary mission executes the same bits
+    multi, single = _gamma_zero_runs(control_cost=False)
+    assert multi.tobytes() == single.tobytes()
+    # not so with the control-cost penalty, which spans every flat row,
+    # backup tails included; at step 0 the shifted plan is zero and adds none
+    multi, single = _gamma_zero_runs(control_cost=True, n_steps=2)
+    assert np.array_equal(multi[0], single[0])
+    assert not np.array_equal(multi[1], single[1])

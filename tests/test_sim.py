@@ -3,10 +3,11 @@ import pytest
 
 from mhmppi import config as config_mod
 from mhmppi import sim as sim_mod
-from mhmppi.controller import ControllerParams
-from mhmppi.cost import Mission, MissionSet, ObstacleSet, distance
+from mhmppi.controller import ControllerParams, ControllerState
+from mhmppi.cost import Mission, MissionSet, ObstacleSet, cost_vector, distance
 from mhmppi.dynamics import DoubleIntegrator, ModeParams, step
 from mhmppi.errors import ConfigError
+from mhmppi.multi_horizon import MultiHorizonInput, dims, expand
 from mhmppi.sim import (
     AbortSpec,
     ClosedLoopTrace,
@@ -133,30 +134,58 @@ def test_abort_switches_mission_and_mode():
 
 
 def test_abort_warm_start_begins_with_stored_branch(monkeypatch):
-    """The first post-abort plan, once shifted, is the stored branch tail
-    for an abort right after the executed input, padded with one zero."""
-    seen = {}
-    control_step, mppi_step = sim_mod.ctrl.control_step, sim_mod.mppi.mppi_step
+    """Every step, before and after the abort, goes through the module
+    attribute ``ctrl.control_step``.  The first post-abort step plans for
+    the chosen mission alone with no backup horizons, and its plan, once
+    shifted, is the stored branch tail for an abort right after the
+    executed input, padded with one zero."""
+    calls = []  # (missions passed in, state passed in, state returned)
+    control_step = sim_mod.ctrl.control_step
 
-    def spy_control_step(*args, **kw):
-        out = control_step(*args, **kw)
-        seen["mh_state"] = out[1]
+    def spy_control_step(x, state, model, missions, *args, **kw):
+        out = control_step(x, state, model, missions, *args, **kw)
+        calls.append((missions, state, out[1]))
         return out
 
-    def spy_mppi_step(x, state, *args, **kw):
-        seen.setdefault("backup_state", state)
-        return mppi_step(x, state, *args, **kw)
-
     monkeypatch.setattr(sim_mod.ctrl, "control_step", spy_control_step)
-    monkeypatch.setattr(sim_mod.mppi, "mppi_step", spy_mppi_step)
     scenario = small_scenario(abort=AbortSpec(step=5), max_steps=8)
     trace = run_closed_loop(scenario, seed=2)
+    assert len(trace.records) == 8
+    assert len(calls) == len(trace.records)
     goal = int(np.argmax(trace.records[5].alpha))
-    mh_state, backup = seen["mh_state"], seen["backup_state"]
+    assert goal in (1, 2)
+
+    mh_state = calls[4][2]
+    missions, backup, _ = calls[5]
+    assert mh_state.inputs.n_alternatives == 2
+    assert len(missions) == 1
+    assert np.array_equal(missions[0].target, scenario.missions[goal].target)
+    assert missions[0].mode == scenario.abort.new_mode
+    assert backup.inputs.n_alternatives == 0
+    assert np.array_equal(backup.alpha, [1.0])
     assert backup.step_index == mh_state.step_index
-    shifted = np.vstack([backup.inputs[1:], np.zeros((1, 2))])
     expect = np.vstack([mh_state.inputs.tail(goal, 0), np.zeros((1, 2))])
-    assert np.array_equal(shifted, expect)
+    assert np.array_equal(backup.inputs.shift().flat, expect)
+
+
+def test_min_cost_abort_picks_cheapest_backup_branch():
+    # the batched evaluator's choice must match the per-structure oracle,
+    # on states where each of the two backups is the cheaper one
+    scenario = small_scenario(abort=AbortSpec(step=0, policy="min_cost"))
+    model, missions = scenario.model, scenario.missions
+    rng = np.random.default_rng(4)
+    chosen = set()
+    for x in (np.array([-1.5, 2.5, 0.0, 0.0]), np.array([2.5, -1.5, 0.0, 0.0])):
+        plan = MultiHorizonInput(5, 2, 0.3 * rng.standard_normal((dims(5, 2)[0], 2)))
+        state = ControllerState(plan, np.array([0.6, 0.2, 0.2]), 3)
+        shifted = plan.shift()
+        costs = cost_vector(expand(model, x, shifted, missions.modes), shifted, missions,
+                            scenario.obstacles)
+        assert abs(costs[1] - costs[2]) > 1.0
+        pick = sim_mod._choose_backup(scenario, x, state)
+        assert pick == 1 + int(np.argmin(costs[1:]))
+        chosen.add(pick)
+    assert chosen == {1, 2}
 
 
 def test_abort_nearest_policy_single_alternative():
@@ -200,14 +229,20 @@ def test_descent_constraint_along_closed_loop():
 
 
 def test_run_is_deterministic_per_seed():
-    a = run_closed_loop(small_scenario(), seed=7)
-    b = run_closed_loop(small_scenario(), seed=7)
-    assert a.termination == b.termination
-    for ra, rb in zip(a.records, b.records):
-        assert np.array_equal(ra.state, rb.state)
-        assert np.array_equal(ra.inp, rb.inp)
-        assert np.array_equal(ra.alpha, rb.alpha)
-        assert ra.cost_mean == rb.cost_mean and ra.cost_std == rb.cost_std
+    modes = (ModeParams(0, np.ones(2)), ModeParams(1, np.array([0.6, 0.6])))
+    abort = dict(model=DoubleIntegrator(modes), abort=AbortSpec(step=5, new_mode=1))
+    for kw in ({}, abort):
+        a = run_closed_loop(small_scenario(**kw), seed=7)
+        b = run_closed_loop(small_scenario(**kw), seed=7)
+        assert a.termination == b.termination
+        assert len(a.records) == len(b.records)
+        for ra, rb in zip(a.records, b.records):
+            assert np.array_equal(ra.state, rb.state)
+            assert np.array_equal(ra.inp, rb.inp)
+            assert np.array_equal(ra.alpha, rb.alpha)
+            assert ra.cost_mean == rb.cost_mean and ra.cost_std == rb.cost_std
+        assert np.array_equal(a.final_state, b.final_state)
+    assert a.termination.kind == "aborted_completed"  # the handover ran
 
 
 # ---------------------------------------------------------------- analyze
