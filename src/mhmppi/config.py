@@ -8,6 +8,7 @@ JSON form) into every output file for provenance.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
@@ -41,18 +42,16 @@ def _get(section: dict, key: str, default, path: str):
     return value
 
 
+@contextlib.contextmanager
 def _wrap(path: str):
-    """Re-raise ConfigErrors from object constructors with file context."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc_type is ConfigError and exc.path is None:
-                raise ConfigError(str(exc), path=path) from None
-            return False
-
-    return _Ctx()
+    """Locate errors from building the object at ``path``: a ConfigError
+    without a path, or the TypeError/ValueError of a mistyped value."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigError) and exc.path is not None:
+            raise
+        raise ConfigError(str(exc), path=path) from None
 
 
 _MODEL_KEYS = {"kind": None, "wheelbase": None, "time_step": None, "modes": None}

@@ -4,11 +4,13 @@ One control step, given the measured state:
 
 1. compute the desired mission weights from the current distances;
 2. shift last step's plan (drop the executed input, pad with zeros);
-3. re-simulate the shifted plan noise-free, evaluate its cost vector and
-   tail-cost vector, and project the desired weights onto the descent
-   constraint they define;
+3. take the shifted plan's noise-free cost and tail-cost vectors (row 0
+   of the batch evaluated in step 5), and project the desired weights
+   onto the descent constraint they define;
 4. sample K noise perturbations of the whole flat plan;
-5. simulate every perturbed plan and evaluate its m+1 mission costs;
+5. simulate every perturbed plan and evaluate its m+1 mission costs: the
+   primary rollout once, then every branch tail in one pass over time,
+   each branch starting from the primary state where it splits off;
 6. scalarize with the projected weights;
 7. update the plan with the softmax-weighted average of the noise, and
    execute the first primary input of the result.
@@ -46,7 +48,7 @@ from . import cost as cost_mod
 from .cost import MissionSet, ObstacleSet
 from .dynamics import DynamicsModel
 from .errors import ConfigError
-from .multi_horizon import MultiHorizonInput, dims, tail_slice
+from .multi_horizon import MultiHorizonInput, branch_rows, dims
 from .weights import WeightLawParams, desired_weights, update_weights
 
 
@@ -126,8 +128,7 @@ class ControllerState:
 @dataclass
 class StepDiagnostics:
     """Per-step telemetry: applied/desired weights, sample-cost statistics,
-    the noise-free plan cost estimates the weight update used, wall time,
-    and instrumentation counters of the work actually performed."""
+    the noise-free plan cost estimates the weight update used, wall time."""
 
     alpha: np.ndarray
     alpha_desired: np.ndarray
@@ -136,8 +137,6 @@ class StepDiagnostics:
     seconds: float
     plan_costs: np.ndarray
     tail_costs: np.ndarray
-    n_rollouts: int
-    n_sim_steps: int
 
 
 def stream_key(seed: int, step_index: int) -> np.ndarray:
@@ -227,97 +226,66 @@ def evaluate_plan_batch(
     horizon: int,
     missions: MissionSet,
     obstacles: ObstacleSet,
-    return_tail_costs: bool = False,
-) -> tuple:
-    """Mission cost vectors of a batch of flat plans.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mission cost and tail-cost matrices of a batch of flat plans.
 
     ``flat_batch``: (K, n_inputs, n_u) in the flat plan layout for
-    ``horizon``.  Returns ``(costs, tail_costs, n_rollouts, n_sim_steps)``:
-    the (K, m+1) cost matrix, the matching final-stage-plus-terminal matrix
-    (None unless requested), and counters of the plans simulated and single
-    dynamics steps evaluated.  Branch prefixes reuse the primary rollout;
-    only tails are simulated.
+    ``horizon``.  Returns ``(costs, tail_costs)``, two (K, m+1) matrices
+    whose rows are each plan's :func:`cost.cost_vector` and
+    :func:`cost.tail_cost_vector`.
+
+    Branch (i, p) shares primary stages 1..p+1, so primary stage k < N
+    lies on the N-k branches p >= k-1 and enters mission i's sum with that
+    weight.  The tails run in one pass over time t = 1..N-1: branch p
+    splits off after input p, so at time t the branches p < t are running,
+    and one ``model.update`` advances all of them.  Time N-1 is the final
+    stage of every branch, which gives the tail costs.
     """
     n_batch = flat_batch.shape[0]
     m = missions.n_alternatives
-    if flat_batch.shape[1] != dims(horizon, m)[0]:
+    n_inputs = dims(horizon, m)[0]
+    if flat_batch.shape[1] != n_inputs:
         raise ValueError(
             f"flat batch has {flat_batch.shape[1]} input rows, expected "
-            f"{dims(horizon, m)[0]} for horizon {horizon} with {m} alternatives"
+            f"{n_inputs} for horizon {horizon} with {m} alternatives"
         )
-    scales = np.stack([model.mode_scale(mission.mode) for mission in missions.missions])
-
+    scales = np.stack([model.mode_scale(mode) for mode in missions.modes])
     primary_inputs = flat_batch[:, :horizon]
     states = rollout_primary_batch(model, x0, primary_inputs, scales[0])
-    n_sim_steps = n_batch * horizon
-    n_rollouts = n_batch
-
     costs = np.empty((n_batch, m + 1))
-    costs[:, 0] = cost_mod.mission_cost(missions[0], states, primary_inputs, obstacles)
-    tail_costs = None
-    if return_tail_costs:
-        tail_costs = np.empty((n_batch, m + 1))
-        tail_costs[:, 0] = cost_mod.stage_cost_terms(
-            missions[0], states[:, -1], primary_inputs[:, -1], obstacles
-        ) + cost_mod.terminal_cost_terms(missions[0], states[:, -1])
+    tail_costs = np.empty((n_batch, m + 1))
+    stage = cost_mod.stage_cost_terms(missions[0], states[:, 1:], primary_inputs, obstacles)
+    terminal = cost_mod.terminal_cost_terms(missions[0], states[:, -1])
+    costs[:, 0] = stage.sum(axis=-1) + terminal
+    tail_costs[:, 0] = stage[:, -1] + terminal
     if m == 0:
-        return costs, tail_costs, n_rollouts, n_sim_steps
+        return costs, tail_costs
 
-    # Prefix sums of each backup mission's stage terms along the primary.
-    prefix = np.empty((m, n_batch, horizon))
-    for i in range(1, m + 1):
+    backups = list(enumerate(missions.missions[1:]))
+    shared = np.arange(horizon - 1, 0, -1.0)  # branches through primary stage k = 1..N-1
+    branch_sum = np.empty((m, n_batch))
+    for j, mission in backups:
         terms = cost_mod.stage_cost_terms(
-            missions[i], states[:, 1:], primary_inputs, obstacles
+            mission, states[:, 1:-1], primary_inputs[:, :-1], obstacles
         )
-        np.cumsum(terms, axis=1, out=prefix[i - 1])
+        branch_sum[j] = terms @ shared
 
-    branch_sum = np.zeros((n_batch, m))
-    tail_sum = np.zeros((n_batch, m)) if return_tail_costs else None
-    alt_scale = scales[1:]  # (m, n_u)
-    for p in range(horizon - 1):
-        rows = _tail_rows(horizon, m)[p]
-        tails_u = flat_batch[:, rows]  # (K, m, L, n_u)
-        scaled_u = alt_scale[:, None] * tails_u
-        length = tails_u.shape[2]
-        tail_states = np.empty((n_batch, m, length, model.n_x))
-        x = np.broadcast_to(states[:, p + 1][:, None], (n_batch, m, model.n_x))
-        for s in range(length):
-            x = model.update(x, scaled_u[:, :, s])
-            tail_states[:, :, s] = x
-        n_sim_steps += n_batch * m * length
-        n_rollouts += n_batch * m
-        for i in range(1, m + 1):
-            terms = cost_mod.stage_cost_terms(
-                missions[i], tail_states[:, i - 1], tails_u[:, i - 1], obstacles
-            )
-            terminal = cost_mod.terminal_cost_terms(missions[i], tail_states[:, i - 1, -1])
-            branch_sum[:, i - 1] += prefix[i - 1][:, p] + terms.sum(axis=-1) + terminal
-            if return_tail_costs:
-                tail_sum[:, i - 1] += terms[..., -1] + terminal
-    costs[:, 1:] = branch_sum / (horizon - 1)
-    if return_tail_costs:
-        tail_costs[:, 1:] = tail_sum / (horizon - 1)
-    return costs, tail_costs, n_rollouts, n_sim_steps
-
-
-_TAIL_ROWS_CACHE: dict = {}
-
-
-def _tail_rows(horizon: int, m: int) -> list:
-    """Per branch step p, the (m, N-1-p) flat row indices of all tails."""
-    cached = _TAIL_ROWS_CACHE.get((horizon, m))
-    if cached is None:
-        cached = [
-            np.stack(
-                [
-                    np.arange(tail_slice(horizon, i, p).start, tail_slice(horizon, i, p).stop)
-                    for i in range(1, m + 1)
-                ]
-            )
-            for p in range(horizon - 1)
-        ]
-        _TAIL_ROWS_CACHE[(horizon, m)] = cached
-    return cached
+    rows = branch_rows(horizon, m)
+    inputs = np.ascontiguousarray(flat_batch.transpose(1, 0, 2))  # (n_inputs, K, n_u)
+    x = np.empty((horizon - 1, m, n_batch, model.n_x))  # x[p]: branch p's state
+    stage = np.empty((m, n_batch))
+    for t in range(1, horizon):
+        x[t - 1] = states[:, t]
+        u = inputs[rows[t, :t]]  # (t, m, K, n_u): input t of the running branches
+        x[:t] = model.update(x[:t], scales[1:, None] * u)
+        for j, mission in backups:
+            stage[j] = cost_mod.stage_cost_terms(mission, x[:t, j], u[:, j], obstacles).sum(axis=0)
+        branch_sum += stage
+    for j, mission in backups:
+        terminal = cost_mod.terminal_cost_terms(mission, x[:, j]).sum(axis=0)
+        costs[:, j + 1] = (branch_sum[j] + terminal) / (horizon - 1)
+        tail_costs[:, j + 1] = (stage[j] + terminal) / (horizon - 1)
+    return costs, tail_costs
 
 
 def init_state(
@@ -353,18 +321,12 @@ def control_step(
     # the noise-perturbed samples.  Row results are independent of batch
     # composition, so this changes no values, only the call count.
     flat_all = np.concatenate([shifted.flat[None], shifted.flat[None] + noise])
-    costs_all, tails_all, n_rollouts, n_sim_steps = evaluate_plan_batch(
-        model, x, flat_all, params.horizon, missions, obstacles,
-        return_tail_costs=True,
+    costs_all, tails_all = evaluate_plan_batch(
+        model, x, flat_all, params.horizon, missions, obstacles
     )
     plan_costs, tail_costs = costs_all[0], tails_all[0]
     alpha = update_weights(state.alpha, alpha_desired, plan_costs, tail_costs)
 
-    # diagnostics count the sampling stage only, not the noise-free row
-    per_plan = n_rollouts // (params.n_samples + 1)
-    per_steps = n_sim_steps // (params.n_samples + 1)
-    n_rollouts = per_plan * params.n_samples
-    n_sim_steps = per_steps * params.n_samples
     sample_costs = costs_all[1:] @ alpha
     if params.control_cost:
         sample_costs = sample_costs + params.temperature * np.einsum(
@@ -386,7 +348,5 @@ def control_step(
         seconds=time.perf_counter() - t_start,
         plan_costs=plan_costs,
         tail_costs=tail_costs,
-        n_rollouts=n_rollouts,
-        n_sim_steps=n_sim_steps,
     )
     return u_exec, ControllerState(new_inputs, alpha, state.step_index + 1), diag

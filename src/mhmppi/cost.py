@@ -94,10 +94,6 @@ class MissionSet:
         return len(self.missions) - 1
 
     @property
-    def primary(self) -> Mission:
-        return self.missions[0]
-
-    @property
     def modes(self) -> tuple:
         return tuple(mission.mode for mission in self.missions)
 
@@ -106,9 +102,6 @@ class MissionSet:
 
     def __len__(self) -> int:
         return len(self.missions)
-
-    def targets(self) -> np.ndarray:
-        return np.stack([mission.target for mission in self.missions])
 
 
 @dataclass(frozen=True)

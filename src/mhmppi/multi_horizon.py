@@ -102,6 +102,23 @@ def _shift_source(horizon: int, n_alternatives: int) -> np.ndarray:
     return src
 
 
+@lru_cache(maxsize=None)
+def branch_rows(horizon: int, n_alternatives: int) -> np.ndarray:
+    """Flat row of every branch input: an (N, N-1, m) table.
+
+    Entry ``[t, p, i-1]`` is the row holding ``branch_view(i, p)[t]``: the
+    primary row t while t <= p, and tail (i, p)'s entry t-p-1 after it.
+    """
+    rows = np.empty((horizon, horizon - 1, n_alternatives), dtype=np.intp)
+    rows[:] = np.arange(horizon)[:, None, None]
+    for i in range(1, n_alternatives + 1):
+        for p in range(horizon - 1):
+            tail = tail_slice(horizon, i, p)
+            rows[p + 1 :, p, i - 1] = np.arange(tail.start, tail.stop)
+    rows.flags.writeable = False
+    return rows
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False

@@ -24,6 +24,10 @@ import numpy as np
 from .cost import MissionSet, distance
 from .errors import ConfigError, InfeasibleConstraintError
 
+# Bisection on the halfspace multiplier: residual tolerance and step cap.
+_BISECT_TOL = 1e-10
+_BISECT_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class WeightLawParams:
@@ -78,15 +82,13 @@ def project_simplex_halfspace(
     v: np.ndarray,
     c: np.ndarray,
     b: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> np.ndarray:
     """Projection of v onto {alpha on the simplex : c.alpha <= b}.
 
     The multiplier mu >= 0 of the halfspace constraint is found by
     bisection on the non-increasing continuous map
     mu -> c . project_simplex(v - mu*c); iteration stops once the
-    constraint residual is within ``tol`` or the bracket collapses.  The
+    constraint residual is within ``_BISECT_TOL`` or the bracket collapses.  The
     returned point always satisfies the halfspace constraint.
     """
     v = np.asarray(v, dtype=float)
@@ -114,8 +116,8 @@ def project_simplex_halfspace(
         grow += 1
         if grow > 200:  # cannot happen for a feasible instance
             raise InfeasibleConstraintError("halfspace multiplier bracket diverged")
-    for _ in range(max_iter):
-        if abs(g_hi - b) <= tol or (mu_hi - mu_lo) <= 1e-16 * max(1.0, mu_hi):
+    for _ in range(_BISECT_MAX_ITER):
+        if abs(g_hi - b) <= _BISECT_TOL or (mu_hi - mu_lo) <= 1e-16 * max(1.0, mu_hi):
             break
         mu_mid = 0.5 * (mu_lo + mu_hi)
         g_mid, x_mid = value(mu_mid)

@@ -140,6 +140,8 @@ def test_cli_rejects_bad_override(tmp_path):
     cfg = write_exp(tmp_path, {"scenario": fast_inline_scenario()})
     assert cli.main(["run", cfg, "--override", "controller.bogus=1"]) == 2
     assert cli.main(["run", cfg, "--override", "controller.samples=0"]) == 2
+    assert cli.main(["run", cfg, "--override", "controller.samples=abc"]) == 2
+    assert cli.main(["run", cfg, "--override", 'weights.gamma="x"']) == 2
 
 
 def test_workers_flag_matches_serial(tmp_path):

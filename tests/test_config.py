@@ -106,9 +106,10 @@ def test_override_paths():
 
 
 def test_overrides_type_checked_at_parse_time(tmp_path):
-    payload = {"scenario": "uav-free-1", "overrides": {"controller.samples": -3}}
-    with pytest.raises(ConfigError, match="n_samples"):
-        parse_config(write_config(tmp_path, payload))
+    for value, match in ((-3, "n_samples"), ("abc", "^controller: ")):
+        payload = {"scenario": "uav-free-1", "overrides": {"controller.samples": value}}
+        with pytest.raises(ConfigError, match=match):
+            parse_config(write_config(tmp_path, payload))
 
 
 def test_sweep_validation(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 
 from mhmppi import controller as ctrl
 from mhmppi.config import scenario_from_dict
-from mhmppi.cost import Mission, MissionSet, ObstacleSet, cost_vector
-from mhmppi.dynamics import DoubleIntegrator, step
+from mhmppi.cost import Mission, MissionSet, ObstacleSet, cost_vector, tail_cost_vector
+from mhmppi.dynamics import DoubleIntegrator, ModeParams, SimpleCar, step
 from mhmppi.errors import ConfigError
 from mhmppi.multi_horizon import MultiHorizonInput, dims, expand
 from mhmppi.scenarios import get_scenario_dict
@@ -133,16 +133,13 @@ def test_mppi_update_degenerate_and_cancellation():
 # -------------------------------------------------------- full control step
 
 
-def test_control_step_counters_and_determinism():
+def test_control_step_is_deterministic():
     params = make_params(n_samples=32, horizon=5, n_alternatives=2)
     model = DoubleIntegrator()
     wl = WeightLawParams(gamma=0.66)
     x = np.zeros(4)
     state = ctrl.init_state(x, params, UAV_MISSIONS, wl)
-    u1, s1, diag = ctrl.control_step(x, state, model, UAV_MISSIONS, NO_OBS, params, wl)
-    n_inputs, _ = dims(params.horizon, params.n_alternatives)
-    assert diag.n_rollouts == params.n_samples * (1 + 2 * (params.horizon - 1))
-    assert diag.n_sim_steps == params.n_samples * n_inputs
+    u1, s1, _ = ctrl.control_step(x, state, model, UAV_MISSIONS, NO_OBS, params, wl)
 
     state_b = ctrl.init_state(x, params, UAV_MISSIONS, wl)
     u2, s2, _ = ctrl.control_step(x, state_b, model, UAV_MISSIONS, NO_OBS, params, wl)
@@ -169,43 +166,65 @@ def test_control_step_alpha_on_simplex_and_descent():
         x = step(model, x, u)
 
 
+def _oracle_case(model_cls, horizon, m, seed):
+    """Backup missions in distinct modes, mission 1's with a zero channel;
+    boxes on the plans' paths; a shifted base plan plus noisy copies."""
+    modes = (
+        ModeParams(0, np.ones(2)),
+        ModeParams(1, np.array([0.6, 0.8])),
+        ModeParams(2, np.array([1.0, 0.0])),
+    )
+    model = model_cls(modes=modes)
+    rng = np.random.default_rng(seed)
+    missions = MissionSet(
+        tuple(
+            Mission.build(
+                rng.uniform(-2, 2, model.n_x),
+                state_weight=1.0 + i,
+                input_weight=0.5,
+                mode=(3 - i) % 3 if i else 0,
+            )
+            for i in range(m + 1)
+        )
+    )
+    obstacles = ObstacleSet.from_boxes(
+        [((-0.05, -0.3), (0.3, 0.05)), ((0.1, 0.1), (0.6, 0.6))], penalty=5.0
+    )
+    base = MultiHorizonInput(horizon, m, rng.standard_normal((dims(horizon, m)[0], 2)))
+    base = base.shift()  # the last input of every plan is the zero pad
+    flat_batch = base.flat[None] + 0.8 * rng.standard_normal((6, *base.flat.shape))
+    flat_batch[0] = base.flat
+    return model, missions, obstacles, base, flat_batch
+
+
 def test_batch_costs_match_structure_route():
-    # every batch row must reproduce the per-structure cost vector
-    params = make_params(n_samples=8, horizon=5, n_alternatives=2, seed=2)
-    model = DoubleIntegrator()
-    rng = np.random.default_rng(9)
-    x0 = rng.standard_normal(4)
-    base = MultiHorizonInput(5, 2, rng.standard_normal((dims(5, 2)[0], 2)))
-    noise = ctrl.sample_noise(params, 0)
-    flat_batch = base.flat[None] + noise
-    costs, _, n_roll, n_steps = ctrl.evaluate_plan_batch(
-        model, x0, flat_batch, 5, UAV_MISSIONS, NO_OBS
-    )
-    for q in range(params.n_samples):
-        plan = base.with_flat(flat_batch[q])
-        traj = expand(model, x0, plan, UAV_MISSIONS.modes)
-        direct = cost_vector(traj, plan, UAV_MISSIONS, NO_OBS)
-        assert np.allclose(costs[q], direct, rtol=1e-11, atol=1e-9)
-    assert n_roll == 8 * (1 + 2 * 4)
-    assert n_steps == 8 * dims(5, 2)[0]
-
-
-def test_batch_tail_costs_match_structure_route():
-    from mhmppi.cost import tail_cost_vector
-
-    model = DoubleIntegrator()
-    rng = np.random.default_rng(31)
-    x0 = rng.standard_normal(4)
-    base = MultiHorizonInput(4, 2, rng.standard_normal((dims(4, 2)[0], 2)))
-    shifted = base.shift()  # last input of every plan is the zero pad
-    costs, tails, _, _ = ctrl.evaluate_plan_batch(
-        model, x0, shifted.flat[None], 4, UAV_MISSIONS, NO_OBS, return_tail_costs=True
-    )
-    traj = expand(model, x0, shifted, UAV_MISSIONS.modes)
-    assert np.allclose(costs[0], cost_vector(traj, shifted, UAV_MISSIONS, NO_OBS), rtol=1e-11)
-    assert np.allclose(
-        tails[0], tail_cost_vector(traj, shifted, UAV_MISSIONS, NO_OBS), rtol=1e-11
-    )
+    # every batch row must reproduce the per-structure cost and tail-cost
+    # vectors, for both models, short and long horizons and all input modes
+    for model_cls in (DoubleIntegrator, SimpleCar):
+        for horizon, m in [(2, 1), (3, 3), (5, 2), (7, 3)]:
+            case = f"{model_cls.__name__} N={horizon} m={m}"
+            model, missions, obstacles, base, flat_batch = _oracle_case(
+                model_cls, horizon, m, seed=10 * horizon + m
+            )
+            x0 = np.zeros(model.n_x)
+            costs, tails = ctrl.evaluate_plan_batch(
+                model, x0, flat_batch, horizon, missions, obstacles
+            )
+            primary_hits = tail_hits = 0
+            for q in range(flat_batch.shape[0]):
+                plan = base.with_flat(flat_batch[q])
+                traj = expand(model, x0, plan, missions.modes)
+                direct = cost_vector(traj, plan, missions, obstacles)
+                direct_tails = tail_cost_vector(traj, plan, missions, obstacles)
+                assert np.allclose(costs[q], direct, rtol=1e-11, atol=0), case
+                assert np.allclose(tails[q], direct_tails, rtol=1e-11, atol=0), case
+                primary_hits += obstacles.inside(traj.primary_states[1:, :2]).sum()
+                tail_hits += sum(
+                    obstacles.inside(states[:, :2]).sum()
+                    for branch in traj.tail_states
+                    for states in branch
+                )
+            assert primary_hits and tail_hits, f"{case}: the plans enter no box"
 
 
 def test_noise_stream_template_reuse_is_exact():

@@ -4,7 +4,7 @@ import pytest
 from mhmppi.dynamics import DoubleIntegrator, ModeParams
 from mhmppi.errors import ConfigError
 from mhmppi.multi_horizon import MultiHorizonInput, dims, expand, tail_length
-from mhmppi.multi_horizon import tail_slice
+from mhmppi.multi_horizon import branch_rows, tail_slice
 
 
 def random_plan(horizon, m, n_u=2, seed=0):
@@ -124,6 +124,21 @@ def test_shift_reproduces_plan_views():
             # the fresh branch at p = N-2 continues the shifted primary
             expected = np.vstack([plan.primary[1:], zero])
             assert np.array_equal(shifted.branch_view(i, horizon - 2), expected)
+
+
+def test_branch_rows_address_plan_views():
+    # the time-major row table vs the view rule: entry (t, p, i) is the row
+    # of branch_view(i, p)[t], a tail row once t > p
+    for horizon, m in [(2, 1), (3, 2), (5, 3), (8, 2)]:
+        plan = random_plan(horizon, m, seed=horizon + m)
+        rows = branch_rows(horizon, m)
+        assert rows.shape == (horizon, horizon - 1, m)
+        for i in range(1, m + 1):
+            for p in range(horizon - 1):
+                view = plan.branch_view(i, p)
+                for t in range(horizon):
+                    assert np.array_equal(plan.flat[rows[t, p, i - 1]], view[t])
+                    assert (rows[t, p, i - 1] >= horizon) == (t > p)
 
 
 def test_flat_layout_is_primary_then_mission_major_tails():
