@@ -227,6 +227,22 @@ def test_batch_costs_match_structure_route():
             assert primary_hits and tail_hits, f"{case}: the plans enter no box"
 
 
+def test_batch_tail_costs_match_structure_route():
+    model = DoubleIntegrator()
+    rng = np.random.default_rng(31)
+    x0 = rng.standard_normal(4)
+    base = MultiHorizonInput(4, 2, rng.standard_normal((dims(4, 2)[0], 2)))
+    shifted = base.shift()  # last input of every plan is the zero pad
+    costs, tails = ctrl.evaluate_plan_batch(
+        model, x0, shifted.flat[None], 4, UAV_MISSIONS, NO_OBS
+    )
+    traj = expand(model, x0, shifted, UAV_MISSIONS.modes)
+    assert np.allclose(costs[0], cost_vector(traj, shifted, UAV_MISSIONS, NO_OBS), rtol=1e-11)
+    assert np.allclose(
+        tails[0], tail_cost_vector(traj, shifted, UAV_MISSIONS, NO_OBS), rtol=1e-11
+    )
+
+
 def test_noise_stream_template_reuse_is_exact():
     # drawing advances internal state; the next sample must still match a
     # freshly keyed construction (the template must not alias generator state)
