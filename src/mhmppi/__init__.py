@@ -2,7 +2,7 @@
 
 from .controller import ControllerParams, ControllerState, StepDiagnostics, control_step
 from .cost import Mission, MissionSet, ObstacleSet, cost_vector, tail_cost_vector
-from .dynamics import DoubleIntegrator, ModeParams, SimpleCar, rollout, step
+from .dynamics import DoubleIntegrator, SimpleCar, rollout, step
 from .errors import ConfigError, InfeasibleConstraintError
 from .multi_horizon import MultiHorizonInput, MultiHorizonTrajectory, dims, expand
 from .weights import WeightLawParams, desired_weights, update_weights
@@ -15,7 +15,6 @@ __all__ = [
     "InfeasibleConstraintError",
     "Mission",
     "MissionSet",
-    "ModeParams",
     "MultiHorizonInput",
     "MultiHorizonTrajectory",
     "ObstacleSet",

@@ -42,8 +42,8 @@ def _run_label(sweep_point: dict) -> str:
     return ",".join(f"{p.split('.')[-1]}={v}" for p, v in sorted(sweep_point.items()))
 
 
-def _execute_run(args: tuple) -> tuple:
-    """One run of the cross product; module-level for process pools."""
+def _execute_run(args: tuple) -> sim.ClosedLoopTrace:
+    """One run of the cross product; writes its trace file."""
     cfg, sweep_point, seed, out_dir = args
     scenario_dict, scenario = config_mod.resolve_run_scenario(cfg, sweep_point)
     group = _run_label(sweep_point) or cfg.scenario_name
@@ -58,7 +58,17 @@ def _execute_run(args: tuple) -> tuple:
     filename = _sanitize("_".join(name_bits)) + ".csv"
     path = f"{out_dir}/{filename}"
     traceio.write_trace(trace, path)
-    return trace, path
+    return trace
+
+
+def _run_isolated(job: tuple):
+    """``_execute_run``'s trace, or the exception it raised after printing
+    its traceback; module-level for process pools."""
+    try:
+        return _execute_run(job)
+    except Exception as exc:  # noqa: BLE001 - per-run isolation
+        traceback.print_exc()
+        return exc
 
 
 def run_experiment(cfg: config_mod.ExperimentConfig, workers: int = 1) -> int:
@@ -69,29 +79,20 @@ def run_experiment(cfg: config_mod.ExperimentConfig, workers: int = 1) -> int:
     points = [dict(combo) for combo in itertools.product(*axes)] if axes else [{}]
     jobs = [(cfg, point, seed, cfg.out_dir) for point in points for seed in cfg.seeds]
 
-    traces, failures = [], []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(job, pool.submit(_execute_run, job)) for job in jobs]
-            for job, future in futures:
-                try:
-                    trace, _ = future.result()
-                    traces.append(trace)
-                except Exception as exc:  # noqa: BLE001 - per-run isolation
-                    failures.append((job, exc))
+            futures = [pool.submit(_run_isolated, job) for job in jobs]
+            # a worker that dies fails its own run only
+            results = [f.exception() or f.result() for f in futures]
     else:
-        for job in jobs:
-            try:
-                trace, _ = _execute_run(job)
-                traces.append(trace)
-            except Exception as exc:  # noqa: BLE001 - per-run isolation
-                failures.append((job, exc))
-                traceback.print_exc()
+        results = list(map(_run_isolated, jobs))
+    traces = [r for r in results if not isinstance(r, Exception)]
+    failures = [(job, r) for job, r in zip(jobs, results) if isinstance(r, Exception)]
 
     if traces:
         rows = sim.analyze(traces)
         traceio.write_stats(rows, f"{cfg.out_dir}/stats.csv")
-    for (cfg_, point, seed, _), exc in failures:
+    for (_, point, seed, _), exc in failures:
         print(f"FAILED: sweep={point} seed={seed}: {exc}", file=sys.stderr)
     print(
         f"{len(traces)} run(s) completed, {len(failures)} failed; "
@@ -115,7 +116,7 @@ def _cmd_run(args) -> int:
         except json.JSONDecodeError:
             value = raw
         cfg.overrides[path] = value
-    config_mod.resolve_run_scenario(cfg, {}, validate_only=True)
+    config_mod.resolve_run_scenario(cfg, {})  # overrides must type-check
     return run_experiment(cfg, workers=args.workers)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .controller import ControllerParams
 from .cost import Mission, MissionSet, ObstacleSet
-from .dynamics import DoubleIntegrator, ModeParams, SimpleCar
+from .dynamics import DoubleIntegrator, SimpleCar
 from .errors import ConfigError
 from .scenarios import get_scenario_dict
 from .sim import AbortSpec, Scenario
@@ -94,12 +94,6 @@ def _build_model(section: dict, path: str):
     if kind is None:
         raise ConfigError("model kind is required", path=f"{path}.kind")
     modes = section.get("modes")
-    mode_params = None
-    if modes is not None:
-        with _wrap(f"{path}.modes"):
-            mode_params = tuple(
-                ModeParams(j, np.asarray(scale, dtype=float)) for j, scale in enumerate(modes)
-            )
     if kind == "double_integrator":
         for key in ("wheelbase", "time_step"):
             if key in section:
@@ -107,13 +101,13 @@ def _build_model(section: dict, path: str):
                     f"{key} does not apply to the double integrator", path=f"{path}.{key}"
                 )
         with _wrap(path):
-            return DoubleIntegrator(mode_params)
+            return DoubleIntegrator(modes)
     if kind == "simple_car":
         with _wrap(path):
             return SimpleCar(
                 wheelbase=float(section.get("wheelbase", 0.2)),
                 time_step=float(section.get("time_step", 0.1)),
-                modes=mode_params,
+                modes=modes,
             )
     raise ConfigError(
         f"unknown model kind {kind!r} (use double_integrator or simple_car)",
@@ -325,21 +319,17 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
         seeds=list(seeds),
         out_dir=str(raw.get("out_dir", "results")),
     )
-    resolve_run_scenario(cfg, {}, validate_only=True)  # overrides must type-check
+    resolve_run_scenario(cfg, {})  # overrides must type-check
     return cfg
 
 
-def resolve_run_scenario(
-    cfg: ExperimentConfig, sweep_point: dict, validate_only: bool = False
-):
-    """Scenario dict for one run: base config + overrides + sweep point."""
+def resolve_run_scenario(cfg: ExperimentConfig, sweep_point: dict):
+    """Scenario dict and built scenario for one run: base config +
+    overrides + sweep point."""
     scenario = copy.deepcopy(cfg.scenario)
     for dotted, value in {**cfg.overrides, **sweep_point}.items():
         set_by_path(scenario, dotted, value)
-    built = scenario_from_dict(scenario, name=cfg.scenario_name)
-    if validate_only:
-        return None
-    return scenario, built
+    return scenario, scenario_from_dict(scenario, name=cfg.scenario_name)
 
 
 def config_hash(resolved_scenario: dict, seed: int) -> str:

@@ -8,10 +8,11 @@ Two models are provided:
 * :class:`SimpleCar` -- kinematic car, state ``[px, py, theta]``, input
   ``[v, phi]`` (speed, steering angle).
 
-A model carries a list of :class:`ModeParams`.  Mode ``j`` rescales the
-input channel-wise before it enters the nominal update, which is how
-degraded actuation (e.g. a partial engine failure) is represented.  Mode 0
-is always the identity unless configured otherwise.
+A model carries its modes as one read-only ``(n_modes, n_u)`` array of
+non-negative input scales.  Mode ``j`` multiplies the input channel-wise by
+row ``j`` before it enters the nominal update, which is how degraded
+actuation (e.g. a partial engine failure) is represented.  By default the
+model has one mode, the identity.
 
 All step functions are pure and operate on float64 arrays with arbitrary
 leading batch dimensions.
@@ -19,30 +20,9 @@ leading batch dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
-
-
-@dataclass(frozen=True)
-class ModeParams:
-    """Per-mode input authority: ``u_effective = input_scale * u``."""
-
-    mode_id: int
-    input_scale: np.ndarray
-
-    def __post_init__(self):
-        scale = np.asarray(self.input_scale, dtype=float)
-        if np.any(scale < 0.0):
-            raise ConfigError("input_scale entries must be >= 0")
-        scale.flags.writeable = False
-        object.__setattr__(self, "input_scale", scale)
-
-
-def _default_modes(n_u: int) -> tuple[ModeParams, ...]:
-    return (ModeParams(0, np.ones(n_u)),)
 
 
 class DynamicsModel:
@@ -52,12 +32,12 @@ class DynamicsModel:
     n_u: int
 
     def __init__(self, modes=None):
-        if modes is None:
-            modes = _default_modes(self.n_u)
-        modes = tuple(modes)
-        for j, mode in enumerate(modes):
-            if mode.input_scale.shape != (self.n_u,):
-                raise ConfigError(f"mode {j}: input_scale must have length {self.n_u}")
+        modes = np.array(np.ones((1, self.n_u)) if modes is None else modes, dtype=float)
+        if modes.ndim != 2 or modes.shape[1] != self.n_u:
+            raise ConfigError(f"modes must be an (n_modes, {self.n_u}) array of input scales")
+        if np.any(modes < 0.0):
+            raise ConfigError("input scale entries must be >= 0")
+        modes.flags.writeable = False
         self.modes = modes
 
     def update(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -67,7 +47,7 @@ class DynamicsModel:
     def mode_scale(self, mode: int) -> np.ndarray:
         if not 0 <= mode < len(self.modes):
             raise ConfigError(f"unknown mode {mode}; model has {len(self.modes)} modes")
-        return self.modes[mode].input_scale
+        return self.modes[mode]
 
 
 class DoubleIntegrator(DynamicsModel):

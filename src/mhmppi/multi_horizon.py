@@ -17,10 +17,12 @@ Flat index convention (the contract shared with the noise sampler and the
 sampling update): row d of :attr:`MultiHorizonInput.flat` is
 
 * ``d in [0, N)``                      -- primary input ``u_d``;
-* then mission-major, branch-step-major tails: for mission i (1-based) and
-  branch step p, rows ``N + (i-1)*N*(N-1)/2 + offset(p) .. + (N-1-p)``,
-  where ``offset(p) = sum_{r<p} (N-1-r)``, holding the tail inputs in
-  time order.
+* ``d >= N``                           -- tail inputs, numbered mission
+  first, then branch step p, then time t.
+
+:func:`branch_rows` is that layout as one ``(N, N-1, m)`` table: entry
+``[t, p, i-1]`` is the row holding input t of branch (i, p).  Every other
+view of the flat storage (tails, branch plans, the shift) reads it.
 """
 
 from __future__ import annotations
@@ -49,17 +51,6 @@ def dims(horizon: int, n_alternatives: int) -> tuple[int, int]:
     return n_inputs, n_inputs + 1
 
 
-@lru_cache(maxsize=None)
-def _tail_offsets(horizon: int) -> tuple[int, ...]:
-    """offset(p) of each branch tail within one mission's tail block."""
-    offs = []
-    total = 0
-    for p in range(horizon - 1):
-        offs.append(total)
-        total += horizon - 1 - p
-    return tuple(offs)
-
-
 def tail_length(horizon: int, p: int) -> int:
     return horizon - 1 - p
 
@@ -71,37 +62,6 @@ def _check_branch(horizon: int, n_alternatives: int, i: int, p: int) -> None:
         raise ValueError(f"branch step {p} out of range 0..{horizon - 2}")
 
 
-def tail_slice(horizon: int, i: int, p: int) -> slice:
-    """Rows of the flat array holding tail (i, p)."""
-    tri = horizon * (horizon - 1) // 2
-    start = horizon + (i - 1) * tri + _tail_offsets(horizon)[p]
-    return slice(start, start + tail_length(horizon, p))
-
-
-@lru_cache(maxsize=None)
-def _shift_source(horizon: int, n_alternatives: int) -> np.ndarray:
-    """Row map realizing the receding-horizon shift on the flat storage.
-
-    ``new_flat[d] = old_flat[src[d]]`` with ``src[d] == -1`` meaning a fresh
-    zero row.  The map drops the executed first primary input and the whole
-    p=0 tail family (their branch-off point has passed), re-indexes the
-    surviving tails p -> p-1, appends one zero input to each, and opens a
-    fresh all-zero length-1 tail at p = N-2.  Equivalently, every length-N
-    plan view of the result equals the corresponding old view with its
-    first input removed and a zero input appended.
-    """
-    n, _ = dims(horizon, n_alternatives)
-    src = np.full(n, -1, dtype=np.intp)
-    src[: horizon - 1] = np.arange(1, horizon)
-    for i in range(1, n_alternatives + 1):
-        for p in range(horizon - 2):
-            dst = tail_slice(horizon, i, p)
-            old = tail_slice(horizon, i, p + 1)
-            src[dst.start : dst.stop - 1] = np.arange(old.start, old.stop)
-    src.flags.writeable = False
-    return src
-
-
 @lru_cache(maxsize=None)
 def branch_rows(horizon: int, n_alternatives: int) -> np.ndarray:
     """Flat row of every branch input: an (N, N-1, m) table.
@@ -109,14 +69,37 @@ def branch_rows(horizon: int, n_alternatives: int) -> np.ndarray:
     Entry ``[t, p, i-1]`` is the row holding ``branch_view(i, p)[t]``: the
     primary row t while t <= p, and tail (i, p)'s entry t-p-1 after it.
     """
-    rows = np.empty((horizon, horizon - 1, n_alternatives), dtype=np.intp)
-    rows[:] = np.arange(horizon)[:, None, None]
-    for i in range(1, n_alternatives + 1):
-        for p in range(horizon - 1):
-            tail = tail_slice(horizon, i, p)
-            rows[p + 1 :, p, i - 1] = np.arange(tail.start, tail.stop)
+    m = n_alternatives
+    t = np.arange(horizon)
+    is_tail = t > t[:-1, None]  # [p, t]
+    tri = int(is_tail.sum())
+    rows = np.empty((m, horizon - 1, horizon), dtype=np.intp)  # [i-1, p, t]
+    rows[:] = t
+    rows[:, is_tail] = np.arange(horizon, horizon + m * tri).reshape(m, tri)
+    rows = np.ascontiguousarray(rows.transpose(2, 1, 0))
     rows.flags.writeable = False
     return rows
+
+
+@lru_cache(maxsize=None)
+def _shift_source(horizon: int, n_alternatives: int) -> np.ndarray:
+    """Row map realizing the receding-horizon shift on the flat storage.
+
+    ``new_flat[d] = old_flat[src[d]]`` with ``src[d] == -1`` meaning a fresh
+    zero row.  Entry t of every new view (i, p) is entry t+1 of the old
+    view (i, p+1), and entry t of the new primary is old entry t+1; the
+    last entry of each is a fresh zero.  So every length-N plan view of the
+    result equals the corresponding old view with its first input removed
+    and a zero input appended, and the p=0 tails (whose branch-off point
+    has passed) are dropped.
+    """
+    n, _ = dims(horizon, n_alternatives)
+    rows = branch_rows(horizon, n_alternatives)
+    src = np.full(n, -1, dtype=np.intp)
+    src[: horizon - 1] = np.arange(1, horizon)
+    src[rows[:-1, :-1]] = rows[1:, 1:]
+    src.flags.writeable = False
+    return src
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -155,6 +138,7 @@ class MultiHorizonInput:
         n, _ = dims(horizon, n_alternatives)
         flat = np.zeros((n, primary.shape[1]))
         flat[:horizon] = primary
+        rows = branch_rows(horizon, n_alternatives)
         for i, mission_tails in enumerate(tails, start=1):
             if len(mission_tails) != horizon - 1:
                 raise ValueError(f"mission {i}: expected {horizon - 1} tails")
@@ -164,7 +148,7 @@ class MultiHorizonInput:
                     raise ValueError(
                         f"tail ({i},{p}): expected {tail_length(horizon, p)} inputs"
                     )
-                flat[tail_slice(horizon, i, p)] = tail
+                flat[rows[p + 1 :, p, i - 1]] = tail
         return cls(horizon, n_alternatives, flat)
 
     @property
@@ -176,9 +160,8 @@ class MultiHorizonInput:
         return self.flat[: self.horizon]
 
     def tail(self, i: int, p: int) -> np.ndarray:
-        """Inputs of branch (i, p) after the shared prefix; read-only view."""
-        _check_branch(self.horizon, self.n_alternatives, i, p)
-        return self.flat[tail_slice(self.horizon, i, p)]
+        """Inputs of branch (i, p) after the shared prefix; read-only."""
+        return self.branch_view(i, p)[p + 1 :]
 
     def branch_view(self, i: int, p: int) -> np.ndarray:
         """The full N-input plan for aborting to mission i after input p.
@@ -187,7 +170,8 @@ class MultiHorizonInput:
         independent storage); the array is read-only to keep it that way.
         """
         _check_branch(self.horizon, self.n_alternatives, i, p)
-        return _readonly(np.concatenate([self.flat[: p + 1], self.tail(i, p)]))
+        rows = branch_rows(self.horizon, self.n_alternatives)
+        return _readonly(self.flat[rows[:, p, i - 1]])
 
     def shift(self) -> "MultiHorizonInput":
         """Receding-horizon shift: drop the executed input, pad with zeros."""

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -159,3 +161,34 @@ def test_workers_flag_matches_serial(tmp_path):
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.state, rb.state)
             assert np.array_equal(ra.inp, rb.inp)
+
+
+def test_failed_run_prints_traceback(tmp_path):
+    # one good and one bad sweep point: the bad run's traceback reaches
+    # stderr whether it ran in this process or in a pool worker
+    src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    for workers in ("1", "2"):
+        out_dir = tmp_path / f"out{workers}"
+        cfg = write_exp(
+            tmp_path,
+            {
+                "scenario": fast_inline_scenario(),
+                "sweeps": [{"path": "controller.samples", "values": [48, 0]}],
+                "out_dir": str(out_dir),
+            },
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "mhmppi.cli", "run", cfg, "--workers", workers],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 1, workers
+        failed = [ln for ln in proc.stderr.splitlines() if ln.startswith("FAILED:")]
+        assert len(failed) == 1 and "samples" in failed[0], workers
+        assert "Traceback (most recent call last)" in proc.stderr, workers
+        assert "ConfigError" in proc.stderr, workers
+        files = sorted(os.listdir(out_dir))
+        assert files == ["custom_samples=48_seed0.csv", "stats.csv"], workers

@@ -151,6 +151,17 @@ def test_modes_config():
     cfg["missions"][1]["mode"] = 7
     with pytest.raises(ConfigError):
         scenario_from_dict(cfg)
+    cfg["missions"][1]["mode"] = 0
+    for bad in (
+        [[1.0, 1.0], [0.5]],  # ragged rows
+        [[1.0, 1.0], [0.5, -0.1]],  # negative scale
+        [[1.0, 1.0, 1.0]],  # wrong row length
+        [1.0, 1.0],  # flat list
+    ):
+        cfg["model"]["modes"] = bad
+        with pytest.raises(ConfigError) as err:
+            scenario_from_dict(cfg)
+        assert err.value.path.startswith("model")
 
 
 def test_nonzero_extra_target_entries_rejected():

@@ -6,7 +6,7 @@ import pytest
 from mhmppi import controller as ctrl
 from mhmppi.config import scenario_from_dict
 from mhmppi.cost import Mission, MissionSet, ObstacleSet, cost_vector, tail_cost_vector
-from mhmppi.dynamics import DoubleIntegrator, ModeParams, SimpleCar, step
+from mhmppi.dynamics import DoubleIntegrator, SimpleCar, step
 from mhmppi.errors import ConfigError
 from mhmppi.multi_horizon import MultiHorizonInput, dims, expand
 from mhmppi.scenarios import get_scenario_dict
@@ -169,11 +169,7 @@ def test_control_step_alpha_on_simplex_and_descent():
 def _oracle_case(model_cls, horizon, m, seed):
     """Backup missions in distinct modes, mission 1's with a zero channel;
     boxes on the plans' paths; a shifted base plan plus noisy copies."""
-    modes = (
-        ModeParams(0, np.ones(2)),
-        ModeParams(1, np.array([0.6, 0.8])),
-        ModeParams(2, np.array([1.0, 0.0])),
-    )
+    modes = [np.ones(2), np.array([0.6, 0.8]), np.array([1.0, 0.0])]
     model = model_cls(modes=modes)
     rng = np.random.default_rng(seed)
     missions = MissionSet(

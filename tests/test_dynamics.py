@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from mhmppi.dynamics import (
-    DoubleIntegrator,
-    ModeParams,
-    SimpleCar,
-    rollout,
-    step,
-)
+from mhmppi.dynamics import DoubleIntegrator, SimpleCar, rollout, step
 from mhmppi.errors import ConfigError
 
 
@@ -84,8 +78,7 @@ def test_double_integrator_superposition():
 
 
 def test_mode_scaling_degrades_input():
-    modes = (ModeParams(0, np.ones(2)), ModeParams(1, np.array([0.5, 0.0])))
-    model = DoubleIntegrator(modes)
+    model = DoubleIntegrator([np.ones(2), np.array([0.5, 0.0])])
     full = step(model, [0, 0, 0, 0], [1, 1], mode=0)
     cut = step(model, [0, 0, 0, 0], [1, 1], mode=1)
     assert np.allclose(full, [0, 0, 0.1, 0.1])
@@ -105,7 +98,7 @@ def test_dimension_and_mode_errors():
     with pytest.raises(ConfigError):
         SimpleCar(time_step=-0.1)
     with pytest.raises(ConfigError):
-        ModeParams(0, np.array([1.0, -0.1]))
+        DoubleIntegrator([[1.0, -0.1]])
 
 
 def test_step_is_pure():

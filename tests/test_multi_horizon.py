@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mhmppi.dynamics import DoubleIntegrator, ModeParams
+from mhmppi.dynamics import DoubleIntegrator
 from mhmppi.errors import ConfigError
 from mhmppi.multi_horizon import MultiHorizonInput, dims, expand, tail_length
-from mhmppi.multi_horizon import branch_rows, tail_slice
+from mhmppi.multi_horizon import branch_rows
 
 
 def random_plan(horizon, m, n_u=2, seed=0):
@@ -126,33 +126,38 @@ def test_shift_reproduces_plan_views():
             assert np.array_equal(shifted.branch_view(i, horizon - 2), expected)
 
 
-def test_branch_rows_address_plan_views():
-    # the time-major row table vs the view rule: entry (t, p, i) is the row
-    # of branch_view(i, p)[t], a tail row once t > p
-    for horizon, m in [(2, 1), (3, 2), (5, 3), (8, 2)]:
-        plan = random_plan(horizon, m, seed=horizon + m)
-        rows = branch_rows(horizon, m)
-        assert rows.shape == (horizon, horizon - 1, m)
-        for i in range(1, m + 1):
-            for p in range(horizon - 1):
-                view = plan.branch_view(i, p)
-                for t in range(horizon):
-                    assert np.array_equal(plan.flat[rows[t, p, i - 1]], view[t])
-                    assert (rows[t, p, i - 1] >= horizon) == (t > p)
+def hand_counted_rows(horizon, m):
+    """The flat layout counted out row by row: primary rows 0..N-1, then the
+    tails mission by mission, branch step by branch step, in time order."""
+    rows = np.full((horizon, horizon - 1, m), -1)
+    for i in range(m):
+        for p in range(horizon - 1):
+            rows[: p + 1, p, i] = np.arange(p + 1)
+    row = horizon
+    for i in range(m):
+        for p in range(horizon - 1):
+            for t in range(p + 1, horizon):
+                rows[t, p, i] = row
+                row += 1
+    assert row == dims(horizon, m)[0]
+    return rows
 
 
-def test_flat_layout_is_primary_then_mission_major_tails():
-    plan = random_plan(4, 2, seed=3)
-    flat = plan.flat
-    assert np.array_equal(flat[:4], plan.primary)
-    row = 4
-    for i in (1, 2):
-        for p in range(3):
-            sl = tail_slice(4, i, p)
-            assert sl.start == row
-            assert np.array_equal(flat[sl], plan.tail(i, p))
-            row = sl.stop
-    assert row == flat.shape[0]
+def test_branch_rows_match_hand_counted_layout():
+    for horizon in (2, 3, 4, 5, 8):
+        for m in (0, 1, 2, 3):
+            expected = hand_counted_rows(horizon, m)
+            rows = branch_rows(horizon, m)
+            assert rows.shape == (horizon, horizon - 1, m)
+            assert np.array_equal(rows, expected)
+            # the plan views read the same rows of the flat storage
+            plan = random_plan(horizon, m, seed=horizon + m)
+            assert np.array_equal(plan.primary, plan.flat[:horizon])
+            for i in range(1, m + 1):
+                for p in range(horizon - 1):
+                    view_rows = expected[:, p, i - 1]
+                    assert np.array_equal(plan.branch_view(i, p), plan.flat[view_rows])
+                    assert np.array_equal(plan.tail(i, p), plan.flat[view_rows[p + 1 :]])
 
 
 def test_expand_zero_everything():
@@ -187,8 +192,7 @@ def test_expand_prefix_equality_exact():
 
 
 def test_expand_uses_mission_modes():
-    modes = (ModeParams(0, np.ones(2)), ModeParams(1, np.zeros(2)))
-    model = DoubleIntegrator(modes)
+    model = DoubleIntegrator([np.ones(2), np.zeros(2)])
     rng = np.random.default_rng(17)
     plan = MultiHorizonInput(3, 1, rng.standard_normal((6, 2)))
     traj = expand(model, np.zeros(4), plan, mission_modes=(0, 1))

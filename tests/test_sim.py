@@ -5,7 +5,7 @@ from mhmppi import config as config_mod
 from mhmppi import sim as sim_mod
 from mhmppi.controller import ControllerParams, ControllerState
 from mhmppi.cost import Mission, MissionSet, ObstacleSet, cost_vector, distance
-from mhmppi.dynamics import DoubleIntegrator, ModeParams, step
+from mhmppi.dynamics import DoubleIntegrator, step
 from mhmppi.errors import ConfigError
 from mhmppi.multi_horizon import MultiHorizonInput, dims, expand
 from mhmppi.sim import (
@@ -110,7 +110,7 @@ def test_abort_switches_mission_and_mode():
             Mission.build([3.0, -2.0, 0.0, 0.0], state_weight=10.0),
         )
     )
-    modes = (ModeParams(0, np.ones(2)), ModeParams(1, np.array([0.6, 0.6])))
+    modes = [np.ones(2), np.array([0.6, 0.6])]
     scenario = small_scenario(
         missions=missions,
         model=DoubleIntegrator(modes),
@@ -229,7 +229,7 @@ def test_descent_constraint_along_closed_loop():
 
 
 def test_run_is_deterministic_per_seed():
-    modes = (ModeParams(0, np.ones(2)), ModeParams(1, np.array([0.6, 0.6])))
+    modes = [np.ones(2), np.array([0.6, 0.6])]
     abort = dict(model=DoubleIntegrator(modes), abort=AbortSpec(step=5, new_mode=1))
     for kw in ({}, abort):
         a = run_closed_loop(small_scenario(**kw), seed=7)
