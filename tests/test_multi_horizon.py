@@ -126,6 +126,34 @@ def test_shift_reproduces_plan_views():
             assert np.array_equal(shifted.branch_view(i, horizon - 2), expected)
 
 
+def test_branch_rows_address_plan_views():
+    # the time-major row table vs the view rule: entry (t, p, i) is the row
+    # of branch_view(i, p)[t], a tail row once t > p
+    for horizon, m in [(2, 1), (3, 2), (5, 3), (8, 2)]:
+        plan = random_plan(horizon, m, seed=horizon + m)
+        rows = branch_rows(horizon, m)
+        assert rows.shape == (horizon, horizon - 1, m)
+        for i in range(1, m + 1):
+            for p in range(horizon - 1):
+                view = plan.branch_view(i, p)
+                for t in range(horizon):
+                    assert np.array_equal(plan.flat[rows[t, p, i - 1]], view[t])
+                    assert (rows[t, p, i - 1] >= horizon) == (t > p)
+
+
+def test_flat_layout_is_primary_then_mission_major_tails():
+    plan = random_plan(4, 2, seed=3)
+    flat = plan.flat
+    assert np.array_equal(flat[:4], plan.primary)
+    row = 4
+    for i in (1, 2):
+        for p in range(3):
+            stop = row + tail_length(4, p)
+            assert np.array_equal(flat[row:stop], plan.tail(i, p))
+            row = stop
+    assert row == flat.shape[0]
+
+
 def hand_counted_rows(horizon, m):
     """The flat layout counted out row by row: primary rows 0..N-1, then the
     tails mission by mission, branch step by branch step, in time order."""
