@@ -15,15 +15,27 @@ One control step, given the measured state:
 7. update the plan with the softmax-weighted average of the noise, and
    execute the first primary input of the result.
 
+Batch layout
+------------
+The sampled plans are one component-major, sample-last array
+``(n_u, n_inputs, K)``: ``[c, d, q]`` is component c of flat input d of
+sample q, and the batch evaluated in step 5 holds K+1 samples, sample 0
+being the noise-free shifted plan.  Every batched state is ``(n_x, ...,
+K)``.  So each dynamics and cost term is an element-wise operation on
+contiguous K-wide slabs, one per component.
+
 Noise reproducibility contract
 ------------------------------
 Sample q of step t draws from the dedicated counter-block stream
-``Philox(key=stream_key(seed, t), counter=q * 2**192)``; the first rows of
-that stream are the primary-horizon noise.  Any sampler honoring this
-convention (e.g. the m=0 case of this step) produces bit-identical primary
-noise for the same (seed, step, q), regardless of batch width.  The
-weighted reduction over samples runs in a fixed order, so whole runs are
-bit-reproducible.
+``Philox(key=stream_key(seed, t), counter=q * 2**192)``; its draws, read
+as ``(n_inputs, n_u)`` rows, are ``noise[:, :, q].T``, and its first rows
+are the primary-horizon noise.  Any sampler honoring this convention (e.g.
+the m=0 case of this step) produces bit-identical primary noise for the
+same (seed, step, q), regardless of batch width.  The weighted reduction
+over samples runs in a fixed order, so whole runs are bit-reproducible.
+A sample whose cost is not finite gets weight 0; a step on which no
+sample cost is finite raises :class:`~mhmppi.errors.NonFiniteCostError`
+with the step index.
 
 Plain MPPI is the m=0 case
 --------------------------
@@ -47,7 +59,7 @@ import numpy as np
 from . import cost as cost_mod
 from .cost import MissionSet, ObstacleSet
 from .dynamics import DynamicsModel
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteCostError
 from .multi_horizon import MultiHorizonInput, branch_rows, dims
 from .weights import WeightLawParams, desired_weights, update_weights
 
@@ -128,7 +140,10 @@ class ControllerState:
 @dataclass
 class StepDiagnostics:
     """Per-step telemetry: applied/desired weights, sample-cost statistics,
-    the noise-free plan cost estimates the weight update used, wall time."""
+    the noise-free plan cost estimates the weight update used, wall time,
+    and the spread of the sample weights: the Kish effective sample size
+    ``1 / sum(w**2)`` (K for uniform weights, 1 for one-hot) and the
+    largest weight."""
 
     alpha: np.ndarray
     alpha_desired: np.ndarray
@@ -137,6 +152,8 @@ class StepDiagnostics:
     seconds: float
     plan_costs: np.ndarray
     tail_costs: np.ndarray
+    ess: float
+    max_weight: float
 
 
 def stream_key(seed: int, step_index: int) -> np.ndarray:
@@ -182,38 +199,49 @@ class NoiseStream:
 
 
 def sample_noise(params: ControllerParams, step_index: int) -> np.ndarray:
-    """The (K, n_inputs, n_u) noise batch for one step; layout matches
-    the flat plan storage, so row d perturbs flat input d."""
+    """The (n_u, n_inputs, K) noise batch for one step: ``[c, d, q]`` is
+    component c of sample q's perturbation of flat input d."""
     n_inputs, _ = dims(params.horizon, params.n_alternatives)
     stream = NoiseStream(params.seed, step_index, params.noise_chol)
-    out = np.empty((params.n_samples, n_inputs, params.n_u))
+    out = np.empty((params.n_u, n_inputs, params.n_samples))
     for q in range(params.n_samples):
-        out[q] = stream.rows(q, n_inputs)
+        out[:, :, q] = stream.rows(q, n_inputs).T
     return out
 
 
 def softmax_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
-    """Gibbs sample weights with min-cost shift; sums to 1."""
+    """Gibbs sample weights with min-cost shift; sums to 1.
+
+    A non-finite cost gets weight 0; on finite costs the weights are those
+    of the plain formula, bit for bit.  Raises
+    :class:`NonFiniteCostError` when no cost is finite.
+    """
     costs = np.asarray(costs, dtype=float)
-    z = np.exp(-(costs - costs.min()) / temperature)
+    finite = np.isfinite(costs)
+    if not finite.any():
+        raise NonFiniteCostError(f"all {costs.size} sample costs are non-finite")
+    shifted = np.where(finite, costs - costs[finite].min(), np.inf)
+    z = np.exp(-shifted / temperature)
     return z / z.sum()
 
 
 def mppi_update(
     inputs: MultiHorizonInput, noise: np.ndarray, weights: np.ndarray
 ) -> MultiHorizonInput:
-    """Plan plus the weighted noise average, accumulated in sample order."""
-    delta = np.einsum("q,qdc->dc", weights, noise, optimize=False)
+    """Plan plus the weighted noise average; ``noise`` is (n_u, n_inputs, K)
+    and each entry's sum over the samples runs in a fixed order."""
+    delta = np.einsum("cdq,q->dc", noise, weights, optimize=False)
     return inputs.with_flat(inputs.flat + delta)
 
 
 def rollout_primary_batch(
     model: DynamicsModel, x0: np.ndarray, inputs: np.ndarray, scale: np.ndarray
 ) -> np.ndarray:
-    """Simulate (K, N, n_u) input batches from one state; returns (K, N+1, n_x)."""
-    n_batch, horizon = inputs.shape[0], inputs.shape[1]
-    states = np.empty((n_batch, horizon + 1, model.n_x))
-    states[:, 0] = x0
+    """Simulate (n_u, N, K) input batches from one state; returns (n_x, N+1, K)."""
+    horizon, n_batch = inputs.shape[1], inputs.shape[2]
+    scale = scale[:, None]
+    states = np.empty((model.n_x, horizon + 1, n_batch))
+    states[:, 0] = x0[:, None]
     for k in range(horizon):
         states[:, k + 1] = model.update(states[:, k], scale * inputs[:, k])
     return states
@@ -229,19 +257,22 @@ def evaluate_plan_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mission cost and tail-cost matrices of a batch of flat plans.
 
-    ``flat_batch``: (K, n_inputs, n_u) in the flat plan layout for
-    ``horizon``.  Returns ``(costs, tail_costs)``, two (K, m+1) matrices
-    whose rows are each plan's :func:`cost.cost_vector` and
-    :func:`cost.tail_cost_vector`.
+    ``flat_batch``: (n_u, n_inputs, K), component first and sample last;
+    ``flat_batch[:, :, q].T`` is plan q in the flat plan layout for
+    ``horizon``.  Every state and cost term is computed on contiguous
+    K-wide slabs, states as (n_x, ..., K).  Returns ``(costs, tail_costs)``,
+    two (K, m+1) matrices whose rows are each plan's
+    :func:`cost.cost_vector` and :func:`cost.tail_cost_vector`.
 
     Branch (i, p) shares primary stages 1..p+1, so primary stage k < N
     lies on the N-k branches p >= k-1 and enters mission i's sum with that
     weight.  The tails run in one pass over time t = 1..N-1: branch p
     splits off after input p, so at time t the branches p < t are running,
-    and one ``model.update`` advances all of them.  Time N-1 is the final
-    stage of every branch, which gives the tail costs.
+    and one ``model.update`` advances all of them, held as one
+    (n_x, m, N-1, K) state array.  Time N-1 is the final stage of every
+    branch, which gives the tail costs.
     """
-    n_batch = flat_batch.shape[0]
+    n_batch = flat_batch.shape[2]
     m = missions.n_alternatives
     n_inputs = dims(horizon, m)[0]
     if flat_batch.shape[1] != n_inputs:
@@ -256,8 +287,8 @@ def evaluate_plan_batch(
     tail_costs = np.empty((n_batch, m + 1))
     stage = cost_mod.stage_cost_terms(missions[0], states[:, 1:], primary_inputs, obstacles)
     terminal = cost_mod.terminal_cost_terms(missions[0], states[:, -1])
-    costs[:, 0] = stage.sum(axis=-1) + terminal
-    tail_costs[:, 0] = stage[:, -1] + terminal
+    costs[:, 0] = stage.sum(axis=0) + terminal
+    tail_costs[:, 0] = stage[-1] + terminal
     if m == 0:
         return costs, tail_costs
 
@@ -268,18 +299,19 @@ def evaluate_plan_batch(
         terms = cost_mod.stage_cost_terms(
             mission, states[:, 1:-1], primary_inputs[:, :-1], obstacles
         )
-        branch_sum[j] = terms @ shared
+        branch_sum[j] = shared @ terms
 
-    rows = branch_rows(horizon, m)
-    inputs = np.ascontiguousarray(flat_batch.transpose(1, 0, 2))  # (n_inputs, K, n_u)
-    x = np.empty((horizon - 1, m, n_batch, model.n_x))  # x[p]: branch p's state
+    rows = branch_rows(horizon, m).transpose(0, 2, 1)  # [t, i-1, p]
+    tail_scales = scales[1:].T[:, :, None, None]  # (n_u, m, 1, 1)
+    x = np.empty((model.n_x, m, horizon - 1, n_batch))  # x[:, j, p]: branch (j+1, p)
     stage = np.empty((m, n_batch))
     for t in range(1, horizon):
-        x[t - 1] = states[:, t]
-        u = inputs[rows[t, :t]]  # (t, m, K, n_u): input t of the running branches
-        x[:t] = model.update(x[:t], scales[1:, None] * u)
+        x[:, :, t - 1] = states[:, t, None]
+        u = flat_batch[:, rows[t, :, :t]]  # (n_u, m, t, K): input t of the running branches
+        x[:, :, :t] = model.update(x[:, :, :t], tail_scales * u)
         for j, mission in backups:
-            stage[j] = cost_mod.stage_cost_terms(mission, x[:t, j], u[:, j], obstacles).sum(axis=0)
+            terms = cost_mod.stage_cost_terms(mission, x[:, j, :t], u[:, j], obstacles)
+            stage[j] = terms.sum(axis=0)
         branch_sum += stage
     for j, mission in backups:
         terminal = cost_mod.terminal_cost_terms(mission, x[:, j]).sum(axis=0)
@@ -316,11 +348,14 @@ def control_step(
     alpha_desired = desired_weights(x, missions, weight_law)
 
     shifted = state.inputs.shift()
+    plan = shifted.flat.T[:, :, None]  # (n_u, n_inputs, 1)
     noise = sample_noise(params, state.step_index)
-    # row 0: the noise-free shifted plan (for the weight update); rows 1..K:
-    # the noise-perturbed samples.  Row results are independent of batch
-    # composition, so this changes no values, only the call count.
-    flat_all = np.concatenate([shifted.flat[None], shifted.flat[None] + noise])
+    # sample 0: the noise-free shifted plan (for the weight update); samples
+    # 1..K: the noise-perturbed plans.  Sample results are independent of
+    # batch composition, so this changes no values, only the call count.
+    flat_all = np.empty(noise.shape[:2] + (noise.shape[2] + 1,))
+    flat_all[:, :, :1] = plan
+    np.add(plan, noise, out=flat_all[:, :, 1:])
     costs_all, tails_all = evaluate_plan_batch(
         model, x, flat_all, params.horizon, missions, obstacles
     )
@@ -330,13 +365,16 @@ def control_step(
     sample_costs = costs_all[1:] @ alpha
     if params.control_cost:
         sample_costs = sample_costs + params.temperature * np.einsum(
-            "qdc,dc->q",
+            "cdq,cd->q",
             noise,
-            np.linalg.solve(params.noise_cov, shifted.flat.T).T,
+            np.linalg.solve(params.noise_cov, shifted.flat.T),
             optimize=False,
         )
 
-    weights = softmax_weights(sample_costs, params.temperature)
+    try:
+        weights = softmax_weights(sample_costs, params.temperature)
+    except NonFiniteCostError as exc:
+        raise NonFiniteCostError(str(exc), step=state.step_index) from None
     new_inputs = mppi_update(shifted, noise, weights)
     u_exec = new_inputs.primary[0].copy()
 
@@ -348,5 +386,7 @@ def control_step(
         seconds=time.perf_counter() - t_start,
         plan_costs=plan_costs,
         tail_costs=tail_costs,
+        ess=1.0 / float(weights @ weights),
+        max_weight=float(weights.max()),
     )
     return u_exec, ControllerState(new_inputs, alpha, state.step_index + 1), diag

@@ -13,6 +13,12 @@ cost finite for the sampling weights downstream.
 The cost of the whole plan structure is a vector of m+1 entries: entry 0
 is the primary plan's cost, entry i >= 1 averages mission i's cost over
 its N-1 branch plans.
+
+:func:`stage_cost_terms` and :func:`terminal_cost_terms` are the batched
+kernels: they take component-first ``(n_x, ...)``/``(n_u, ...)`` arrays.
+The per-structure route (:func:`stage_cost`, :func:`mission_cost`,
+:func:`cost_vector`, :func:`tail_cost_vector`) takes one plan with the
+component axis last and is the test oracle for the batched evaluator.
 """
 
 from __future__ import annotations
@@ -145,19 +151,40 @@ class ObstacleSet:
         return self.lo.shape[0]
 
     def inside(self, positions: np.ndarray) -> np.ndarray:
-        """Boolean occupancy of any box for (..., 2) positions (inclusive)."""
+        """Boolean occupancy of any box for (2, ...) positions (inclusive)."""
         positions = np.asarray(positions)
         if self.n_boxes == 0:
-            return np.zeros(positions.shape[:-1], dtype=bool)
-        x, y = positions[..., 0], positions[..., 1]
+            return np.zeros(positions.shape[1:], dtype=bool)
+        x, y = positions[0], positions[1]
         hit = np.zeros(x.shape, dtype=bool)
         for (lx, ly), (hx, hy) in zip(self.lo, self.hi):
             hit |= (x >= lx) & (x <= hx) & (y >= ly) & (y <= hy)
         return hit
 
 
-def _quad(dz: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return ((dz @ M) * dz).sum(axis=-1)
+def _quad(x: np.ndarray, M: np.ndarray, center=None) -> np.ndarray:
+    """``d^T M d`` with ``d = x - center`` over the component axis 0 of ``x``.
+
+    A diagonal M is a weighted sum of squares, one component slab at a
+    time, that skips zero weights; any other M takes the dense product.
+    """
+    w = np.diagonal(M)
+    if np.count_nonzero(M) == np.count_nonzero(w):
+        total = np.zeros(x.shape[1:])
+        for i in np.flatnonzero(w):
+            if center is None:
+                d = x[i] * x[i]
+            else:
+                d = x[i] - center[i]
+                d *= d
+            if w[i] != 1.0:
+                d *= w[i]
+            total += d
+        return total
+    if center is not None:
+        x = x - center.reshape((-1,) + (1,) * (x.ndim - 1))
+    d = x.reshape(len(M), -1)
+    return ((M @ d) * d).sum(0).reshape(x.shape[1:])
 
 
 def stage_cost_terms(
@@ -166,21 +193,45 @@ def stage_cost_terms(
     inputs: np.ndarray,
     obstacles: ObstacleSet,
 ) -> np.ndarray:
-    """Element-wise stage costs for matching (..., n_x)/(..., n_u) arrays."""
-    dz = states - mission.target
-    cost = _quad(dz, mission.state_weight) + _quad(inputs, mission.input_weight)
+    """Element-wise stage costs for matching (n_x, ...)/(n_u, ...) arrays."""
+    cost = _quad(states, mission.state_weight, mission.target)
+    cost += _quad(inputs, mission.input_weight)
     if obstacles.n_boxes and obstacles.penalty:
-        cost = cost + obstacles.penalty * obstacles.inside(states[..., :POSITION_DIMS])
+        np.add(cost, obstacles.penalty, out=cost, where=obstacles.inside(states[:POSITION_DIMS]))
     return cost
 
 
-def stage_cost(mission: Mission, x, u, obstacles: ObstacleSet) -> float:
-    return float(stage_cost_terms(mission, np.asarray(x, float), np.asarray(u, float), obstacles))
-
-
 def terminal_cost_terms(mission: Mission, states: np.ndarray) -> np.ndarray:
-    dz = states - mission.target
-    return _quad(dz, mission.state_weight)
+    """Terminal quadratic for (n_x, ...) states."""
+    return _quad(states, mission.state_weight, mission.target)
+
+
+# The per-structure route below (stage_cost, mission_cost, cost_vector,
+# tail_cost_vector) takes one plan at a time with the component axis last
+# and keeps its own dense quadratic, so it stays an independent oracle for
+# the batched evaluator in ``controller``.
+
+
+def _dense_quad(dz: np.ndarray, M: np.ndarray) -> np.ndarray:
+    return ((dz @ M) * dz).sum(axis=-1)
+
+
+def _stage_terms(mission: Mission, states, inputs, obstacles: ObstacleSet) -> np.ndarray:
+    """Stage costs for matching (..., n_x)/(..., n_u) arrays."""
+    cost = _dense_quad(states - mission.target, mission.state_weight)
+    cost = cost + _dense_quad(inputs, mission.input_weight)
+    if obstacles.n_boxes and obstacles.penalty:
+        positions = np.moveaxis(states[..., :POSITION_DIMS], -1, 0)
+        cost = cost + obstacles.penalty * obstacles.inside(positions)
+    return cost
+
+
+def _terminal_terms(mission: Mission, states) -> np.ndarray:
+    return _dense_quad(states - mission.target, mission.state_weight)
+
+
+def stage_cost(mission: Mission, x, u, obstacles: ObstacleSet) -> float:
+    return float(_stage_terms(mission, np.asarray(x, float), np.asarray(u, float), obstacles))
 
 
 def mission_cost(
@@ -202,8 +253,8 @@ def mission_cost(
             f"need one more state than inputs, got {states.shape[-2]} states "
             f"for {inputs.shape[-2]} inputs"
         )
-    terms = stage_cost_terms(mission, states[..., 1:, :], inputs, obstacles)
-    return terms.sum(axis=-1) + terminal_cost_terms(mission, states[..., -1, :])
+    terms = _stage_terms(mission, states[..., 1:, :], inputs, obstacles)
+    return terms.sum(axis=-1) + _terminal_terms(mission, states[..., -1, :])
 
 
 def cost_vector(
@@ -251,8 +302,8 @@ def tail_cost_vector(
 
     def last_terms(mission, states, plan):
         return (
-            stage_cost_terms(mission, states[-1], plan[-1], obstacles)
-            + terminal_cost_terms(mission, states[-1])
+            _stage_terms(mission, states[-1], plan[-1], obstacles)
+            + _terminal_terms(mission, states[-1])
         )
 
     out = np.empty(m + 1)

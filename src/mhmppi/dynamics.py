@@ -14,8 +14,11 @@ row ``j`` before it enters the nominal update, which is how degraded
 actuation (e.g. a partial engine failure) is represented.  By default the
 model has one mode, the identity.
 
-All step functions are pure and operate on float64 arrays with arbitrary
-leading batch dimensions.
+All step functions are pure and operate on float64 arrays laid out
+component first: a batch of states is ``(n_x, ...)`` and a batch of inputs
+``(n_u, ...)``, with any batch axes after the component axis, so each
+component is one contiguous slab.  A single state or input is 1-D and
+reads the same in either layout.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ class DynamicsModel:
         self.modes = modes
 
     def update(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Nominal transition ``x_next = f(x, u)`` on (..., n_x)/(..., n_u) arrays."""
+        """Nominal transition ``x_next = f(x, u)`` on (n_x, ...)/(n_u, ...) arrays."""
         raise NotImplementedError
 
     def mode_scale(self, mode: int) -> np.ndarray:
@@ -59,11 +62,12 @@ class DoubleIntegrator(DynamicsModel):
 
     n_x = 4
     n_u = 2
+    time_step = 0.1
 
     A = np.array(
         [
-            [1.0, 0.0, 0.1, 0.0],
-            [0.0, 1.0, 0.0, 0.1],
+            [1.0, 0.0, time_step, 0.0],
+            [0.0, 1.0, 0.0, time_step],
             [0.0, 0.0, 1.0, 0.0],
             [0.0, 0.0, 0.0, 1.0],
         ]
@@ -72,15 +76,23 @@ class DoubleIntegrator(DynamicsModel):
         [
             [0.0, 0.0],
             [0.0, 0.0],
-            [0.1, 0.0],
-            [0.0, 0.1],
+            [time_step, 0.0],
+            [0.0, time_step],
         ]
     )
     A.flags.writeable = False
     B.flags.writeable = False
 
     def update(self, x, u):
-        return x @ self.A.T + u @ self.B.T
+        # A x + B u, one slab per component: position += dt * velocity,
+        # velocity += dt * acceleration
+        dt = self.time_step
+        out = np.empty(x.shape)
+        np.multiply(dt, x[2:], out=out[:2])
+        out[:2] += x[:2]
+        np.multiply(dt, u, out=out[2:])
+        out[2:] += x[2:]
+        return out
 
 
 class SimpleCar(DynamicsModel):
@@ -103,17 +115,16 @@ class SimpleCar(DynamicsModel):
         super().__init__(modes)
 
     def update(self, x, u):
-        theta = x[..., 2]
-        v = u[..., 0]
-        phi = u[..., 1]
+        theta = x[2]
+        v = u[0]
+        phi = u[1]
         dt = self.time_step
         return np.stack(
             [
-                x[..., 0] + v * np.cos(theta) * dt,
-                x[..., 1] + v * np.sin(theta) * dt,
+                x[0] + v * np.cos(theta) * dt,
+                x[1] + v * np.sin(theta) * dt,
                 theta + (v / self.wheelbase) * np.tan(phi) * dt,
-            ],
-            axis=-1,
+            ]
         )
 
 

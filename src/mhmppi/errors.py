@@ -15,3 +15,14 @@ class ConfigError(ValueError):
 
 class InfeasibleConstraintError(ValueError):
     """The feasible set of a constrained projection is empty."""
+
+
+class NonFiniteCostError(ValueError):
+    """No sample of a control step has a finite cost.
+
+    Carries the control ``step`` index when the controller raised it.
+    """
+
+    def __init__(self, message: str, step: int | None = None):
+        self.step = step
+        super().__init__(f"control step {step}: {message}" if step is not None else message)

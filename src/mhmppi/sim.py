@@ -156,7 +156,12 @@ def _choose_backup(scenario: Scenario, x: np.ndarray, state: ctrl.ControllerStat
         return 1 + int(np.argmin(dists))
     shifted = state.inputs.shift()
     costs, _ = ctrl.evaluate_plan_batch(
-        scenario.model, x, shifted.flat[None], shifted.horizon, missions, scenario.obstacles
+        scenario.model,
+        x,
+        shifted.flat.T[:, :, None],
+        shifted.horizon,
+        missions,
+        scenario.obstacles,
     )
     return 1 + int(np.argmin(costs[0, 1:]))
 

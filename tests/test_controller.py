@@ -7,7 +7,7 @@ from mhmppi import controller as ctrl
 from mhmppi.config import scenario_from_dict
 from mhmppi.cost import Mission, MissionSet, ObstacleSet, cost_vector, tail_cost_vector
 from mhmppi.dynamics import DoubleIntegrator, SimpleCar, step
-from mhmppi.errors import ConfigError
+from mhmppi.errors import ConfigError, NonFiniteCostError
 from mhmppi.multi_horizon import MultiHorizonInput, dims, expand
 from mhmppi.scenarios import get_scenario_dict
 from mhmppi.weights import WeightLawParams
@@ -56,7 +56,7 @@ def test_sample_noise_deterministic_and_matches_reference():
     key = ctrl.stream_key(params.seed, 7)
     for q in (0, 1, 63):
         ref = ctrl.draw_noise(key, q, batch1.shape[1], params.noise_chol)
-        assert np.array_equal(batch1[q], ref)
+        assert np.array_equal(batch1[:, :, q].T, ref)
 
 
 def test_noise_primary_prefix_shared_across_widths():
@@ -66,13 +66,13 @@ def test_noise_primary_prefix_shared_across_widths():
     stream = ctrl.NoiseStream(params.seed, 3, params.noise_chol)
     for q in (0, 5, 63):
         narrow = stream.rows(q, params.horizon)
-        assert np.array_equal(wide[q, : params.horizon], narrow)
+        assert np.array_equal(wide[:, : params.horizon, q].T, narrow)
 
 
 def test_sample_noise_statistics():
     params = make_params(n_samples=500, horizon=10, n_alternatives=2, seed=11)
-    batch = ctrl.sample_noise(params, step_index=0)  # 500 x 100 x 2 draws
-    flat = batch.reshape(-1, 2)
+    batch = ctrl.sample_noise(params, step_index=0)  # 2 x 100 x 500 draws
+    flat = batch.reshape(2, -1).T
     n = flat.shape[0]
     assert abs(flat.mean()) < 4.0 / np.sqrt(2 * n)
     assert abs(flat.var() - 1.0) < 0.05
@@ -83,7 +83,7 @@ def test_sample_noise_statistics():
 def test_sample_noise_applies_covariance():
     cov = np.array([[4.0, 1.0], [1.0, 2.0]])
     params = make_params(n_samples=400, horizon=10, n_alternatives=1, noise_cov=cov)
-    batch = ctrl.sample_noise(params, step_index=1).reshape(-1, 2)
+    batch = ctrl.sample_noise(params, step_index=1).reshape(2, -1).T
     emp = np.cov(batch.T)
     assert np.allclose(emp, cov, atol=0.15)
 
@@ -112,20 +112,82 @@ def test_softmax_shift_invariance_and_normalization():
         assert np.max(np.abs(w2 - w)) < 1e-9
 
 
+def test_softmax_gives_non_finite_costs_zero_weight():
+    lam = 0.5
+    w = ctrl.softmax_weights(np.array([1.0, np.nan, 2.0]), lam)
+    finite = ctrl.softmax_weights(np.array([1.0, 2.0]), lam)
+    assert np.array_equal(w, [finite[0], 0.0, finite[1]])
+    w = ctrl.softmax_weights(np.array([np.inf, 3.0, -np.inf, np.nan]), lam)
+    assert np.array_equal(w, [0.0, 1.0, 0.0, 0.0])
+    # on finite costs the weights are the plain formula's, bit for bit
+    costs = np.random.default_rng(5).uniform(0, 20, size=97)
+    z = np.exp(-(costs - costs.min()) / lam)
+    assert np.array_equal(ctrl.softmax_weights(costs, lam), z / z.sum())
+
+
+def test_softmax_all_non_finite_raises():
+    with pytest.raises(NonFiniteCostError, match="all 3 sample costs are non-finite"):
+        ctrl.softmax_weights(np.array([np.nan, np.inf, -np.inf]), 0.5)
+
+
+def _step_with_noise(monkeypatch, sample_noise, n_samples=64, step_index=0):
+    """One m=0 control step of the double integrator with ``sample_noise``
+    in place of the sampler."""
+    params = make_params(n_samples=n_samples, horizon=5, n_alternatives=0)
+    missions = MissionSet((UAV_MISSIONS[0],))
+    wl = WeightLawParams(gamma=0.0)
+    monkeypatch.setattr(ctrl, "sample_noise", sample_noise)
+    x = np.array([1.0, 2.0, 0.5, -0.5])
+    state = ctrl.init_state(x, params, missions, wl)
+    state = replace(state, step_index=step_index)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ctrl.control_step(x, state, DoubleIntegrator(), missions, NO_OBS, params, wl)
+
+
+def test_all_non_finite_sample_costs_name_the_step(monkeypatch):
+    # every perturbed plan overflows the cost; the noise-free plan stays finite
+    huge = lambda params, _: np.full((params.n_u, params.horizon, params.n_samples), 1e300)
+    with pytest.raises(NonFiniteCostError, match="control step 7: ") as info:
+        _step_with_noise(monkeypatch, huge, step_index=7)
+    assert info.value.step == 7
+
+
+def test_step_diagnostics_effective_sample_size(monkeypatch):
+    n = 64
+    # equal sample costs: uniform weights, ESS = K
+    zero = lambda params, _: np.zeros((params.n_u, params.horizon, params.n_samples))
+    u, _, diag = _step_with_noise(monkeypatch, zero, n_samples=n)
+    assert diag.ess == n
+    assert diag.max_weight == 1.0 / n
+
+    # one finite sample cost: one-hot weights, ESS = 1, and the masked
+    # samples move the plan not at all
+    def one_finite(params, _):
+        noise = np.full((params.n_u, params.horizon, params.n_samples), 1e300)
+        noise[:, :, 3] = 0.25
+        return noise
+
+    u, _, diag = _step_with_noise(monkeypatch, one_finite, n_samples=n)
+    assert diag.ess == 1.0
+    assert diag.max_weight == 1.0
+    assert np.array_equal(u, [0.25, 0.25])
+
+
 # -------------------------------------------------------------- mppi update
 
 
 def test_mppi_update_degenerate_and_cancellation():
     plan = MultiHorizonInput.zeros(3, 1, 2)
-    noise = np.random.default_rng(0).standard_normal((2, 6, 2))
+    # (n_u, n_inputs, K) batches
+    noise = np.random.default_rng(0).standard_normal((2, 6, 2)).transpose(2, 1, 0)
     w = np.array([0.0, 1.0])
     out = ctrl.mppi_update(plan, noise, w)
-    assert np.allclose(out.flat, noise[1])
+    assert np.allclose(out.flat, noise[:, :, 1].T)
 
-    out = ctrl.mppi_update(plan, np.zeros((4, 6, 2)), np.full(4, 0.25))
+    out = ctrl.mppi_update(plan, np.zeros((2, 6, 4)), np.full(4, 0.25))
     assert np.array_equal(out.flat, plan.flat)
 
-    sym = np.stack([noise[0], -noise[0]])
+    sym = np.stack([noise[:, :, 0], -noise[:, :, 0]], axis=-1)
     out = ctrl.mppi_update(plan, sym, np.array([0.5, 0.5]))
     assert np.allclose(out.flat, 0.0, atol=1e-16)
 
@@ -166,9 +228,17 @@ def test_control_step_alpha_on_simplex_and_descent():
         x = step(model, x, u)
 
 
-def _oracle_case(model_cls, horizon, m, seed):
+def _psd(rng, n):
+    """A random positive definite matrix with nonzero off-diagonal entries."""
+    L = rng.standard_normal((n, n))
+    return L @ L.T + 0.1 * np.eye(n)
+
+
+def _oracle_case(model_cls, horizon, m, seed, dense=False):
     """Backup missions in distinct modes, mission 1's with a zero channel;
-    boxes on the plans' paths; a shifted base plan plus noisy copies."""
+    boxes on the plans' paths; a shifted base plan plus noisy copies.
+    With ``dense``, mission 1 weighs its state and input with full
+    (non-diagonal) matrices."""
     modes = [np.ones(2), np.array([0.6, 0.8]), np.array([1.0, 0.0])]
     model = model_cls(modes=modes)
     rng = np.random.default_rng(seed)
@@ -176,8 +246,8 @@ def _oracle_case(model_cls, horizon, m, seed):
         tuple(
             Mission.build(
                 rng.uniform(-2, 2, model.n_x),
-                state_weight=1.0 + i,
-                input_weight=0.5,
+                state_weight=_psd(rng, model.n_x) if dense and i == 1 else 1.0 + i,
+                input_weight=_psd(rng, 2) if dense and i == 1 else 0.5,
                 mode=(3 - i) % 3 if i else 0,
             )
             for i in range(m + 1)
@@ -195,16 +265,23 @@ def _oracle_case(model_cls, horizon, m, seed):
 
 def test_batch_costs_match_structure_route():
     # every batch row must reproduce the per-structure cost and tail-cost
-    # vectors, for both models, short and long horizons and all input modes
+    # vectors, for both models, short and long horizons, all input modes,
+    # and diagonal as well as dense state and input weights
     for model_cls in (DoubleIntegrator, SimpleCar):
-        for horizon, m in [(2, 1), (3, 3), (5, 2), (7, 3)]:
-            case = f"{model_cls.__name__} N={horizon} m={m}"
+        for horizon, m, dense in [
+            (2, 1, False), (3, 3, False), (5, 2, False), (7, 3, False), (5, 2, True)
+        ]:
+            case = f"{model_cls.__name__} N={horizon} m={m} dense={dense}"
             model, missions, obstacles, base, flat_batch = _oracle_case(
-                model_cls, horizon, m, seed=10 * horizon + m
+                model_cls, horizon, m, seed=10 * horizon + m, dense=dense
             )
+            if dense:
+                Q, R = missions[1].state_weight, missions[1].input_weight
+                assert np.count_nonzero(Q - np.diag(np.diag(Q))), case
+                assert np.count_nonzero(R - np.diag(np.diag(R))), case
             x0 = np.zeros(model.n_x)
             costs, tails = ctrl.evaluate_plan_batch(
-                model, x0, flat_batch, horizon, missions, obstacles
+                model, x0, flat_batch.transpose(2, 1, 0), horizon, missions, obstacles
             )
             primary_hits = tail_hits = 0
             for q in range(flat_batch.shape[0]):
@@ -214,9 +291,9 @@ def test_batch_costs_match_structure_route():
                 direct_tails = tail_cost_vector(traj, plan, missions, obstacles)
                 assert np.allclose(costs[q], direct, rtol=1e-11, atol=0), case
                 assert np.allclose(tails[q], direct_tails, rtol=1e-11, atol=0), case
-                primary_hits += obstacles.inside(traj.primary_states[1:, :2]).sum()
+                primary_hits += obstacles.inside(traj.primary_states[1:, :2].T).sum()
                 tail_hits += sum(
-                    obstacles.inside(states[:, :2]).sum()
+                    obstacles.inside(states[:, :2].T).sum()
                     for branch in traj.tail_states
                     for states in branch
                 )
@@ -230,7 +307,7 @@ def test_batch_tail_costs_match_structure_route():
     base = MultiHorizonInput(4, 2, rng.standard_normal((dims(4, 2)[0], 2)))
     shifted = base.shift()  # last input of every plan is the zero pad
     costs, tails = ctrl.evaluate_plan_batch(
-        model, x0, shifted.flat[None], 4, UAV_MISSIONS, NO_OBS
+        model, x0, shifted.flat.T[:, :, None], 4, UAV_MISSIONS, NO_OBS
     )
     traj = expand(model, x0, shifted, UAV_MISSIONS.modes)
     assert np.allclose(costs[0], cost_vector(traj, shifted, UAV_MISSIONS, NO_OBS), rtol=1e-11)
@@ -274,7 +351,8 @@ def test_single_step_brute_force_oracle(monkeypatch):
             [[-0.6, 0.3], [0.2, 0.2], [0.4, 0.0]],
         ]
     )
-    monkeypatch.setattr(ctrl, "sample_noise", lambda *_: fixed_noise.copy())
+    # sampled as (n_u, n_inputs, K)
+    monkeypatch.setattr(ctrl, "sample_noise", lambda *_: fixed_noise.transpose(2, 1, 0).copy())
 
     x0 = np.array([0.2, -0.1, 0.05, 0.0])
     state = ctrl.ControllerState(prev, np.array([1.0, 0.0]), 0)

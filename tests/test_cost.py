@@ -216,7 +216,7 @@ def test_obstacle_validation():
     with pytest.raises(ConfigError):
         ObstacleSet.from_boxes([([0, 0], [1, 1])], penalty=-1.0)
     obstacles = ObstacleSet.from_boxes([([0, 0], [1, 1]), ([5, 5], [6, 6])])
-    inside = obstacles.inside(np.array([[0.5, 0.5], [2.0, 2.0], [5.5, 6.0]]))
+    inside = obstacles.inside(np.array([[0.5, 0.5], [2.0, 2.0], [5.5, 6.0]]).T)
     assert inside.tolist() == [True, False, True]
 
 
