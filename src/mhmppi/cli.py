@@ -19,7 +19,6 @@ identical across repeats except for the wall-time column.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
@@ -73,10 +72,7 @@ def _run_isolated(job: tuple):
 
 def run_experiment(cfg: config_mod.ExperimentConfig, workers: int = 1) -> int:
     """Execute sweeps x seeds; returns a process exit status."""
-    axes = [
-        [(axis["path"], value) for value in axis["values"]] for axis in cfg.sweeps
-    ]
-    points = [dict(combo) for combo in itertools.product(*axes)] if axes else [{}]
+    points = config_mod.sweep_points(cfg)
     jobs = [(cfg, point, seed, cfg.out_dir) for point in points for seed in cfg.seeds]
 
     if workers > 1:
@@ -116,7 +112,7 @@ def _cmd_run(args) -> int:
         except json.JSONDecodeError:
             value = raw
         cfg.overrides[path] = value
-    config_mod.resolve_run_scenario(cfg, {})  # overrides must type-check
+    config_mod.check_runs(cfg)  # the overrides and every sweep point must build
     return run_experiment(cfg, workers=args.workers)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -319,8 +320,27 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
         seeds=list(seeds),
         out_dir=str(raw.get("out_dir", "results")),
     )
-    resolve_run_scenario(cfg, {})  # overrides must type-check
+    check_runs(cfg)
     return cfg
+
+
+def sweep_points(cfg: ExperimentConfig) -> list:
+    """Every point of the sweep cross product, as ``{path: value}`` dicts;
+    one empty point when there are no sweeps."""
+    axes = [[(axis["path"], value) for value in axis["values"]] for axis in cfg.sweeps]
+    return [dict(combo) for combo in itertools.product(*axes)]
+
+
+def check_runs(cfg: ExperimentConfig) -> None:
+    """Build the scenario of every sweep point once, so that a bad override
+    or sweep value is reported before any run starts."""
+    resolve_run_scenario(cfg, {})  # the overrides alone
+    for point in sweep_points(cfg) if cfg.sweeps else ():
+        try:
+            resolve_run_scenario(cfg, point)
+        except ConfigError as exc:
+            at = ", ".join(f"{path}={value!r}" for path, value in point.items())
+            raise ConfigError(f"at sweep point {at}: {exc}", path="sweeps") from None
 
 
 def resolve_run_scenario(cfg: ExperimentConfig, sweep_point: dict):

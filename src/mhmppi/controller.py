@@ -34,8 +34,32 @@ the m=0 case of this step) produces bit-identical primary noise for the
 same (seed, step, q), regardless of batch width.  The weighted reduction
 over samples runs in a fixed order, so whole runs are bit-reproducible.
 A sample whose cost is not finite gets weight 0; a step on which no
-sample cost is finite raises :class:`~mhmppi.errors.NonFiniteCostError`
-with the step index.
+sample cost is finite, or whose noise-free plan has a non-finite cost or
+tail cost, raises :class:`~mhmppi.errors.NonFiniteCostError` with the
+step index.
+
+Noise prefetch
+--------------
+Step t+1's noise batch depends only on its key (seed, t+1, Cholesky
+factor, batch shape), not on the state.  So :func:`sample_noise` shares
+the drawing with one worker process (:mod:`mhmppi.prefetch`, started on
+the first step).  When step t asks for its batch, it copies the samples
+the worker drew ahead into a private array, waiting for the worker if it
+is still drawing; asks the worker for the first samples of step t+1's
+batch; and draws the rest of step t's batch itself, while the worker
+draws.  The worker's share is set so that both finish together, from
+this process's measured time per sample and its time per step outside
+the sampler.  A batch whose key does not match the worker's last job (a
+new seed, or the m=2 to m=0 change at an abort) is drawn here in full,
+without waiting for that stale job.  The noise is drawn inline, with no
+worker, when the process may use fewer than two CPUs, when it is a
+multiprocessing child (``cli --workers N`` already keeps N processes
+busy), and outside Linux; and from the step on which the worker cannot
+start or is found dead.  Both processes run the same :func:`_fill_noise`
+loop, and sample q's values depend only on the key and q, so the
+reproducibility contract above is unchanged: every batch is bit-identical
+whichever process drew which of its samples, and there is nothing to
+configure.
 
 Plain MPPI is the m=0 case
 --------------------------
@@ -143,7 +167,14 @@ class StepDiagnostics:
     the noise-free plan cost estimates the weight update used, wall time,
     and the spread of the sample weights: the Kish effective sample size
     ``1 / sum(w**2)`` (K for uniform weights, 1 for one-hot) and the
-    largest weight."""
+    largest weight.
+
+    The per-layer seconds split the step: ``noise_s`` takes the noise
+    batch (the copy of the samples drawn ahead and the drawing of the rest;
+    the whole draw when nothing was drawn ahead), ``eval_s`` builds
+    and evaluates the plan batch, ``project_s`` projects the mission
+    weights, and ``update_s`` scalarizes the sample costs and updates the
+    plan."""
 
     alpha: np.ndarray
     alpha_desired: np.ndarray
@@ -154,6 +185,10 @@ class StepDiagnostics:
     tail_costs: np.ndarray
     ess: float
     max_weight: float
+    noise_s: float
+    eval_s: float
+    project_s: float
+    update_s: float
 
 
 def stream_key(seed: int, step_index: int) -> np.ndarray:
@@ -198,14 +233,32 @@ class NoiseStream:
         return out if self._plain else out @ self._chol.T
 
 
+def _fill_noise(
+    out: np.ndarray, seed: int, step_index: int, chol: np.ndarray, samples: range
+) -> None:
+    """Write ``samples`` of step ``step_index``'s (n_u, n_inputs, K) noise
+    batch into the same samples of ``out``."""
+    stream = NoiseStream(seed, step_index, chol)
+    n_inputs = out.shape[1]
+    for q in samples:
+        out[:, :, q] = stream.rows(q, n_inputs).T
+
+
 def sample_noise(params: ControllerParams, step_index: int) -> np.ndarray:
     """The (n_u, n_inputs, K) noise batch for one step: ``[c, d, q]`` is
-    component c of sample q's perturbation of flat input d."""
+    component c of sample q's perturbation of flat input d.  The array is
+    the caller's own; part of it may have been drawn ahead by a worker."""
+    # imported on the first step, not with the package: the multiprocessing
+    # and subprocess modules it needs add about 6% to the import time
+    from .prefetch import process_prefetch
+
     n_inputs, _ = dims(params.horizon, params.n_alternatives)
-    stream = NoiseStream(params.seed, step_index, params.noise_chol)
     out = np.empty((params.n_u, n_inputs, params.n_samples))
-    for q in range(params.n_samples):
-        out[:, :, q] = stream.rows(q, n_inputs).T
+    prefetch = process_prefetch()
+    if prefetch is None:
+        _fill_noise(out, params.seed, step_index, params.noise_chol, range(params.n_samples))
+    else:
+        prefetch.fill(out, params.seed, step_index, params.noise_chol)
     return out
 
 
@@ -349,7 +402,9 @@ def control_step(
 
     shifted = state.inputs.shift()
     plan = shifted.flat.T[:, :, None]  # (n_u, n_inputs, 1)
+    t_noise = time.perf_counter()
     noise = sample_noise(params, state.step_index)
+    t_eval = time.perf_counter()
     # sample 0: the noise-free shifted plan (for the weight update); samples
     # 1..K: the noise-perturbed plans.  Sample results are independent of
     # batch composition, so this changes no values, only the call count.
@@ -360,7 +415,15 @@ def control_step(
         model, x, flat_all, params.horizon, missions, obstacles
     )
     plan_costs, tail_costs = costs_all[0], tails_all[0]
+    if not (np.isfinite(plan_costs).all() and np.isfinite(tail_costs).all()):
+        raise NonFiniteCostError(
+            f"noise-free plan costs {plan_costs.tolist()} and tail costs "
+            f"{tail_costs.tolist()} must be finite",
+            step=state.step_index,
+        )
+    t_project = time.perf_counter()
     alpha = update_weights(state.alpha, alpha_desired, plan_costs, tail_costs)
+    t_update = time.perf_counter()
 
     sample_costs = costs_all[1:] @ alpha
     if params.control_cost:
@@ -377,16 +440,21 @@ def control_step(
         raise NonFiniteCostError(str(exc), step=state.step_index) from None
     new_inputs = mppi_update(shifted, noise, weights)
     u_exec = new_inputs.primary[0].copy()
+    t_end = time.perf_counter()
 
     diag = StepDiagnostics(
         alpha=alpha,
         alpha_desired=alpha_desired,
         cost_mean=float(sample_costs.mean()),
         cost_std=float(sample_costs.std()),
-        seconds=time.perf_counter() - t_start,
+        seconds=t_end - t_start,
         plan_costs=plan_costs,
         tail_costs=tail_costs,
         ess=1.0 / float(weights @ weights),
         max_weight=float(weights.max()),
+        noise_s=t_eval - t_noise,
+        eval_s=t_project - t_eval,
+        project_s=t_update - t_project,
+        update_s=t_end - t_update,
     )
     return u_exec, ControllerState(new_inputs, alpha, state.step_index + 1), diag

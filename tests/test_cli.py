@@ -163,9 +163,27 @@ def test_workers_flag_matches_serial(tmp_path):
             assert np.array_equal(ra.inp, rb.inp)
 
 
+def test_bad_sweep_value_exits_before_any_run(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    cfg = write_exp(
+        tmp_path,
+        {
+            "scenario": fast_inline_scenario(),
+            "sweeps": [{"path": "controller.samples", "values": [48, 0]}],
+            "out_dir": str(out_dir),
+        },
+    )
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "sweeps" in err and "controller.samples=0" in err
+    assert not out_dir.exists()
+
+
 def test_failed_run_prints_traceback(tmp_path):
     # one good and one bad sweep point: the bad run's traceback reaches
-    # stderr whether it ran in this process or in a pool worker
+    # stderr whether it ran in this process or in a pool worker.  The bad
+    # start state passes the config check and fails only when it runs: its
+    # costs overflow at step 0.
     src_dir = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src_dir}
     for workers in ("1", "2"):
@@ -174,7 +192,7 @@ def test_failed_run_prints_traceback(tmp_path):
             tmp_path,
             {
                 "scenario": fast_inline_scenario(),
-                "sweeps": [{"path": "controller.samples", "values": [48, 0]}],
+                "sweeps": [{"path": "x0", "values": [[0, 0, 0, 0], [1e200, 0, 0, 0]]}],
                 "out_dir": str(out_dir),
             },
         )
@@ -187,8 +205,8 @@ def test_failed_run_prints_traceback(tmp_path):
         )
         assert proc.returncode == 1, workers
         failed = [ln for ln in proc.stderr.splitlines() if ln.startswith("FAILED:")]
-        assert len(failed) == 1 and "samples" in failed[0], workers
+        assert len(failed) == 1 and "x0" in failed[0], workers
         assert "Traceback (most recent call last)" in proc.stderr, workers
-        assert "ConfigError" in proc.stderr, workers
+        assert "NonFiniteCostError: control step 0" in proc.stderr, workers
         files = sorted(os.listdir(out_dir))
-        assert files == ["custom_samples=48_seed0.csv", "stats.csv"], workers
+        assert files == ["custom_x0=-0-0-0-0-_seed0.csv", "stats.csv"], workers

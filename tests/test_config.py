@@ -116,6 +116,12 @@ def test_sweep_validation(tmp_path):
     payload = {"scenario": "uav-free-1", "sweeps": [{"path": "controller.samples"}]}
     with pytest.raises(ConfigError, match="values"):
         parse_config(write_config(tmp_path, payload))
+    payload = {
+        "scenario": "uav-free-1",
+        "sweeps": [{"path": "weights.gamma", "values": [0.5, 1.5]}],
+    }
+    with pytest.raises(ConfigError, match=r"^sweeps: at sweep point weights.gamma=1.5: weights: "):
+        parse_config(write_config(tmp_path, payload))
     payload = {"scenario": "uav-free-1", "seeds": [0, "x"]}
     with pytest.raises(ConfigError, match="seeds"):
         parse_config(write_config(tmp_path, payload))

@@ -1,9 +1,15 @@
+import os
+import signal
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mhmppi import controller as ctrl
+from mhmppi import prefetch
 from mhmppi.config import scenario_from_dict
 from mhmppi.cost import Mission, MissionSet, ObstacleSet, cost_vector, tail_cost_vector
 from mhmppi.dynamics import DoubleIntegrator, SimpleCar, step
@@ -86,6 +92,111 @@ def test_sample_noise_applies_covariance():
     batch = ctrl.sample_noise(params, step_index=1).reshape(2, -1).T
     emp = np.cov(batch.T)
     assert np.allclose(emp, cov, atol=0.15)
+
+
+def _reference_batch(params, step_index):
+    """The noise batch assembled from :func:`ctrl.draw_noise`, sample by sample."""
+    key = ctrl.stream_key(params.seed, step_index)
+    n_inputs = dims(params.horizon, params.n_alternatives)[0]
+    rows = [ctrl.draw_noise(key, q, n_inputs, params.noise_chol) for q in range(params.n_samples)]
+    return np.stack(rows).transpose(2, 1, 0)
+
+
+@pytest.fixture
+def own_prefetch(monkeypatch):
+    """A NoisePrefetch of this test's own, used by ``sample_noise`` even on
+    one CPU, so that stopping its worker touches no other test."""
+    pf = prefetch.NoisePrefetch()
+    monkeypatch.setitem(prefetch._prefetchers, os.getpid(), pf)
+    ahead = []  # per call: how many samples the worker had drawn ahead
+    fill = pf.fill
+
+    def recorded_fill(*args):
+        ahead.append(fill(*args))
+        return ahead[-1]
+
+    monkeypatch.setattr(pf, "fill", recorded_fill)
+    yield pf, ahead
+    if not pf._lock.locked():  # else a fill hung, which its test reports
+        pf.close()
+
+
+def test_prefetched_noise_matches_draw_noise(own_prefetch, monkeypatch):
+    pf, ahead = own_prefetch
+    # the worker's share of each next batch: all, one, all but one, all
+    splits = iter([16, 1, 15, 16, 16, 16])
+    monkeypatch.setattr(pf, "_split", lambda *_: next(splits))
+    cov = np.array([[2.0, 0.5], [0.5, 1.0]])  # the worker applies the factor too
+    multi = make_params(n_samples=16, horizon=5, n_alternatives=2, noise_cov=cov, seed=8)
+    single = replace(multi, n_alternatives=0)  # the abort's m=0 problem
+    for t, params in enumerate([multi] * 3 + [single] * 3):
+        batch = ctrl.sample_noise(params, t)
+        assert np.array_equal(batch, _reference_batch(params, t)), t
+    # step 0 and the first m=0 step are drawn here in full: the pending job
+    # was for another key
+    assert ahead == [0, 16, 1, 0, 16, 16]
+    assert not pf.failed
+
+
+def test_prefetched_noise_is_private(own_prefetch):
+    pf, ahead = own_prefetch
+    params = make_params(n_samples=16, horizon=5, n_alternatives=2, seed=4)
+    ctrl.sample_noise(params, 0)
+    batch = ctrl.sample_noise(params, 1)
+    assert ahead[-1] > 0  # partly drawn by the worker
+    assert batch.flags.writeable and batch.flags.owndata
+    batch[...] = np.nan
+    assert np.array_equal(ctrl.sample_noise(params, 2), _reference_batch(params, 2))
+    assert ahead[-1] > 0
+
+
+def test_prefetch_falls_back_inline_when_worker_dies(own_prefetch):
+    pf, ahead = own_prefetch
+    params = make_params(n_samples=16, horizon=5, n_alternatives=2, seed=6)
+    ctrl.sample_noise(params, 0)  # starts the worker and requests step 1
+    os.kill(pf.pid, signal.SIGKILL)
+    result = []
+    thread = threading.Thread(
+        target=lambda: result.append(ctrl.sample_noise(params, 1)), daemon=True
+    )
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "sample_noise hung on a dead worker"
+    assert np.array_equal(result[0], _reference_batch(params, 1))
+    assert ahead[-1] == 0 and pf.failed
+    # from then on every step is drawn here, at once
+    assert np.array_equal(ctrl.sample_noise(params, 2), _reference_batch(params, 2))
+    assert ahead[-1] == 0
+
+
+def test_prefetching_run_exits_cleanly():
+    # a closed loop in a fresh interpreter: the worker is stopped and the
+    # shared memory freed with nothing on stderr (no resource_tracker or
+    # leaked shared_memory warnings)
+    code = (
+        "from mhmppi import config, prefetch, sim\n"
+        "from mhmppi.scenarios import get_scenario_dict\n"
+        "cfg = get_scenario_dict('uav-free-1')\n"
+        "cfg['controller']['samples'] = 32\n"
+        "cfg['max_steps'] = 5\n"
+        "sim.run_closed_loop(config.scenario_from_dict(cfg))\n"
+        "pf = prefetch.process_prefetch()\n"
+        "print(None if pf is None else pf.pid)\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(ctrl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src_dir},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    pid = proc.stdout.split()[-1]
+    if pid != "None":  # a worker ran; it must be gone
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
 
 
 # ------------------------------------------------------------------ softmax
@@ -171,6 +282,30 @@ def test_step_diagnostics_effective_sample_size(monkeypatch):
     assert diag.ess == 1.0
     assert diag.max_weight == 1.0
     assert np.array_equal(u, [0.25, 0.25])
+
+
+def test_non_finite_noise_free_row_names_the_step():
+    params = make_params(n_samples=16, horizon=5, n_alternatives=2)
+    model, wl = DoubleIntegrator(), WeightLawParams(gamma=0.66)
+    x = np.zeros(4)
+    state = ctrl.init_state(x, params, UAV_MISSIONS, wl)
+    flat = state.inputs.flat.copy()
+    flat[1, 0] = np.nan  # the shifted plan's first input
+    state = replace(state, inputs=state.inputs.with_flat(flat), step_index=12)
+    with pytest.raises(NonFiniteCostError, match="control step 12: noise-free") as info:
+        ctrl.control_step(x, state, model, UAV_MISSIONS, NO_OBS, params, wl)
+    assert info.value.step == 12
+
+
+def test_step_diagnostics_layer_seconds():
+    params = make_params(n_samples=16, horizon=5, n_alternatives=2)
+    wl = WeightLawParams(gamma=0.66)
+    x = np.zeros(4)
+    state = ctrl.init_state(x, params, UAV_MISSIONS, wl)
+    _, _, diag = ctrl.control_step(x, state, DoubleIntegrator(), UAV_MISSIONS, NO_OBS, params, wl)
+    layers = (diag.noise_s, diag.eval_s, diag.project_s, diag.update_s)
+    assert all(s > 0.0 for s in layers)
+    assert sum(layers) <= diag.seconds
 
 
 # -------------------------------------------------------------- mppi update
