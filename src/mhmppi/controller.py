@@ -43,23 +43,23 @@ Noise prefetch
 Step t+1's noise batch depends only on its key (seed, t+1, Cholesky
 factor, batch shape), not on the state.  So :func:`sample_noise` shares
 the drawing with one worker process (:mod:`mhmppi.prefetch`, started on
-the first step).  When step t asks for its batch, it copies the samples
-the worker drew ahead into a private array, waiting for the worker if it
-is still drawing; asks the worker for the first samples of step t+1's
-batch; and draws the rest of step t's batch itself, while the worker
-draws.  The worker's share is set so that both finish together, from
-this process's measured time per sample and its time per step outside
-the sampler.  A batch whose key does not match the worker's last job (a
-new seed, or the m=2 to m=0 change at an abort) is drawn here in full,
-without waiting for that stale job.  The noise is drawn inline, with no
-worker, when the process may use fewer than two CPUs, when it is a
-multiprocessing child (``cli --workers N`` already keeps N processes
-busy), and outside Linux; and from the step on which the worker cannot
-start or is found dead.  Both processes run the same :func:`_fill_noise`
-loop, and sample q's values depend only on the key and q, so the
-reproducibility contract above is unchanged: every batch is bit-identical
-whichever process drew which of its samples, and there is nothing to
-configure.
+the first step).  Once step t has its batch, the worker is sent step
+t+1's key and draws that batch upward from sample 0 while this process
+evaluates step t.  When step t+1 asks for its batch, this process draws
+it downward from the last sample until it meets the samples the worker
+has drawn, and copies those into a private array.  It never waits for
+the worker, so a step whose worker is slow or starved of CPU costs what
+an inline draw costs.  A batch whose key does not match the worker's
+last job (a new seed, or the m=2 to m=0 change at an abort) is sent to
+the worker first, which stops the stale job, and then shared the same
+way.  The noise is drawn inline, with no worker, when the process may
+use fewer than two CPUs, when it is a multiprocessing child (``cli
+--workers N`` already keeps N processes busy), outside Linux or x86-64,
+and from the step on which the worker cannot start or is found dead.
+Both processes run the same :func:`_fill_noise` loop, and sample q's
+values depend only on the key and q, so the reproducibility contract
+above is unchanged: every batch is bit-identical whichever process drew
+which of its samples, and there is nothing to configure.
 
 Plain MPPI is the m=0 case
 --------------------------
@@ -76,6 +76,7 @@ included, so the two diverge as soon as the shifted plan is nonzero.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -234,7 +235,7 @@ class NoiseStream:
 
 
 def _fill_noise(
-    out: np.ndarray, seed: int, step_index: int, chol: np.ndarray, samples: range
+    out: np.ndarray, seed: int, step_index: int, chol: np.ndarray, samples: Iterable[int]
 ) -> None:
     """Write ``samples`` of step ``step_index``'s (n_u, n_inputs, K) noise
     batch into the same samples of ``out``."""
@@ -247,7 +248,7 @@ def _fill_noise(
 def sample_noise(params: ControllerParams, step_index: int) -> np.ndarray:
     """The (n_u, n_inputs, K) noise batch for one step: ``[c, d, q]`` is
     component c of sample q's perturbation of flat input d.  The array is
-    the caller's own; part of it may have been drawn ahead by a worker."""
+    the caller's own; part of it may have been drawn by a worker."""
     # imported on the first step, not with the package: the multiprocessing
     # and subprocess modules it needs add about 6% to the import time
     from .prefetch import process_prefetch

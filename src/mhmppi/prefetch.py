@@ -1,23 +1,33 @@
 """Drawing the next control step's noise batch in a worker process.
 
 Step t+1's noise batch depends only on (seed, t+1, Cholesky factor,
-shape), not on the state, so a worker process can draw the first part of
-it while this process draws the rest of step t's batch and evaluates step
-t; see "Noise prefetch" in the :mod:`mhmppi.controller` docstring.
+shape), not on the state, so a worker process can draw it while this
+process evaluates step t; see "Noise prefetch" in the
+:mod:`mhmppi.controller` docstring.
+
+The two processes share one batch by work stealing: the worker draws the
+samples upward from 0, and the caller, once it needs the batch, draws
+them downward from the last until it meets the worker.  The caller never
+waits for the worker, so a step is never slower than drawing it inline,
+however busy the worker's CPU is.  Two words at the start of the shared
+file keep them apart: the worker's progress (samples 0..p-1 are written)
+and the caller's claim (samples c.. are the caller's, so the worker stops
+at c).  Each word carries the job's sequence number in its high 32 bits,
+so a word left over from an older job reads as no progress, or as a
+claim on everything.  A sample both draw at the moment they meet has the
+same values either way.  The progress word is stored after the samples
+it counts, and read before them, which x86-64's store and load order
+keeps in that order; other machines draw inline.
 
 The worker is a fresh interpreter started with ``subprocess``: it imports
 this package and nothing of the parent's ``__main__``, so a script without
-a ``__main__`` guard is not run twice.  It writes each batch into an
-anonymous shared memory file (``os.memfd_create``), which has no name to
-leak and is freed when both processes have closed it.  Jobs travel over a
-one-way pipe; each job is announced, and each finished job answered, by
-adding 1 to an eventfd counter.
-
-Neither process ever sleeps on the pipe.  Linux wakes a process sleeping
-on a pipe as if the writer were about to sleep, and may then run it on
-the writer's CPU; the writer here keeps computing, so the two would share
-one CPU until the load balancer parts them.  An eventfd wakeup carries no
-such hint.
+a ``__main__`` guard is not run twice.  It writes into an anonymous shared
+memory file (``os.memfd_create``), which has no name to leak and is freed
+when both processes have closed it.  Jobs travel over a one-way pipe, each
+announced by adding 1 to an eventfd counter: a worker sleeping on a pipe
+is woken as if the writer were about to sleep and may be run on the
+writer's CPU, which keeps computing; an eventfd wakeup carries no such
+hint.
 """
 
 from __future__ import annotations
@@ -27,26 +37,28 @@ import math
 import mmap
 import multiprocessing
 import os
+import platform
 import select
 import subprocess
 import sys
 import threading
-import time
 from multiprocessing.connection import Connection
 
 import numpy as np
 
 from .controller import _fill_noise
 
-POLL_MS = 1000  # how often a waiting side checks that the other is alive
+POLL_MS = 1000  # how often the idle worker checks that its parent is alive
+HEADER = 64  # bytes before the batch in the shared file: the two words
+PROGRESS, CLAIM = 0, 1  # int64 word indices in the header
+COUNT = (1 << 32) - 1  # low bits of a word: a sample count
 
 
-def worker_main(jobs_fd: int, bell_fd: int, done_fd: int, mem_fd: int) -> None:
+def worker_main(jobs_fd: int, bell_fd: int, mem_fd: int) -> None:
     """Worker loop.  Each count on the eventfd ``bell_fd`` announces one
-    message on the pipe ``jobs_fd``: a job ``(nbytes, shape, seed, step,
-    chol, ahead)``, whose first ``ahead`` samples are written into the batch
-    at the start of the shared memory file ``mem_fd`` and then counted on
-    the eventfd ``done_fd``, or ``None``, which ends the loop.  The loop
+    message on the pipe ``jobs_fd``: a job ``(seq, shape, seed, step,
+    chol)``, whose batch is drawn into the shared memory file ``mem_fd``
+    until the caller's claim, or ``None``, which ends the loop.  The loop
     also ends once the parent has gone."""
     jobs = Connection(jobs_fd, writable=False)
     parent = os.getppid()
@@ -63,15 +75,31 @@ def worker_main(jobs_fd: int, bell_fd: int, done_fd: int, mem_fd: int) -> None:
             msg = jobs.recv()
             if msg is None:
                 return
-            nbytes, shape, seed, step_index, chol, ahead = msg
-            if shared is None or len(shared) < nbytes:
+            size = HEADER + 8 * math.prod(msg[1])
+            if shared is None or len(shared) < size:
                 if shared is not None:
                     shared.close()
-                shared = mmap.mmap(mem_fd, nbytes)
-            _fill_noise(np.ndarray(shape, buffer=shared), seed, step_index, chol, range(ahead))
-            os.eventfd_write(done_fd, 1)
+                shared = mmap.mmap(mem_fd, size)
+            _run_job(shared, *msg)
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # the parent has gone, or the user interrupted both
+
+
+def _run_job(shared: mmap.mmap, seq: int, shape: tuple, seed: int, step_index: int, chol):
+    words = np.ndarray(2, np.int64, buffer=shared)
+    batch = np.ndarray(shape, buffer=shared, offset=HEADER)
+    _fill_noise(batch, seed, step_index, chol, _upward(words, seq, shape[2]))
+
+
+def _upward(words: np.ndarray, seq: int, n_samples: int):
+    """The worker's samples: 0, 1, ... below the caller's claim on job
+    ``seq``, each counted in the progress word once written."""
+    for q in range(n_samples):
+        claim = int(words[CLAIM])
+        if claim >> 32 != seq or q >= claim & COUNT:
+            return
+        yield q
+        words[PROGRESS] = seq << 32 | (q + 1)
 
 
 class NoisePrefetch:
@@ -89,15 +117,11 @@ class NoisePrefetch:
         self._lock = threading.Lock()
         self._proc = None
         self._jobs = None  # write end of the job pipe
-        self._bell = self._done_fd = self._mem = None  # eventfds, shared file
-        self._answers = select.poll()
-        self._shared = None
-        self._sent = 0  # jobs sent
-        self._done = 0  # jobs finished; the worker runs them in order
+        self._bell = self._mem = None  # eventfd, shared file
+        self._shared = self._words = None  # mapping of the file, its header
+        self._seq = 0  # sequence number of the last job sent
         self._key = None  # key of the last job sent, until taken
-        self._ahead = 0  # samples of that job the worker draws
-        self._per_sample = None  # seconds per sample drawn in this process
-        self._left = None  # when the last fill returned
+        self._taken = 0  # samples the worker drew of the batch last filled
 
     @property
     def pid(self) -> int | None:
@@ -106,60 +130,63 @@ class NoisePrefetch:
 
     def fill(self, out: np.ndarray, seed: int, step_index: int, chol: np.ndarray) -> int:
         """Write step ``step_index``'s noise batch into ``out``, and have the
-        worker start on the next step's.  The samples the worker drew ahead
-        are copied, if its last job was this batch; the rest are drawn
-        here.  Returns the number of samples copied."""
-        n_samples = out.shape[2]
+        worker start on the next step's.  If the worker's last job is not
+        this batch, it is sent this batch first.  This process draws the
+        batch downward from its last sample until it meets the samples the
+        worker has drawn, which are then copied.  Returns the number of
+        samples copied."""
         with self._lock:
-            start = time.perf_counter()
-            ahead = self._take(out, _key(out.shape, seed, step_index, chol))
-            self._request(out.shape, seed, step_index + 1, chol, self._split(n_samples, start))
-            t0 = time.perf_counter()
-            _fill_noise(out, seed, step_index, chol, range(ahead, n_samples))
-            self._left = time.perf_counter()
-            if ahead < n_samples:
-                self._per_sample = (self._left - t0) / (n_samples - ahead)
-        return ahead
+            if self._proc is not None and self._proc.poll() is not None:
+                self._fail()  # the worker has died
+            key = _key(out.shape, seed, step_index, chol)
+            if self._key != key:
+                self._request(out.shape, seed, step_index, chol)
+            self._key = None
+            if self.failed:
+                _fill_noise(out, seed, step_index, chol, range(out.shape[2]))
+                return 0
+            _fill_noise(out, seed, step_index, chol, self._downward(out.shape[2]))
+            taken = self._taken
+            if taken:
+                batch = np.ndarray(out.shape, buffer=self._shared, offset=HEADER)
+                out[:, :, :taken] = batch[:, :, :taken]
+                del batch  # the mapping may be replaced on the next request
+            self._request(out.shape, seed, step_index + 1, chol)
+        return taken
 
-    def _split(self, n_samples: int, now: float) -> int:
-        """How many samples of the next batch the worker draws: as many as
-        it can while this process draws the rest and does the work of one
-        step outside this class, both at this process's measured rate."""
-        if self._per_sample is None:
-            return n_samples
-        outside = 0.0 if self._left is None else now - self._left
-        return min(n_samples, math.ceil((n_samples + outside / self._per_sample) / 2))
+    def _downward(self, n_samples: int):
+        """This process's samples: the last, then down while the worker's
+        progress on the current job is below them, each claimed before it
+        is drawn.  Leaves the worker's count in ``_taken``."""
+        words, seq = self._words, self._seq
+        top = n_samples
+        # a progress word of an older job is below seq << 32
+        while top > 0 and int(words[PROGRESS]) < seq << 32 | top:
+            top -= 1
+            words[CLAIM] = seq << 32 | top
+            yield top
+        self._taken = top
 
-    def _take(self, out: np.ndarray, key: tuple) -> int:
-        if self.failed or self._key != key:
-            return 0
-        self._key = None
-        if not self._wait(self._sent):
-            return 0
-        ahead = self._ahead
-        out[:, :, :ahead] = np.ndarray(out.shape, buffer=self._shared)[:, :, :ahead]
-        return ahead
-
-    def _request(self, shape: tuple, seed: int, step_index: int, chol: np.ndarray, ahead: int):
-        key = _key(shape, seed, step_index, chol)
-        if self.failed or self._key == key:
+    def _request(self, shape: tuple, seed: int, step_index: int, chol: np.ndarray) -> None:
+        """Send the worker the batch of this key as a new job, after a claim
+        word that leaves it every sample and stops any older job."""
+        if self.failed:
             return
-        nbytes = 8 * math.prod(shape)
+        size = HEADER + 8 * math.prod(shape)
         try:
             if self._proc is None:
-                self._start()
-            if len(self._shared) < nbytes:
-                # growing the file leaves a running job's mapping valid
-                os.ftruncate(self._mem, nbytes)
-                self._shared.close()
-                self._shared = mmap.mmap(self._mem, nbytes)
-            self._send((nbytes, shape, seed, step_index, chol, ahead))
+                self._start(size)
+            elif len(self._shared) < size:
+                # growing the file leaves the worker's mapping valid
+                os.ftruncate(self._mem, size)
+                self._map(size)
+            self._seq += 1
+            self._words[CLAIM] = self._seq << 32 | shape[2]
+            self._send((self._seq, tuple(shape), seed, step_index, chol))
         except (OSError, subprocess.SubprocessError):
             self._fail()
             return
-        self._sent += 1
-        self._key = key
-        self._ahead = ahead
+        self._key = _key(shape, seed, step_index, chol)
 
     def close(self) -> None:
         """Stop the worker and free the shared memory."""
@@ -174,21 +201,20 @@ class NoisePrefetch:
                     pass
             self._fail()
             self._key = None
+            self._words = None
             if self._shared is not None:
                 self._shared.close()
                 self._shared = None
-            for fd in (self._bell, self._done_fd, self._mem):
+            for fd in (self._bell, self._mem):
                 if fd is not None:
                     os.close(fd)
-            self._bell = self._done_fd = self._mem = None
+            self._bell = self._mem = None
 
-    def _start(self) -> None:
+    def _start(self, size: int) -> None:
         self._bell = os.eventfd(0, os.EFD_SEMAPHORE)
-        self._done_fd = os.eventfd(0, os.EFD_SEMAPHORE)
         self._mem = os.memfd_create("mhmppi-noise")
-        os.ftruncate(self._mem, mmap.PAGESIZE)
-        self._shared = mmap.mmap(self._mem, mmap.PAGESIZE)
-        self._answers.register(self._done_fd, select.POLLIN)
+        os.ftruncate(self._mem, size)
+        self._map(size)
         reader, self._jobs = multiprocessing.Pipe(duplex=False)
         src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         code = (
@@ -196,7 +222,7 @@ class NoisePrefetch:
             "from mhmppi.prefetch import worker_main; "
             "worker_main(*map(int, sys.argv[2:]))"
         )
-        fds = (reader.fileno(), self._bell, self._done_fd, self._mem)
+        fds = (reader.fileno(), self._bell, self._mem)
         with reader:  # the worker's end; this process keeps no copy of it
             self._proc = subprocess.Popen(
                 [sys.executable, "-c", code, src, *map(str, fds)],
@@ -204,20 +230,16 @@ class NoisePrefetch:
                 pass_fds=fds,
             )
 
+    def _map(self, size: int) -> None:
+        self._words = None
+        if self._shared is not None:
+            self._shared.close()
+        self._shared = mmap.mmap(self._mem, size)
+        self._words = np.ndarray(2, np.int64, buffer=self._shared)
+
     def _send(self, msg) -> None:
         self._jobs.send(msg)
         os.eventfd_write(self._bell, 1)
-
-    def _wait(self, job: int) -> bool:
-        """Block until ``job`` has finished; False if the worker has died."""
-        while self._done < job:
-            if self._answers.poll(POLL_MS):
-                os.eventfd_read(self._done_fd)
-                self._done += 1
-            elif self._proc.poll() is not None:
-                self._fail()
-                return False
-        return True
 
     def _fail(self) -> None:
         self.failed = True
@@ -242,13 +264,15 @@ def process_prefetch() -> NoisePrefetch | None:
     """This process's prefetcher, made on first use.  None where the noise
     is drawn inline: with fewer than two usable CPUs, in a multiprocessing
     child (a pool of runs already keeps the CPUs busy), and where there is
-    no ``os.memfd_create`` or ``os.eventfd`` (outside Linux)."""
+    no ``os.memfd_create`` or ``os.eventfd`` (outside Linux) or the
+    machine is not x86-64 (see the module docstring)."""
     pid = os.getpid()
     if pid not in _prefetchers:
         prefetch = None
         if (
             hasattr(os, "memfd_create")
             and hasattr(os, "eventfd")
+            and platform.machine() == "x86_64"
             and len(os.sched_getaffinity(0)) >= 2
             and multiprocessing.parent_process() is None
         ):

@@ -3,6 +3,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -121,20 +122,76 @@ def own_prefetch(monkeypatch):
         pf.close()
 
 
-def test_prefetched_noise_matches_draw_noise(own_prefetch, monkeypatch):
+def _worker_drew(pf, share):
+    """Wait until the worker has drawn its whole pending batch, then make
+    it read as if it had drawn only the first ``share`` samples."""
+    n_samples = pf._key[0][2]
+    done = pf._seq << 32 | n_samples
+    for _ in range(6000):
+        if int(pf._words[prefetch.PROGRESS]) == done:
+            break
+        time.sleep(0.01)
+    else:
+        pytest.fail("the worker did not draw its batch")
+    pf._words[prefetch.PROGRESS] = pf._seq << 32 | share
+
+
+def _call_within(seconds, fn):
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()), daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), "sample_noise waited for the worker"
+    return result[0]
+
+
+def test_prefetched_noise_matches_draw_noise(own_prefetch):
     pf, ahead = own_prefetch
-    # the worker's share of each next batch: all, one, all but one, all
-    splits = iter([16, 1, 15, 16, 16, 16])
-    monkeypatch.setattr(pf, "_split", lambda *_: next(splits))
     cov = np.array([[2.0, 0.5], [0.5, 1.0]])  # the worker applies the factor too
     multi = make_params(n_samples=16, horizon=5, n_alternatives=2, noise_cov=cov, seed=8)
     single = replace(multi, n_alternatives=0)  # the abort's m=0 problem
+    # the worker's share of steps 1..5: all, one, none (a stale job, with
+    # the worker stopped), all but one, all
+    shares = [16, 1, None, 15, 16]
     for t, params in enumerate([multi] * 3 + [single] * 3):
-        batch = ctrl.sample_noise(params, t)
+        share = shares[t - 1] if t else None
+        if share is not None:
+            _worker_drew(pf, share)
+        elif t:
+            os.kill(pf.pid, signal.SIGSTOP)
+        batch = _call_within(60, lambda: ctrl.sample_noise(params, t))
+        if t and share is None:
+            os.kill(pf.pid, signal.SIGCONT)
         assert np.array_equal(batch, _reference_batch(params, t)), t
-    # step 0 and the first m=0 step are drawn here in full: the pending job
-    # was for another key
-    assert ahead == [0, 16, 1, 0, 16, 16]
+    assert ahead[1:] == [16, 1, 0, 15, 16]
+    assert not pf.failed
+
+
+def test_prefetch_never_waits_for_a_stopped_worker(own_prefetch):
+    pf, ahead = own_prefetch
+    params = make_params(n_samples=16, horizon=5, n_alternatives=2, seed=5)
+    ctrl.sample_noise(params, 0)
+    _worker_drew(pf, 16)
+    ctrl.sample_noise(params, 1)  # asks the worker for step 2
+    os.kill(pf.pid, signal.SIGSTOP)
+    try:
+        batch = _call_within(60, lambda: ctrl.sample_noise(params, 2))
+    finally:
+        os.kill(pf.pid, signal.SIGCONT)
+    assert np.array_equal(batch, _reference_batch(params, 2))
+    assert ahead[1:] == [16, 0] and not pf.failed
+
+
+def test_prefetch_meeting_in_the_middle_keeps_batches_exact(own_prefetch):
+    # the two processes race on live batches: whatever share each draws,
+    # every batch equals the reference
+    pf, ahead = own_prefetch
+    params = make_params(n_samples=256, horizon=5, n_alternatives=2, seed=9)
+    ctrl.sample_noise(params, 0)
+    _worker_drew(pf, 256)  # started
+    batches = _call_within(60, lambda: [ctrl.sample_noise(params, t) for t in range(1, 41)])
+    for t, batch in enumerate(batches, 1):
+        assert np.array_equal(batch, _reference_batch(params, t)), t
     assert not pf.failed
 
 
@@ -142,12 +199,14 @@ def test_prefetched_noise_is_private(own_prefetch):
     pf, ahead = own_prefetch
     params = make_params(n_samples=16, horizon=5, n_alternatives=2, seed=4)
     ctrl.sample_noise(params, 0)
+    _worker_drew(pf, 16)
     batch = ctrl.sample_noise(params, 1)
-    assert ahead[-1] > 0  # partly drawn by the worker
+    assert ahead[-1] == 16  # drawn by the worker
     assert batch.flags.writeable and batch.flags.owndata
     batch[...] = np.nan
+    _worker_drew(pf, 16)
     assert np.array_equal(ctrl.sample_noise(params, 2), _reference_batch(params, 2))
-    assert ahead[-1] > 0
+    assert ahead[-1] == 16
 
 
 def test_prefetch_falls_back_inline_when_worker_dies(own_prefetch):
@@ -155,16 +214,11 @@ def test_prefetch_falls_back_inline_when_worker_dies(own_prefetch):
     params = make_params(n_samples=16, horizon=5, n_alternatives=2, seed=6)
     ctrl.sample_noise(params, 0)  # starts the worker and requests step 1
     os.kill(pf.pid, signal.SIGKILL)
-    result = []
-    thread = threading.Thread(
-        target=lambda: result.append(ctrl.sample_noise(params, 1)), daemon=True
-    )
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive(), "sample_noise hung on a dead worker"
-    assert np.array_equal(result[0], _reference_batch(params, 1))
+    pf._proc.wait(timeout=60)
+    batch = _call_within(60, lambda: ctrl.sample_noise(params, 1))
+    assert np.array_equal(batch, _reference_batch(params, 1))
     assert ahead[-1] == 0 and pf.failed
-    # from then on every step is drawn here, at once
+    # from then on every step is drawn here
     assert np.array_equal(ctrl.sample_noise(params, 2), _reference_batch(params, 2))
     assert ahead[-1] == 0
 
