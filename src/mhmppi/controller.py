@@ -197,25 +197,17 @@ def stream_key(seed: int, step_index: int) -> np.ndarray:
     return np.random.SeedSequence((int(seed), int(step_index))).generate_state(2, np.uint64)
 
 
-def draw_noise(key: np.ndarray, q: int, count: int, chol: np.ndarray) -> np.ndarray:
-    """(count, n_u) noise rows from sample q's counter-block substream.
-
-    Reference form of the convention: stream q is
-    ``Philox(key, counter=q * 2**192)``.  :class:`NoiseStream` produces the
-    same values while reusing one bit generator.
-    """
-    gen = np.random.Generator(np.random.Philox(key=key, counter=q << 192))
-    out = gen.standard_normal((count, chol.shape[0]))
-    return out if _is_identity(chol) else out @ chol.T
-
-
 def _is_identity(chol: np.ndarray) -> bool:
     return bool(np.array_equal(chol, np.eye(chol.shape[0])))
 
 
 class NoiseStream:
-    """One step's noise source; ``rows(q, count)`` equals
-    :func:`draw_noise` for the same key, sample index, and covariance."""
+    """One step's noise source.  ``rows(q, count)`` is sample q's first
+    ``count`` rows: a ``(count, n_u)`` standard normal draw from
+    ``Philox(key=stream_key(seed, step_index), counter=q * 2**192)``, each
+    row z then mapped to ``chol @ z`` (skipped when ``chol`` is the
+    identity).  One bit generator serves every sample; only its counter is
+    reset between samples."""
 
     def __init__(self, seed: int, step_index: int, chol: np.ndarray):
         self.key = stream_key(seed, step_index)
@@ -315,8 +307,9 @@ def evaluate_plan_batch(
     ``flat_batch[:, :, q].T`` is plan q in the flat plan layout for
     ``horizon``.  Every state and cost term is computed on contiguous
     K-wide slabs, states as (n_x, ..., K).  Returns ``(costs, tail_costs)``,
-    two (K, m+1) matrices whose rows are each plan's
-    :func:`cost.cost_vector` and :func:`cost.tail_cost_vector`.
+    two (K, m+1) matrices whose rows are each plan's mission costs and
+    tail costs (final stage plus terminal term, branch-averaged).
+    ``tests/oracle.py`` computes both one plan at a time, as the reference.
 
     Branch (i, p) shares primary stages 1..p+1, so primary stage k < N
     lies on the N-k branches p >= k-1 and enters mission i's sum with that

@@ -1,4 +1,4 @@
-"""Mission cost functions and the per-mission cost vector.
+"""Mission cost functions.
 
 Each mission i has a target state, quadratic stage weights Q (state) and
 R (input), and a dynamics mode for its branch rollouts.  A trajectory's
@@ -16,19 +16,17 @@ its N-1 branch plans.
 
 :func:`stage_cost_terms` and :func:`terminal_cost_terms` are the batched
 kernels: they take component-first ``(n_x, ...)``/``(n_u, ...)`` arrays.
-The per-structure route (:func:`stage_cost`, :func:`mission_cost`,
-:func:`cost_vector`, :func:`tail_cost_vector`) takes one plan with the
-component axis last and is the test oracle for the batched evaluator.
+``controller.evaluate_plan_batch`` sums them into the cost vectors of a
+whole batch of plans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .multi_horizon import MultiHorizonInput, MultiHorizonTrajectory
 
 POSITION_DIMS = 2
 
@@ -204,127 +202,3 @@ def stage_cost_terms(
 def terminal_cost_terms(mission: Mission, states: np.ndarray) -> np.ndarray:
     """Terminal quadratic for (n_x, ...) states."""
     return _quad(states, mission.state_weight, mission.target)
-
-
-# The per-structure route below (stage_cost, mission_cost, cost_vector,
-# tail_cost_vector) takes one plan at a time with the component axis last
-# and keeps its own dense quadratic, so it stays an independent oracle for
-# the batched evaluator in ``controller``.
-
-
-def _dense_quad(dz: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return ((dz @ M) * dz).sum(axis=-1)
-
-
-def _stage_terms(mission: Mission, states, inputs, obstacles: ObstacleSet) -> np.ndarray:
-    """Stage costs for matching (..., n_x)/(..., n_u) arrays."""
-    cost = _dense_quad(states - mission.target, mission.state_weight)
-    cost = cost + _dense_quad(inputs, mission.input_weight)
-    if obstacles.n_boxes and obstacles.penalty:
-        positions = np.moveaxis(states[..., :POSITION_DIMS], -1, 0)
-        cost = cost + obstacles.penalty * obstacles.inside(positions)
-    return cost
-
-
-def _terminal_terms(mission: Mission, states) -> np.ndarray:
-    return _dense_quad(states - mission.target, mission.state_weight)
-
-
-def stage_cost(mission: Mission, x, u, obstacles: ObstacleSet) -> float:
-    return float(_stage_terms(mission, np.asarray(x, float), np.asarray(u, float), obstacles))
-
-
-def mission_cost(
-    mission: Mission,
-    states: np.ndarray,
-    inputs: np.ndarray,
-    obstacles: ObstacleSet,
-) -> np.ndarray:
-    """Total plan cost for one mission.
-
-    ``states``: (..., N+1, n_x), ``inputs``: (..., N, n_u); returns (...).
-    Stage terms pair states[k] with inputs[k-1] for k = 1..N; the terminal
-    quadratic is charged at states[N].
-    """
-    states = np.asarray(states, dtype=float)
-    inputs = np.asarray(inputs, dtype=float)
-    if states.shape[-2] != inputs.shape[-2] + 1:
-        raise ValueError(
-            f"need one more state than inputs, got {states.shape[-2]} states "
-            f"for {inputs.shape[-2]} inputs"
-        )
-    terms = _stage_terms(mission, states[..., 1:, :], inputs, obstacles)
-    return terms.sum(axis=-1) + _terminal_terms(mission, states[..., -1, :])
-
-
-def cost_vector(
-    trajectories: MultiHorizonTrajectory,
-    inputs: MultiHorizonInput,
-    missions: MissionSet,
-    obstacles: ObstacleSet,
-) -> np.ndarray:
-    """The m+1 mission costs of one plan structure.
-
-    Entry 0 evaluates the primary plan; entry i averages mission i's cost
-    over its N-1 branch plans.
-    """
-    horizon, m = inputs.horizon, inputs.n_alternatives
-    _check_structure(trajectories, inputs, missions)
-    out = np.empty(m + 1)
-    out[0] = mission_cost(missions[0], trajectories.primary_states, inputs.primary, obstacles)
-    for i in range(1, m + 1):
-        total = 0.0
-        for p in range(horizon - 1):
-            total += mission_cost(
-                missions[i],
-                trajectories.branch_states(i, p),
-                inputs.branch_view(i, p),
-                obstacles,
-            )
-        out[i] = total / (horizon - 1)
-    return out
-
-
-def tail_cost_vector(
-    trajectories: MultiHorizonTrajectory,
-    inputs: MultiHorizonInput,
-    missions: MissionSet,
-    obstacles: ObstacleSet,
-) -> np.ndarray:
-    """Final stage + terminal terms of every plan, branch-averaged.
-
-    Applied to a shifted plan (whose last input is the zero placeholder),
-    subtracting this from the cost vector removes exactly the cost charged
-    to that placeholder step.
-    """
-    horizon, m = inputs.horizon, inputs.n_alternatives
-    _check_structure(trajectories, inputs, missions)
-
-    def last_terms(mission, states, plan):
-        return (
-            _stage_terms(mission, states[-1], plan[-1], obstacles)
-            + _terminal_terms(mission, states[-1])
-        )
-
-    out = np.empty(m + 1)
-    out[0] = last_terms(missions[0], trajectories.primary_states, inputs.primary)
-    for i in range(1, m + 1):
-        total = 0.0
-        for p in range(horizon - 1):
-            total += last_terms(
-                missions[i], trajectories.branch_states(i, p), inputs.branch_view(i, p)
-            )
-        out[i] = total / (horizon - 1)
-    return out
-
-
-def _check_structure(trajectories, inputs, missions) -> None:
-    if trajectories.horizon != inputs.horizon:
-        raise ValueError("trajectory and input horizons differ")
-    if trajectories.n_alternatives != inputs.n_alternatives:
-        raise ValueError("trajectory and input mission counts differ")
-    if missions.n_alternatives != inputs.n_alternatives:
-        raise ValueError(
-            f"{missions.n_alternatives} backup missions but structure has "
-            f"{inputs.n_alternatives}"
-        )

@@ -137,20 +137,3 @@ def step(model: DynamicsModel, x: np.ndarray, u: np.ndarray, mode: int = 0) -> n
     if u.shape[-1] != model.n_u:
         raise ValueError(f"input has dim {u.shape[-1]}, expected {model.n_u}")
     return model.update(x, model.mode_scale(mode) * u)
-
-
-def rollout(model: DynamicsModel, x0: np.ndarray, inputs, mode: int = 0) -> np.ndarray:
-    """Simulate an input sequence; returns len(inputs)+1 states starting at x0."""
-    inputs = np.asarray(inputs, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n_x,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({model.n_x},)")
-    if inputs.size and inputs.shape[-1] != model.n_u:
-        raise ValueError(f"inputs have dim {inputs.shape[-1]}, expected {model.n_u}")
-    n = len(inputs)
-    states = np.empty((n + 1, model.n_x))
-    states[0] = x0
-    scale = model.mode_scale(mode)
-    for k in range(n):
-        states[k + 1] = model.update(states[k], scale * inputs[k])
-    return states

@@ -1,4 +1,4 @@
-"""Triangular multi-horizon input structure and its trajectory family.
+"""Triangular multi-horizon input structure.
 
 A plan over horizon N toward one primary target, together with m backup
 targets, stores only the independent control inputs:
@@ -9,9 +9,9 @@ targets, stores only the independent control inputs:
   that completes an N-step plan should the primary be abandoned right
   after ``u_p``.
 
-That is ``N + m*N*(N-1)/2`` input vectors in total; the simulated state
-family holds ``N+1 + m*N*(N-1)/2`` independent states, because each branch
-shares the first p+2 states with the primary trajectory.
+That is ``N + m*N*(N-1)/2`` input vectors in total.  Simulated, they give
+``N+1 + m*N*(N-1)/2`` independent states, because each branch shares the
+first p+2 states with the primary trajectory.
 
 Flat index convention (the contract shared with the noise sampler and the
 sampling update): row d of :attr:`MultiHorizonInput.flat` is
@@ -22,7 +22,7 @@ sampling update): row d of :attr:`MultiHorizonInput.flat` is
 
 :func:`branch_rows` is that layout as one ``(N, N-1, m)`` table: entry
 ``[t, p, i-1]`` is the row holding input t of branch (i, p).  Every other
-view of the flat storage (tails, branch plans, the shift) reads it.
+view of the flat storage (branch plans, the shift) reads it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import DynamicsModel
 from .errors import ConfigError
 
 
@@ -49,10 +48,6 @@ def dims(horizon: int, n_alternatives: int) -> tuple[int, int]:
     tri = horizon * (horizon - 1) // 2
     n_inputs = horizon + n_alternatives * tri
     return n_inputs, n_inputs + 1
-
-
-def tail_length(horizon: int, p: int) -> int:
-    return horizon - 1 - p
 
 
 def _check_branch(horizon: int, n_alternatives: int, i: int, p: int) -> None:
@@ -129,28 +124,6 @@ class MultiHorizonInput:
         n, _ = dims(horizon, n_alternatives)
         return cls(horizon, n_alternatives, np.zeros((n, n_u)))
 
-    @classmethod
-    def from_parts(cls, primary, tails=()) -> "MultiHorizonInput":
-        """Build from an (N, n_u) primary and tails[i-1][p] input lists."""
-        primary = np.asarray(primary, dtype=float)
-        horizon = primary.shape[0]
-        n_alternatives = len(tails)
-        n, _ = dims(horizon, n_alternatives)
-        flat = np.zeros((n, primary.shape[1]))
-        flat[:horizon] = primary
-        rows = branch_rows(horizon, n_alternatives)
-        for i, mission_tails in enumerate(tails, start=1):
-            if len(mission_tails) != horizon - 1:
-                raise ValueError(f"mission {i}: expected {horizon - 1} tails")
-            for p, tail in enumerate(mission_tails):
-                tail = np.asarray(tail, dtype=float)
-                if tail.shape[0] != tail_length(horizon, p):
-                    raise ValueError(
-                        f"tail ({i},{p}): expected {tail_length(horizon, p)} inputs"
-                    )
-                flat[rows[p + 1 :, p, i - 1]] = tail
-        return cls(horizon, n_alternatives, flat)
-
     @property
     def n_u(self) -> int:
         return self.flat.shape[1]
@@ -158,10 +131,6 @@ class MultiHorizonInput:
     @property
     def primary(self) -> np.ndarray:
         return self.flat[: self.horizon]
-
-    def tail(self, i: int, p: int) -> np.ndarray:
-        """Inputs of branch (i, p) after the shared prefix; read-only."""
-        return self.branch_view(i, p)[p + 1 :]
 
     def branch_view(self, i: int, p: int) -> np.ndarray:
         """The full N-input plan for aborting to mission i after input p.
@@ -181,72 +150,3 @@ class MultiHorizonInput:
 
     def with_flat(self, flat: np.ndarray) -> "MultiHorizonInput":
         return MultiHorizonInput(self.horizon, self.n_alternatives, flat)
-
-
-@dataclass(frozen=True)
-class MultiHorizonTrajectory:
-    """State family produced by simulating a MultiHorizonInput.
-
-    ``primary_states`` has N+1 rows; ``tail_states[i-1][p]`` holds the
-    N-1-p states strictly after the prefix shared with the primary
-    trajectory (states 0..p+1).
-    """
-
-    horizon: int
-    n_alternatives: int
-    primary_states: np.ndarray
-    tail_states: tuple
-
-    @property
-    def n_x(self) -> int:
-        return self.primary_states.shape[1]
-
-    def branch_states(self, i: int, p: int) -> np.ndarray:
-        """Full N+1 state sequence of branch (i, p); prefix aliases primary."""
-        _check_branch(self.horizon, self.n_alternatives, i, p)
-        return _readonly(
-            np.concatenate([self.primary_states[: p + 2], self.tail_states[i - 1][p]])
-        )
-
-
-def expand(
-    model: DynamicsModel,
-    x0: np.ndarray,
-    inputs: MultiHorizonInput,
-    mission_modes=None,
-) -> MultiHorizonTrajectory:
-    """Simulate every plan in the structure from the current state.
-
-    ``mission_modes[i]`` is the dynamics mode used for mission i's inputs
-    (default: mode 0 everywhere).  Shared prefixes are simulated once on
-    the primary trajectory and never recomputed per branch.
-    """
-    horizon, m = inputs.horizon, inputs.n_alternatives
-    if mission_modes is None:
-        mission_modes = (0,) * (m + 1)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n_x,):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({model.n_x},)")
-
-    primary_states = np.empty((horizon + 1, model.n_x))
-    primary_states[0] = x0
-    scale0 = model.mode_scale(mission_modes[0])
-    for k in range(horizon):
-        primary_states[k + 1] = model.update(primary_states[k], scale0 * inputs.primary[k])
-
-    tail_states = []
-    for i in range(1, m + 1):
-        scale = model.mode_scale(mission_modes[i])
-        mission_states = []
-        for p in range(horizon - 1):
-            tail = inputs.tail(i, p)
-            states = np.empty((len(tail), model.n_x))
-            x = primary_states[p + 1]
-            for k in range(len(tail)):
-                x = model.update(x, scale * tail[k])
-                states[k] = x
-            states.flags.writeable = False
-            mission_states.append(states)
-        tail_states.append(tuple(mission_states))
-    primary_states.flags.writeable = False
-    return MultiHorizonTrajectory(horizon, m, primary_states, tuple(tail_states))

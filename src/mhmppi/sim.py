@@ -238,23 +238,21 @@ def _min_target_distances(trace: ClosedLoopTrace) -> np.ndarray:
     return d.min(axis=0)
 
 
-def analyze(traces, group_key=None) -> list[dict]:
+def analyze(traces) -> list[dict]:
     """Aggregate per-group statistics of closed-loop runs.
 
-    ``group_key`` maps a trace to its group label (default: the trace's
-    ``meta['group']``, falling back to the scenario name).  Per-trace
-    quantities are averaged within each group; the implied control
-    frequency is the mean of per-trace frequencies.
+    A trace's group label is its ``meta['group']``, falling back to the
+    scenario name.  Per-trace quantities are averaged within each group;
+    the implied control frequency is the mean of per-trace frequencies.
     """
     traces = list(traces)
     if not traces:
         raise ValueError("analyze() needs at least one trace")
-    if group_key is None:
-        group_key = lambda tr: tr.meta.get("group", tr.meta.get("scenario", "all"))
 
     groups: dict = {}
     for trace in traces:
-        groups.setdefault(group_key(trace), []).append(trace)
+        label = trace.meta.get("group", trace.meta.get("scenario", "all"))
+        groups.setdefault(label, []).append(trace)
 
     rows = []
     for label in sorted(groups, key=str):

@@ -52,13 +52,17 @@ def desired_weights(x: np.ndarray, missions: MissionSet, params: WeightLawParams
 
     Entry 0 is 1 - gamma + w0*gamma, entry i is wi*gamma, where w is the
     softmax of -distance/temperature over all missions (max-shifted, so
-    always finite).
+    always finite).  When every distance overflows to inf, no mission is
+    nearer than another and w is uniform.
     """
     x = np.asarray(x, dtype=float)
-    logits = np.array(
-        [-distance(x, mission.target, params.metric) / params.temperature
-         for mission in missions.missions]
-    )
+    with np.errstate(over="ignore"):  # a huge state's distance is inf
+        logits = np.array(
+            [-distance(x, mission.target, params.metric) / params.temperature
+             for mission in missions.missions]
+        )
+    if logits.max() == -np.inf:
+        logits[:] = 0.0
     logits -= logits.max()
     w = np.exp(logits)
     w /= w.sum()

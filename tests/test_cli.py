@@ -117,7 +117,7 @@ def test_stats_recompute_from_trace_files(tmp_path):
     ]
     for trace in traces:  # rebuild the fields analyze() needs
         trace.meta["targets"] = [[2, 2, 0, 0], [0, 2, 0, 0]]
-    recomputed = sim.analyze(traces, group_key=lambda t: t.meta["group"])
+    recomputed = sim.analyze(traces)
     stored = read_stats(os.path.join(out_dir, "stats.csv"))
     for rec, sto in zip(recomputed, stored):
         for key in ("n_runs", "completion_rate", "mean_cost_mean", "mean_cost_std",

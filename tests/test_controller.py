@@ -12,12 +12,13 @@ import pytest
 from mhmppi import controller as ctrl
 from mhmppi import prefetch
 from mhmppi.config import scenario_from_dict
-from mhmppi.cost import Mission, MissionSet, ObstacleSet, cost_vector, tail_cost_vector
+from mhmppi.cost import Mission, MissionSet, ObstacleSet
 from mhmppi.dynamics import DoubleIntegrator, SimpleCar, step
 from mhmppi.errors import ConfigError, NonFiniteCostError
-from mhmppi.multi_horizon import MultiHorizonInput, dims, expand
+from mhmppi.multi_horizon import MultiHorizonInput, dims
 from mhmppi.scenarios import get_scenario_dict
 from mhmppi.weights import WeightLawParams
+from oracle import cost_vector, draw_noise, expand, from_parts, tail_cost_vector
 
 NO_OBS = ObstacleSet.empty()
 UAV_MISSIONS = MissionSet(
@@ -62,7 +63,7 @@ def test_sample_noise_deterministic_and_matches_reference():
 
     key = ctrl.stream_key(params.seed, 7)
     for q in (0, 1, 63):
-        ref = ctrl.draw_noise(key, q, batch1.shape[1], params.noise_chol)
+        ref = draw_noise(key, q, batch1.shape[1], params.noise_chol)
         assert np.array_equal(batch1[:, :, q].T, ref)
 
 
@@ -96,10 +97,10 @@ def test_sample_noise_applies_covariance():
 
 
 def _reference_batch(params, step_index):
-    """The noise batch assembled from :func:`ctrl.draw_noise`, sample by sample."""
+    """The noise batch assembled from :func:`oracle.draw_noise`, sample by sample."""
     key = ctrl.stream_key(params.seed, step_index)
     n_inputs = dims(params.horizon, params.n_alternatives)[0]
-    rows = [ctrl.draw_noise(key, q, n_inputs, params.noise_chol) for q in range(params.n_samples)]
+    rows = [draw_noise(key, q, n_inputs, params.noise_chol) for q in range(params.n_samples)]
     return np.stack(rows).transpose(2, 1, 0)
 
 
@@ -514,7 +515,7 @@ def test_noise_stream_template_reuse_is_exact():
     order = [3, 0, 3, 2, 0, 1]  # revisits must reproduce identical rows
     for q in order:
         assert np.array_equal(
-            stream.rows(q, 7), ctrl.draw_noise(key, q, 7, params.noise_chol)
+            stream.rows(q, 7), draw_noise(key, q, 7, params.noise_chol)
         )
 
 
@@ -531,7 +532,7 @@ def test_single_step_brute_force_oracle(monkeypatch):
     wl = WeightLawParams(gamma=0.0)
     model = DoubleIntegrator()
 
-    prev = MultiHorizonInput.from_parts(
+    prev = from_parts(
         [[0.3, -0.2], [0.1, 0.4]], [[[[-0.5, 0.2]]]]
     )
     fixed_noise = np.array(

