@@ -26,13 +26,17 @@ contiguous K-wide slabs, one per component.
 
 Noise reproducibility contract
 ------------------------------
-Sample q of step t draws from the dedicated counter-block stream
-``Philox(key=stream_key(seed, t), counter=q * 2**192)``; its draws, read
-as ``(n_inputs, n_u)`` rows, are ``noise[:, :, q].T``, and its first rows
-are the primary-horizon noise.  Any sampler honoring this convention (e.g.
-the m=0 case of this step) produces bit-identical primary noise for the
-same (seed, step, q), regardless of batch width.  The weighted reduction
-over samples runs in a fixed order, so whole runs are bit-reproducible.
+The noise of step t is drawn one K-wide slab at a time.  Slab (d, c),
+component c of flat row d, is the dedicated counter-block stream
+``Philox(key=stream_key(seed, t), counter=(d * n_u + c) * 2**192)``, and
+its first K standard normals are ``z[c, d, :]``.  Row d of the batch is
+``chol @ z[:, d, :]``, left as z when the Cholesky factor ``chol`` is the
+identity.  Three guarantees follow.  The primary rows d < N draw the same
+slabs for every m, so the m=0 step gets bit-identical primary noise (the
+gamma=0 equivalence below).  A slab's first K draws do not depend on K,
+so sample q's noise is the same in every batch wider than q.  And a batch
+depends only on (seed, t, chol, shape), and the weighted reduction over
+samples runs in a fixed order, so whole runs are bit-reproducible.
 A sample whose cost is not finite gets weight 0; a step on which no
 sample cost is finite, or whose noise-free plan has a non-finite cost or
 tail cost, raises :class:`~mhmppi.errors.NonFiniteCostError` with the
@@ -44,9 +48,9 @@ Step t+1's noise batch depends only on its key (seed, t+1, Cholesky
 factor, batch shape), not on the state.  So :func:`sample_noise` shares
 the drawing with one worker process (:mod:`mhmppi.prefetch`, started on
 the first step).  Once step t has its batch, the worker is sent step
-t+1's key and draws that batch upward from sample 0 while this process
-evaluates step t.  When step t+1 asks for its batch, this process draws
-it downward from the last sample until it meets the samples the worker
+t+1's key and draws that batch's flat rows upward from row 0 while this
+process evaluates step t.  When step t+1 asks for its batch, this process
+draws its rows downward from the last until it meets the rows the worker
 has drawn, and copies those into a private array.  It never waits for
 the worker, so a step whose worker is slow or starved of CPU costs what
 an inline draw costs.  A batch whose key does not match the worker's
@@ -56,10 +60,10 @@ way.  The noise is drawn inline, with no worker, when the process may
 use fewer than two CPUs, when it is a multiprocessing child (``cli
 --workers N`` already keeps N processes busy), outside Linux or x86-64,
 and from the step on which the worker cannot start or is found dead.
-Both processes run the same :func:`_fill_noise` loop, and sample q's
-values depend only on the key and q, so the reproducibility contract
-above is unchanged: every batch is bit-identical whichever process drew
-which of its samples, and there is nothing to configure.
+Both processes run the same :func:`_fill_noise` loop, and row d's values
+depend only on the key and d, so the reproducibility contract above is
+unchanged: every batch is bit-identical whichever process drew which of
+its rows, and there is nothing to configure.
 
 Plain MPPI is the m=0 case
 --------------------------
@@ -171,8 +175,9 @@ class StepDiagnostics:
     largest weight.
 
     The per-layer seconds split the step: ``noise_s`` takes the noise
-    batch (the copy of the samples drawn ahead and the drawing of the rest;
-    the whole draw when nothing was drawn ahead), ``eval_s`` builds
+    batch (the copy of the flat rows the worker drew ahead, and the
+    drawing of the other rows, one K-wide slab per row and component; the
+    whole draw when nothing was drawn ahead), ``eval_s`` builds
     and evaluates the plan batch, ``project_s`` projects the mission
     weights, and ``update_s`` scalarizes the sample costs and updates the
     plan."""
@@ -202,39 +207,42 @@ def _is_identity(chol: np.ndarray) -> bool:
 
 
 class NoiseStream:
-    """One step's noise source.  ``rows(q, count)`` is sample q's first
-    ``count`` rows: a ``(count, n_u)`` standard normal draw from
-    ``Philox(key=stream_key(seed, step_index), counter=q * 2**192)``, each
-    row z then mapped to ``chol @ z`` (skipped when ``chol`` is the
-    identity).  One bit generator serves every sample; only its counter is
-    reset between samples."""
+    """One step's standard normal source.  ``slab(s, out)`` fills the
+    contiguous float64 array ``out`` with the first ``out.size`` draws of
+    ``Philox(key=stream_key(seed, step_index), counter=s * 2**192)``.  One
+    bit generator serves every slab; only its counter is reset between
+    slabs."""
 
-    def __init__(self, seed: int, step_index: int, chol: np.ndarray):
+    def __init__(self, seed: int, step_index: int):
         self.key = stream_key(seed, step_index)
         self._bits = np.random.Philox(key=self.key)
         self._gen = np.random.Generator(self._bits)
-        self._chol = chol
-        self._plain = _is_identity(chol)
         self._template = self._bits.state  # reused dict; only the counter varies
 
-    def rows(self, q: int, count: int) -> np.ndarray:
+    def slab(self, s: int, out: np.ndarray) -> None:
         state = self._template
-        state["state"]["counter"][3] = q  # block offset q * 2**192
+        state["state"]["counter"][3] = s  # block offset s * 2**192
         state["buffer_pos"] = 4
         self._bits.state = state
-        out = self._gen.standard_normal((count, self._chol.shape[0]))
-        return out if self._plain else out @ self._chol.T
+        self._gen.standard_normal(out=out)
 
 
 def _fill_noise(
-    out: np.ndarray, seed: int, step_index: int, chol: np.ndarray, samples: Iterable[int]
+    out: np.ndarray, seed: int, step_index: int, chol: np.ndarray, rows: Iterable[int]
 ) -> None:
-    """Write ``samples`` of step ``step_index``'s (n_u, n_inputs, K) noise
-    batch into the same samples of ``out``."""
-    stream = NoiseStream(seed, step_index, chol)
-    n_inputs = out.shape[1]
-    for q in samples:
-        out[:, :, q] = stream.rows(q, n_inputs).T
+    """Write flat rows ``rows`` of step ``step_index``'s (n_u, n_inputs, K)
+    noise batch into the same rows of ``out``, each row's slabs whole."""
+    stream = NoiseStream(seed, step_index)
+    n_u = out.shape[0]
+    plain = _is_identity(chol)
+    for d in rows:
+        for c in range(n_u):
+            stream.slab(d * n_u + c, out[c, d])
+        if not plain:
+            # chol @ z as element-wise products summed over the columns of
+            # chol in order: a matmul may fuse the multiply-adds, and how it
+            # does may depend on K
+            out[:, d] = (chol[:, :, None] * out[None, :, d]).sum(axis=1)
 
 
 def sample_noise(params: ControllerParams, step_index: int) -> np.ndarray:
@@ -249,7 +257,7 @@ def sample_noise(params: ControllerParams, step_index: int) -> np.ndarray:
     out = np.empty((params.n_u, n_inputs, params.n_samples))
     prefetch = process_prefetch()
     if prefetch is None:
-        _fill_noise(out, params.seed, step_index, params.noise_chol, range(params.n_samples))
+        _fill_noise(out, params.seed, step_index, params.noise_chol, range(n_inputs))
     else:
         prefetch.fill(out, params.seed, step_index, params.noise_chol)
     return out

@@ -5,19 +5,20 @@ shape), not on the state, so a worker process can draw it while this
 process evaluates step t; see "Noise prefetch" in the
 :mod:`mhmppi.controller` docstring.
 
-The two processes share one batch by work stealing: the worker draws the
-samples upward from 0, and the caller, once it needs the batch, draws
-them downward from the last until it meets the worker.  The caller never
+The two processes share one batch by work stealing, in units of one flat
+row d (the row's n_u K-wide slabs ``[:, d, :]``): the worker draws the
+rows upward from 0, and the caller, once it needs the batch, draws them
+downward from the last until it meets the worker.  The caller never
 waits for the worker, so a step is never slower than drawing it inline,
 however busy the worker's CPU is.  Two words at the start of the shared
-file keep them apart: the worker's progress (samples 0..p-1 are written)
-and the caller's claim (samples c.. are the caller's, so the worker stops
+file keep them apart: the worker's progress (rows 0..p-1 are written)
+and the caller's claim (rows c.. are the caller's, so the worker stops
 at c).  Each word carries the job's sequence number in its high 32 bits,
 so a word left over from an older job reads as no progress, or as a
-claim on everything.  A sample both draw at the moment they meet has the
-same values either way.  The progress word is stored after the samples
-it counts, and read before them, which x86-64's store and load order
-keeps in that order; other machines draw inline.
+claim on everything.  A row both draw at the moment they meet has the
+same values either way.  The progress word is stored after the rows it
+counts, and read before them, which x86-64's store and load order keeps
+in that order; other machines draw inline.
 
 The worker is a fresh interpreter started with ``subprocess``: it imports
 this package and nothing of the parent's ``__main__``, so a script without
@@ -51,7 +52,7 @@ from .controller import _fill_noise
 POLL_MS = 1000  # how often the idle worker checks that its parent is alive
 HEADER = 64  # bytes before the batch in the shared file: the two words
 PROGRESS, CLAIM = 0, 1  # int64 word indices in the header
-COUNT = (1 << 32) - 1  # low bits of a word: a sample count
+COUNT = (1 << 32) - 1  # low bits of a word: a flat row count
 
 
 def worker_main(jobs_fd: int, bell_fd: int, mem_fd: int) -> None:
@@ -88,18 +89,18 @@ def worker_main(jobs_fd: int, bell_fd: int, mem_fd: int) -> None:
 def _run_job(shared: mmap.mmap, seq: int, shape: tuple, seed: int, step_index: int, chol):
     words = np.ndarray(2, np.int64, buffer=shared)
     batch = np.ndarray(shape, buffer=shared, offset=HEADER)
-    _fill_noise(batch, seed, step_index, chol, _upward(words, seq, shape[2]))
+    _fill_noise(batch, seed, step_index, chol, _upward(words, seq, shape[1]))
 
 
-def _upward(words: np.ndarray, seq: int, n_samples: int):
-    """The worker's samples: 0, 1, ... below the caller's claim on job
+def _upward(words: np.ndarray, seq: int, n_rows: int):
+    """The worker's flat rows: 0, 1, ... below the caller's claim on job
     ``seq``, each counted in the progress word once written."""
-    for q in range(n_samples):
+    for d in range(n_rows):
         claim = int(words[CLAIM])
-        if claim >> 32 != seq or q >= claim & COUNT:
+        if claim >> 32 != seq or d >= claim & COUNT:
             return
-        yield q
-        words[PROGRESS] = seq << 32 | (q + 1)
+        yield d
+        words[PROGRESS] = seq << 32 | (d + 1)
 
 
 class NoisePrefetch:
@@ -108,7 +109,7 @@ class NoisePrefetch:
 
     A batch is known by its key (shape, seed, step, Cholesky factor).  The
     worker starts on the first call.  Once it has failed (it could not
-    start, or died), :meth:`fill` draws every sample itself.
+    start, or died), :meth:`fill` draws every row itself.
     """
 
     def __init__(self):
@@ -121,7 +122,7 @@ class NoisePrefetch:
         self._shared = self._words = None  # mapping of the file, its header
         self._seq = 0  # sequence number of the last job sent
         self._key = None  # key of the last job sent, until taken
-        self._taken = 0  # samples the worker drew of the batch last filled
+        self._taken = 0  # rows the worker drew of the batch last filled
 
     @property
     def pid(self) -> int | None:
@@ -132,9 +133,9 @@ class NoisePrefetch:
         """Write step ``step_index``'s noise batch into ``out``, and have the
         worker start on the next step's.  If the worker's last job is not
         this batch, it is sent this batch first.  This process draws the
-        batch downward from its last sample until it meets the samples the
-        worker has drawn, which are then copied.  Returns the number of
-        samples copied."""
+        batch's flat rows downward from the last until it meets the rows
+        the worker has drawn, which are then copied.  Returns the number of
+        rows copied."""
         with self._lock:
             if self._proc is not None and self._proc.poll() is not None:
                 self._fail()  # the worker has died
@@ -143,23 +144,23 @@ class NoisePrefetch:
                 self._request(out.shape, seed, step_index, chol)
             self._key = None
             if self.failed:
-                _fill_noise(out, seed, step_index, chol, range(out.shape[2]))
+                _fill_noise(out, seed, step_index, chol, range(out.shape[1]))
                 return 0
-            _fill_noise(out, seed, step_index, chol, self._downward(out.shape[2]))
+            _fill_noise(out, seed, step_index, chol, self._downward(out.shape[1]))
             taken = self._taken
             if taken:
                 batch = np.ndarray(out.shape, buffer=self._shared, offset=HEADER)
-                out[:, :, :taken] = batch[:, :, :taken]
+                out[:, :taken] = batch[:, :taken]
                 del batch  # the mapping may be replaced on the next request
             self._request(out.shape, seed, step_index + 1, chol)
         return taken
 
-    def _downward(self, n_samples: int):
-        """This process's samples: the last, then down while the worker's
+    def _downward(self, n_rows: int):
+        """This process's flat rows: the last, then down while the worker's
         progress on the current job is below them, each claimed before it
         is drawn.  Leaves the worker's count in ``_taken``."""
         words, seq = self._words, self._seq
-        top = n_samples
+        top = n_rows
         # a progress word of an older job is below seq << 32
         while top > 0 and int(words[PROGRESS]) < seq << 32 | top:
             top -= 1
@@ -169,7 +170,7 @@ class NoisePrefetch:
 
     def _request(self, shape: tuple, seed: int, step_index: int, chol: np.ndarray) -> None:
         """Send the worker the batch of this key as a new job, after a claim
-        word that leaves it every sample and stops any older job."""
+        word that leaves it every row and stops any older job."""
         if self.failed:
             return
         size = HEADER + 8 * math.prod(shape)
@@ -181,7 +182,7 @@ class NoisePrefetch:
                 os.ftruncate(self._mem, size)
                 self._map(size)
             self._seq += 1
-            self._words[CLAIM] = self._seq << 32 | shape[2]
+            self._words[CLAIM] = self._seq << 32 | shape[1]
             self._send((self._seq, tuple(shape), seed, step_index, chol))
         except (OSError, subprocess.SubprocessError):
             self._fail()

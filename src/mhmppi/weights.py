@@ -24,7 +24,8 @@ import numpy as np
 from .cost import MissionSet, distance
 from .errors import ConfigError, InfeasibleConstraintError
 
-# Bisection on the halfspace multiplier: residual tolerance and step cap.
+# Bisection on the halfspace multiplier: residual tolerance (relative to
+# max|c|) and step cap.
 _BISECT_TOL = 1e-10
 _BISECT_MAX_ITER = 200
 
@@ -91,9 +92,11 @@ def project_simplex_halfspace(
 
     The multiplier mu >= 0 of the halfspace constraint is found by
     bisection on the non-increasing continuous map
-    mu -> c . project_simplex(v - mu*c); iteration stops once the
-    constraint residual is within ``_BISECT_TOL`` or the bracket collapses.  The
-    returned point always satisfies the halfspace constraint.
+    mu -> c . project_simplex(v - mu*c/max|c|); iteration stops once the
+    constraint residual is within ``_BISECT_TOL * max|c|`` or the bracket
+    collapses.  So the iterates, and the result up to rounding, do not
+    change when (c, b) is scaled.  The returned point always satisfies the
+    halfspace constraint.
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -105,8 +108,13 @@ def project_simplex_halfspace(
             f"no simplex point satisfies c.alpha <= {b} (min attainable {np.min(c)})"
         )
 
+    # c is nonzero here: c = 0 either satisfies c.x <= b or is infeasible
+    c_max = np.max(np.abs(c))
+    direction = c / c_max
+    tol = _BISECT_TOL * c_max
+
     def value(mu: float) -> tuple[float, np.ndarray]:
-        x_mu = project_simplex(v - mu * c)
+        x_mu = project_simplex(v - mu * direction)
         return float(c @ x_mu), x_mu
 
     mu_lo = 0.0
@@ -121,7 +129,7 @@ def project_simplex_halfspace(
         if grow > 200:  # cannot happen for a feasible instance
             raise InfeasibleConstraintError("halfspace multiplier bracket diverged")
     for _ in range(_BISECT_MAX_ITER):
-        if abs(g_hi - b) <= _BISECT_TOL or (mu_hi - mu_lo) <= 1e-16 * max(1.0, mu_hi):
+        if abs(g_hi - b) <= tol or (mu_hi - mu_lo) <= 1e-16 * max(1.0, mu_hi):
             break
         mu_mid = 0.5 * (mu_lo + mu_hi)
         g_mid, x_mid = value(mu_mid)

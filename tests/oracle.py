@@ -10,10 +10,11 @@ Its rollout loops and cost kernel are its own; it shares only the models'
 ``update``, ``ObstacleSet.inside`` and the plan views with the package.
 The tests compare the two routes entry by entry.
 
-It also keeps the per-sample reference forms that the package's faster
-paths must reproduce bit for bit: :func:`draw_noise` for the noise
-substream convention, :func:`rollout` for one input sequence, and
-:func:`from_parts` to build a plan from its primary and tails.
+It also keeps the reference forms that the package's faster paths must
+reproduce bit for bit: :func:`draw_noise` for the noise substream
+convention, with a fresh generator per slab, :func:`rollout` for one
+input sequence, and :func:`from_parts` to build a plan from its primary
+and tails.
 """
 
 from __future__ import annotations
@@ -36,16 +37,24 @@ from mhmppi.multi_horizon import (
 # ------------------------------------------------------------------ noise
 
 
-def draw_noise(key: np.ndarray, q: int, count: int, chol: np.ndarray) -> np.ndarray:
-    """(count, n_u) noise rows from sample q's counter-block substream.
+def draw_noise(key: np.ndarray, shape: tuple, chol: np.ndarray) -> np.ndarray:
+    """The (n_u, n_inputs, K) noise batch of stream key ``key``.
 
-    Reference form of the convention: stream q is
-    ``Philox(key, counter=q * 2**192)``.  ``controller.NoiseStream`` produces
-    the same values while reusing one bit generator.
+    Reference form of the convention: slab (d, c) is a new generator on
+    ``Philox(key, counter=(d * n_u + c) * 2**192)``, whose first K standard
+    normals are ``z[c, d]``; entry (c, d, q) of the batch is the sum of
+    ``chol[c, j] * z[j, d, q]`` over j in order.  ``controller._fill_noise``
+    produces the same values while reusing one bit generator.
     """
-    gen = np.random.Generator(np.random.Philox(key=key, counter=q << 192))
-    out = gen.standard_normal((count, chol.shape[0]))
-    return out if _is_identity(chol) else out @ chol.T
+    n_u, n_inputs, n_samples = shape
+    z = np.empty(shape)
+    for d in range(n_inputs):
+        for c in range(n_u):
+            bits = np.random.Philox(key=key, counter=(d * n_u + c) << 192)
+            z[c, d] = np.random.Generator(bits).standard_normal(n_samples)
+    if _is_identity(chol):
+        return z
+    return np.stack([sum(chol[c, j] * z[j] for j in range(n_u)) for c in range(n_u)])
 
 
 # --------------------------------------------------------------- dynamics

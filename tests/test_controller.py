@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhmppi import controller as ctrl
 from mhmppi import prefetch
@@ -61,20 +63,62 @@ def test_sample_noise_deterministic_and_matches_reference():
     assert np.array_equal(batch1, batch2)
     assert not np.array_equal(batch1, ctrl.sample_noise(params, step_index=8))
 
-    key = ctrl.stream_key(params.seed, 7)
-    for q in (0, 1, 63):
-        ref = draw_noise(key, q, batch1.shape[1], params.noise_chol)
-        assert np.array_equal(batch1[:, :, q].T, ref)
+    assert np.array_equal(batch1, _reference_batch(params, 7))
 
 
-def test_noise_primary_prefix_shared_across_widths():
-    # a narrower draw from the same substream yields the same leading rows
-    params = make_params(horizon=6, n_alternatives=2)
-    wide = ctrl.sample_noise(params, step_index=3)
-    stream = ctrl.NoiseStream(params.seed, 3, params.noise_chol)
-    for q in (0, 5, 63):
-        narrow = stream.rows(q, params.horizon)
-        assert np.array_equal(wide[:, : params.horizon, q].T, narrow)
+@st.composite
+def noise_keys(draw):
+    """(seed, step, chol): one step's stream key and a Cholesky factor, the
+    identity or a random lower-triangular one, for 1 to 3 components."""
+    n_u = draw(st.integers(1, 3))
+    seed, step_index = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        return seed, step_index, np.eye(n_u)
+    entries = st.lists(st.floats(-2.0, 2.0), min_size=n_u * n_u, max_size=n_u * n_u)
+    chol = np.tril(np.reshape(draw(entries), (n_u, n_u)))
+    diagonal = st.lists(st.floats(0.1, 3.0), min_size=n_u, max_size=n_u)
+    np.fill_diagonal(chol, draw(diagonal))
+    return seed, step_index, chol
+
+
+def _filled(key, horizon, m, n_samples):
+    """A whole noise batch from ``_fill_noise``."""
+    seed, step_index, chol = key
+    out = np.full((chol.shape[0], dims(horizon, m)[0], n_samples), np.nan)
+    ctrl._fill_noise(out, seed, step_index, chol, range(out.shape[1]))
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(noise_keys(), st.integers(2, 6), st.integers(0, 3), st.integers(1, 40), st.data())
+def test_fill_noise_matches_per_slab_oracle(key, horizon, m, n_samples, data):
+    # rows split between an upward and a downward pass, as the worker and
+    # the caller draw them, still give the oracle's batch bit for bit
+    seed, step_index, chol = key
+    n_rows = dims(horizon, m)[0]
+    meet = data.draw(st.integers(0, n_rows))
+    out = np.full((chol.shape[0], n_rows, n_samples), np.nan)
+    ctrl._fill_noise(out, seed, step_index, chol, range(meet))
+    ctrl._fill_noise(out, seed, step_index, chol, reversed(range(meet, n_rows)))
+    ref = draw_noise(ctrl.stream_key(seed, step_index), out.shape, chol)
+    assert np.array_equal(out, ref)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(noise_keys(), st.integers(2, 6))
+def test_noise_primary_prefix_shared_across_widths(key, horizon):
+    # the primary rows draw the same slabs whatever the number of backup
+    # missions: the noise side of the gamma=0 equivalence
+    primary = _filled(key, horizon, 0, 16)
+    for m in (1, 2):
+        assert np.array_equal(_filled(key, horizon, m, 16)[:, :horizon], primary)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(noise_keys(), st.integers(2, 6), st.integers(0, 2))
+def test_noise_samples_do_not_depend_on_batch_size(key, horizon, m):
+    wide = _filled(key, horizon, m, 64)
+    assert np.array_equal(_filled(key, horizon, m, 32), wide[:, :, :32])
 
 
 def test_sample_noise_statistics():
@@ -97,11 +141,10 @@ def test_sample_noise_applies_covariance():
 
 
 def _reference_batch(params, step_index):
-    """The noise batch assembled from :func:`oracle.draw_noise`, sample by sample."""
+    """The noise batch of :func:`oracle.draw_noise`, one fresh generator per slab."""
     key = ctrl.stream_key(params.seed, step_index)
-    n_inputs = dims(params.horizon, params.n_alternatives)[0]
-    rows = [draw_noise(key, q, n_inputs, params.noise_chol) for q in range(params.n_samples)]
-    return np.stack(rows).transpose(2, 1, 0)
+    shape = (params.n_u, dims(params.horizon, params.n_alternatives)[0], params.n_samples)
+    return draw_noise(key, shape, params.noise_chol)
 
 
 @pytest.fixture
@@ -110,7 +153,7 @@ def own_prefetch(monkeypatch):
     one CPU, so that stopping its worker touches no other test."""
     pf = prefetch.NoisePrefetch()
     monkeypatch.setitem(prefetch._prefetchers, os.getpid(), pf)
-    ahead = []  # per call: how many samples the worker had drawn ahead
+    ahead = []  # per call: how many flat rows the worker had drawn ahead
     fill = pf.fill
 
     def recorded_fill(*args):
@@ -125,9 +168,9 @@ def own_prefetch(monkeypatch):
 
 def _worker_drew(pf, share):
     """Wait until the worker has drawn its whole pending batch, then make
-    it read as if it had drawn only the first ``share`` samples."""
-    n_samples = pf._key[0][2]
-    done = pf._seq << 32 | n_samples
+    it read as if it had drawn only the first ``share`` flat rows."""
+    n_rows = pf._key[0][1]
+    done = pf._seq << 32 | n_rows
     for _ in range(6000):
         if int(pf._words[prefetch.PROGRESS]) == done:
             break
@@ -151,9 +194,9 @@ def test_prefetched_noise_matches_draw_noise(own_prefetch):
     cov = np.array([[2.0, 0.5], [0.5, 1.0]])  # the worker applies the factor too
     multi = make_params(n_samples=16, horizon=5, n_alternatives=2, noise_cov=cov, seed=8)
     single = replace(multi, n_alternatives=0)  # the abort's m=0 problem
-    # the worker's share of steps 1..5: all, one, none (a stale job, with
-    # the worker stopped), all but one, all
-    shares = [16, 1, None, 15, 16]
+    # the worker's share of steps 1..5 in flat rows (25 at m=2, 5 at m=0):
+    # all, one, none (a stale job, with the worker stopped), all but one, all
+    shares = [25, 1, None, 4, 5]
     for t, params in enumerate([multi] * 3 + [single] * 3):
         share = shares[t - 1] if t else None
         if share is not None:
@@ -164,7 +207,7 @@ def test_prefetched_noise_matches_draw_noise(own_prefetch):
         if t and share is None:
             os.kill(pf.pid, signal.SIGCONT)
         assert np.array_equal(batch, _reference_batch(params, t)), t
-    assert ahead[1:] == [16, 1, 0, 15, 16]
+    assert ahead[1:] == [25, 1, 0, 4, 5]
     assert not pf.failed
 
 
@@ -172,7 +215,7 @@ def test_prefetch_never_waits_for_a_stopped_worker(own_prefetch):
     pf, ahead = own_prefetch
     params = make_params(n_samples=16, horizon=5, n_alternatives=2, seed=5)
     ctrl.sample_noise(params, 0)
-    _worker_drew(pf, 16)
+    _worker_drew(pf, 25)
     ctrl.sample_noise(params, 1)  # asks the worker for step 2
     os.kill(pf.pid, signal.SIGSTOP)
     try:
@@ -180,16 +223,18 @@ def test_prefetch_never_waits_for_a_stopped_worker(own_prefetch):
     finally:
         os.kill(pf.pid, signal.SIGCONT)
     assert np.array_equal(batch, _reference_batch(params, 2))
-    assert ahead[1:] == [16, 0] and not pf.failed
+    assert ahead[1:] == [25, 0] and not pf.failed
 
 
 def test_prefetch_meeting_in_the_middle_keeps_batches_exact(own_prefetch):
     # the two processes race on live batches: whatever share each draws,
-    # every batch equals the reference
+    # every batch equals the reference.  A row of 2 x 4096 normals takes
+    # long enough to write that one counted before it is written gets
+    # copied half-drawn
     pf, ahead = own_prefetch
-    params = make_params(n_samples=256, horizon=5, n_alternatives=2, seed=9)
+    params = make_params(n_samples=4096, horizon=5, n_alternatives=2, seed=9)
     ctrl.sample_noise(params, 0)
-    _worker_drew(pf, 256)  # started
+    _worker_drew(pf, 25)  # started
     batches = _call_within(60, lambda: [ctrl.sample_noise(params, t) for t in range(1, 41)])
     for t, batch in enumerate(batches, 1):
         assert np.array_equal(batch, _reference_batch(params, t)), t
@@ -200,14 +245,14 @@ def test_prefetched_noise_is_private(own_prefetch):
     pf, ahead = own_prefetch
     params = make_params(n_samples=16, horizon=5, n_alternatives=2, seed=4)
     ctrl.sample_noise(params, 0)
-    _worker_drew(pf, 16)
+    _worker_drew(pf, 25)
     batch = ctrl.sample_noise(params, 1)
-    assert ahead[-1] == 16  # drawn by the worker
+    assert ahead[-1] == 25  # drawn by the worker
     assert batch.flags.writeable and batch.flags.owndata
     batch[...] = np.nan
-    _worker_drew(pf, 16)
+    _worker_drew(pf, 25)
     assert np.array_equal(ctrl.sample_noise(params, 2), _reference_batch(params, 2))
-    assert ahead[-1] == 16
+    assert ahead[-1] == 25
 
 
 def test_prefetch_falls_back_inline_when_worker_dies(own_prefetch):
@@ -507,16 +552,15 @@ def test_batch_tail_costs_match_structure_route():
 
 
 def test_noise_stream_template_reuse_is_exact():
-    # drawing advances internal state; the next sample must still match a
+    # drawing advances internal state; the next slab must still match a
     # freshly keyed construction (the template must not alias generator state)
-    params = make_params(n_samples=4, horizon=4, n_alternatives=1, seed=99)
-    key = ctrl.stream_key(params.seed, 0)
-    stream = ctrl.NoiseStream(params.seed, 0, params.noise_chol)
-    order = [3, 0, 3, 2, 0, 1]  # revisits must reproduce identical rows
-    for q in order:
-        assert np.array_equal(
-            stream.rows(q, 7), draw_noise(key, q, 7, params.noise_chol)
-        )
+    stream = ctrl.NoiseStream(99, 0)
+    # with one component, slab s is row s of the reference batch
+    slabs = draw_noise(ctrl.stream_key(99, 0), (1, 4, 7), np.eye(1))[0]
+    out = np.empty(7)
+    for s in [3, 0, 3, 2, 0, 1]:  # revisits must reproduce identical slabs
+        stream.slab(s, out)
+        assert np.array_equal(out, slabs[s])
 
 
 def test_single_step_brute_force_oracle(monkeypatch):

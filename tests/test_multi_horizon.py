@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mhmppi.dynamics import DoubleIntegrator
 from mhmppi.errors import ConfigError
@@ -109,22 +111,24 @@ def test_shift_drops_first_branch_family():
     assert not np.any(np.isin(shifted.flat.ravel(), [4.0, 5.0]))
 
 
-def test_shift_reproduces_plan_views():
-    # storage rule vs view rule: every shifted view must equal the old
-    # view at p+1 minus its first input, padded with one zero row
-    rng = np.random.default_rng(11)
-    for horizon, m in [(2, 1), (3, 2), (6, 1), (9, 3)]:
-        plan = random_plan(horizon, m, seed=rng.integers(1 << 30))
-        shifted = plan.shift()
-        zero = np.zeros((1, plan.n_u))
-        assert np.array_equal(shifted.primary, np.vstack([plan.primary[1:], zero]))
-        for i in range(1, m + 1):
-            for p in range(horizon - 2):
-                expected = np.vstack([plan.branch_view(i, p + 1)[1:], zero])
-                assert np.array_equal(shifted.branch_view(i, p), expected)
-            # the fresh branch at p = N-2 continues the shifted primary
-            expected = np.vstack([plan.primary[1:], zero])
-            assert np.array_equal(shifted.branch_view(i, horizon - 2), expected)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 9), st.integers(0, 3), st.integers(1, 3), st.integers(0, 1 << 30))
+@example(2, 1, 2, 0)
+@example(9, 3, 2, 0)
+def test_shift_reproduces_plan_views(horizon, m, n_u, seed):
+    # storage rule vs view rule: entry t of every shifted view (i, p) is
+    # entry t+1 of the old view (i, p+1), and its last entry is zero
+    plan = random_plan(horizon, m, n_u, seed)
+    shifted = plan.shift()
+    zero = np.zeros((1, n_u))
+    assert np.array_equal(shifted.primary, np.vstack([plan.primary[1:], zero]))
+    for i in range(1, m + 1):
+        for p in range(horizon - 2):
+            expected = np.vstack([plan.branch_view(i, p + 1)[1:], zero])
+            assert np.array_equal(shifted.branch_view(i, p), expected)
+        # the fresh branch at p = N-2 continues the shifted primary
+        expected = np.vstack([plan.primary[1:], zero])
+        assert np.array_equal(shifted.branch_view(i, horizon - 2), expected)
 
 
 def test_branch_rows_address_plan_views():

@@ -216,13 +216,32 @@ def test_halfspace_projection_properties(instance):
     assert abs(alpha.sum() - 1.0) <= 1e-12
     assert c @ alpha <= b
     # variational inequality of the projection at every feasible vertex and
-    # at y0.  Bisection stops within 1e-10 of the boundary, which leaves a
-    # residual of up to mu * 1e-10.  With v in [-5, 5] and unequal entries
-    # of c at least 1/8 apart, the multiplier mu stays near (10 + 1) * 8 at
-    # most, so the residual stays near 1e-8 and 1e-7 leaves a margin.
+    # at y0.  Bisection stops within 1e-10 * max|c| <= 8e-10 of the
+    # boundary, which leaves a residual of up to mu * 8e-10.  With v in
+    # [-5, 5] and unequal entries of c at least 1/8 apart, the multiplier mu
+    # stays near (10 + 1) * 8 at most, so the residual stays below 1e-7.
     feasible = [y for y in np.eye(len(v)) if c @ y <= b] + [y0]
     for y in feasible:
         assert (v - alpha) @ (y - alpha) <= 1e-7
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(feasible_halfspaces(), st.floats(-6.0, 6.0))
+def test_halfspace_projection_does_not_depend_on_constraint_scale(instance, log_scale):
+    v, c, b, _ = instance
+    # y0's sum may round below 1, which can leave b an ulp under min(c)
+    assume(b >= c.min())
+    scale = 10.0**log_scale
+    alpha = project_simplex_halfspace(v, c, b)
+    scaled = project_simplex_halfspace(v, scale * c, scale * b)
+    assert np.max(np.abs(scaled - alpha)) <= 1e-9
+
+
+def test_halfspace_projection_small_constraint_vector():
+    # a residual of 1e-10 on c.alpha would leave this about 1e-4 off
+    v, c = np.array([0.0, 1.0]), np.array([0.0, 1e-6])
+    alpha = project_simplex_halfspace(v, c, b=5e-7)
+    assert np.max(np.abs(alpha - [0.5, 0.5])) <= 1e-9
 
 
 # ------------------------------------------------------------------ update
