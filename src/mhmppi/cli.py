@@ -100,7 +100,7 @@ def run_experiment(cfg: config_mod.ExperimentConfig, workers: int = 1) -> int:
 def _cmd_run(args) -> int:
     cfg = config_mod.parse_config(args.config)
     if args.seed:
-        cfg.seeds = list(args.seed)
+        cfg.seeds = config_mod.check_seeds(args.seed, "--seed")
     if args.out_dir:
         cfg.out_dir = args.out_dir
     for item in args.override or []:

@@ -168,7 +168,6 @@ def scenario_from_dict(cfg: dict, name: str = "custom") -> Scenario:
         controller = ControllerParams.build(
             n_samples=int(_get(ctrl_cfg, "samples", 1000, "controller")),
             horizon=int(_get(ctrl_cfg, "horizon", 10, "controller")),
-            n_alternatives=mission_set.n_alternatives,
             n_u=model.n_u,
             noise_cov=ctrl_cfg.get("noise_cov", 1.0),
             temperature=float(ctrl_cfg.get("temperature", 0.5)),
@@ -306,22 +305,25 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
                 "sweep values must be a non-empty list", path=f"sweeps[{idx}].values"
             )
 
-    seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(
-        isinstance(s, int) for s in seeds
-    ):
-        raise ConfigError("seeds must be a non-empty list of integers", path="seeds")
-
     cfg = ExperimentConfig(
         scenario_name=name,
         scenario=scenario,
         overrides=overrides,
         sweeps=sweeps,
-        seeds=list(seeds),
+        seeds=check_seeds(raw.get("seeds", [0]), "seeds"),
         out_dir=str(raw.get("out_dir", "results")),
     )
     check_runs(cfg)
     return cfg
+
+
+def check_seeds(seeds, path: str) -> list:
+    """``seeds``, a non-empty list of integers >= 0, as a list."""
+    if not (isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds)):
+        raise ConfigError("seeds must be a non-empty list of integers", path=path)
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {seeds}", path=path)
+    return list(seeds)
 
 
 def sweep_points(cfg: ExperimentConfig) -> list:

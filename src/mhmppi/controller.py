@@ -69,10 +69,11 @@ Plain MPPI is the m=0 case
 --------------------------
 With no backup missions the flat plan is the primary horizon and the
 projected weight is exactly ``[1.0]``, so the step is plain single-horizon
-MPPI; the closed-loop harness runs the post-abort phase this way.  With the
-backup-weight gamma at zero the weights stay ``[1, 0, ..., 0]``, and a step
-over m backup missions executes bit-identical inputs to the m=0 step on the
-primary mission alone.  That equivalence does not hold with
+MPPI.  The closed-loop harness runs the post-abort phase this way with the
+same :class:`ControllerParams`: m is the mission set's and the plan's.  With
+the backup-weight gamma at zero the weights stay ``[1, 0, ..., 0]``, and a
+step over m backup missions executes bit-identical inputs to the m=0 step
+on the primary mission alone.  That equivalence does not hold with
 ``control_cost=True``: the penalty spans every flat row, backup tails
 included, so the two diverge as soon as the shifted plan is nonzero.
 """
@@ -81,7 +82,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,66 +96,64 @@ from .weights import WeightLawParams, desired_weights, update_weights
 
 @dataclass(frozen=True)
 class ControllerParams:
-    """Sampling parameters; build via :meth:`build` to validate the covariance."""
+    """The sampling choices; the number m of backup missions is the
+    mission set's.  Every construction (direct, :meth:`build` or
+    :func:`dataclasses.replace`) is validated here and raises
+    :class:`ConfigError`.  ``noise_cov`` is a read-only copy of the
+    caller's array, and ``noise_chol`` its read-only Cholesky factor."""
 
     n_samples: int
     horizon: int
-    n_alternatives: int
-    noise_cov: np.ndarray  # (n_u, n_u) positive definite
-    noise_chol: np.ndarray  # lower Cholesky factor of noise_cov
+    noise_cov: np.ndarray  # (n_u, n_u) symmetric positive definite
     temperature: float = 0.5
     seed: int = 0
     # Adds the noise-alignment penalty over every flat row to the sample
     # costs; with it on, gamma=0 no longer reduces the step to the m=0 case.
     control_cost: bool = False
+    noise_chol: np.ndarray = field(init=False)
 
-    @classmethod
-    def build(
-        cls,
-        n_samples: int,
-        horizon: int,
-        n_alternatives: int,
-        n_u: int,
-        noise_cov=1.0,
-        temperature: float = 0.5,
-        seed: int = 0,
-        control_cost: bool = False,
-    ) -> "ControllerParams":
-        if n_samples < 1:
-            raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-        if temperature <= 0.0:
-            raise ConfigError(f"temperature must be > 0, got {temperature}")
-        dims(horizon, n_alternatives)  # validates horizon/alternative counts
-        cov = np.asarray(noise_cov, dtype=float)
-        if cov.ndim == 0:
-            cov = float(cov) * np.eye(n_u)
-        if cov.shape != (n_u, n_u):
-            raise ConfigError(f"noise_cov must be scalar or {n_u}x{n_u}, got {cov.shape}")
-        if not np.allclose(cov, cov.T):
-            raise ConfigError("noise_cov must be symmetric")
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
+        if not self.temperature > 0.0:
+            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        dims(self.horizon, 0)  # validates the horizon
+        cov = np.array(self.noise_cov, dtype=float)
+        if cov.ndim != 2 or cov.shape != cov.T.shape or not np.allclose(cov, cov.T):
+            raise ConfigError(f"noise_cov must be a symmetric matrix, got {cov.tolist()}")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ConfigError("noise_cov must be positive definite") from None
         cov.flags.writeable = False
         chol.flags.writeable = False
-        return cls(
-            n_samples,
-            horizon,
-            n_alternatives,
-            cov,
-            chol,
-            temperature,
-            seed,
-            control_cost,
-        )
+        object.__setattr__(self, "noise_cov", cov)
+        object.__setattr__(self, "noise_chol", chol)
+
+    @classmethod
+    def build(
+        cls,
+        n_samples: int,
+        horizon: int,
+        n_u: int,
+        noise_cov=1.0,
+        temperature: float = 0.5,
+        seed: int = 0,
+        control_cost: bool = False,
+    ) -> "ControllerParams":
+        """As the constructor; a scalar ``noise_cov`` scales the identity."""
+        cov = np.asarray(noise_cov, dtype=float)
+        if cov.ndim == 0:
+            cov = float(cov) * np.eye(n_u)
+        if cov.shape != (n_u, n_u):
+            raise ConfigError(f"noise_cov must be scalar or {n_u}x{n_u}, got {cov.shape}")
+        return cls(n_samples, horizon, cov, temperature, seed, control_cost)
 
     @property
     def n_u(self) -> int:
         return self.noise_cov.shape[0]
-
-    def with_seed(self, seed: int) -> "ControllerParams":
-        return replace(self, seed=int(seed))
 
 
 @dataclass
@@ -198,7 +197,7 @@ class StepDiagnostics:
 
 
 def stream_key(seed: int, step_index: int) -> np.ndarray:
-    """128-bit noise stream key for one control step."""
+    """128-bit noise stream key for one control step; ``seed`` >= 0."""
     return np.random.SeedSequence((int(seed), int(step_index))).generate_state(2, np.uint64)
 
 
@@ -245,15 +244,15 @@ def _fill_noise(
             out[:, d] = (chol[:, :, None] * out[None, :, d]).sum(axis=1)
 
 
-def sample_noise(params: ControllerParams, step_index: int) -> np.ndarray:
-    """The (n_u, n_inputs, K) noise batch for one step: ``[c, d, q]`` is
-    component c of sample q's perturbation of flat input d.  The array is
-    the caller's own; part of it may have been drawn by a worker."""
+def sample_noise(params: ControllerParams, step_index: int, n_inputs: int) -> np.ndarray:
+    """The (n_u, n_inputs, K) noise batch for one step of a plan of
+    ``n_inputs`` flat rows: ``[c, d, q]`` is component c of sample q's
+    perturbation of flat input d.  The array is the caller's own; part
+    of it may have been drawn by a worker."""
     # imported on the first step, not with the package: the multiprocessing
     # and subprocess modules it needs add about 6% to the import time
     from .prefetch import process_prefetch
 
-    n_inputs, _ = dims(params.horizon, params.n_alternatives)
     out = np.empty((params.n_u, n_inputs, params.n_samples))
     prefetch = process_prefetch()
     if prefetch is None:
@@ -381,8 +380,9 @@ def init_state(
     missions: MissionSet,
     weight_law: WeightLawParams,
 ) -> ControllerState:
-    """Zero initial plan; weights start at the desired vector for x0."""
-    inputs = MultiHorizonInput.zeros(params.horizon, params.n_alternatives, params.n_u)
+    """Zero initial plan over the backups of ``missions``; weights start
+    at the desired vector for x0."""
+    inputs = MultiHorizonInput.zeros(params.horizon, missions.n_alternatives, params.n_u)
     alpha = desired_weights(np.asarray(x0, dtype=float), missions, weight_law)
     return ControllerState(inputs, alpha, 0)
 
@@ -396,7 +396,9 @@ def control_step(
     params: ControllerParams,
     weight_law: WeightLawParams,
 ) -> tuple[np.ndarray, ControllerState, StepDiagnostics]:
-    """One full receding-horizon step; see the module docstring."""
+    """One full receding-horizon step; see the module docstring.  m is read
+    from ``missions``, and a plan in ``state`` of another m or horizon
+    raises ValueError.  ``params`` was validated when it was made."""
     t_start = time.perf_counter()
     x = np.asarray(x, dtype=float)
 
@@ -405,7 +407,7 @@ def control_step(
     shifted = state.inputs.shift()
     plan = shifted.flat.T[:, :, None]  # (n_u, n_inputs, 1)
     t_noise = time.perf_counter()
-    noise = sample_noise(params, state.step_index)
+    noise = sample_noise(params, state.step_index, shifted.flat.shape[0])
     t_eval = time.perf_counter()
     # sample 0: the noise-free shifted plan (for the weight update); samples
     # 1..K: the noise-perturbed plans.  Sample results are independent of

@@ -8,10 +8,10 @@ of the active mission or after ``max_steps``.
 
 An optional abort specification switches the true dynamics mode at a
 given step, selects one backup mission (cheapest current branch average,
-or nearest), and hands control over to the same controller step on the
-one-mission problem: the chosen mission alone, in the abort mode, with no
-backup horizons.  The recorded weight row becomes the one-hot of the
-chosen mission.
+or nearest), and hands control over to the same controller step and
+parameters on the one-mission problem: the chosen mission alone, in the
+abort mode, with no backup horizons.  The recorded weight row becomes the
+one-hot of the chosen mission.
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ class Scenario:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.completion_tol <= 0.0:
             raise ConfigError(f"completion_tol must be > 0, got {self.completion_tol}")
-        if self.missions.n_alternatives != self.controller.n_alternatives:
-            raise ConfigError(
-                f"{self.missions.n_alternatives} backup missions but controller "
-                f"expects {self.controller.n_alternatives}"
-            )
         for i, mission in enumerate(self.missions.missions):
             if mission.target.shape != (self.model.n_x,):
                 raise ConfigError(
@@ -168,7 +163,7 @@ def _choose_backup(scenario: Scenario, x: np.ndarray, state: ctrl.ControllerStat
 
 def run_closed_loop(scenario: Scenario, seed: int | None = None) -> ClosedLoopTrace:
     """Run one scenario to completion, abort handover included."""
-    params = scenario.controller if seed is None else scenario.controller.with_seed(seed)
+    params = scenario.controller if seed is None else replace(scenario.controller, seed=seed)
     model, missions, obstacles = scenario.model, scenario.missions, scenario.obstacles
     n_missions = len(missions)
 
@@ -186,7 +181,6 @@ def run_closed_loop(scenario: Scenario, seed: int | None = None) -> ClosedLoopTr
             goal = _choose_backup(scenario, x, state)
             mode = scenario.abort.new_mode
             active = MissionSet((replace(missions[goal], mode=mode),))
-            params = replace(params, n_alternatives=0)
             # The stored branch plan for an abort right after the executed
             # input becomes the primary plan of the one-mission problem.
             # Its row 0 is that executed input, so control_step's shift

@@ -150,10 +150,11 @@ def update_weights(
 
     Minimizes ||alpha - alpha_desired||^2 over the simplex subject to
     c.alpha <= c.alpha_prev with c = plan_costs - tail_costs.  alpha_prev
-    itself is always feasible, so this never fails.
+    is a simplex point, so this never fails; as its sum may round below 1,
+    the bound is at least min(c), the least c.alpha on the simplex.
     """
     c = np.asarray(plan_costs, dtype=float) - np.asarray(tail_costs, dtype=float)
     if not np.all(np.isfinite(c)):
         raise ValueError("plan/tail cost estimates must be finite")
-    b = float(c @ np.asarray(alpha_prev, dtype=float))
+    b = max(float(c @ np.asarray(alpha_prev, dtype=float)), float(c.min()))
     return project_simplex_halfspace(alpha_desired, c, b)

@@ -146,6 +146,22 @@ def test_cli_rejects_bad_override(tmp_path):
     assert cli.main(["run", cfg, "--override", 'weights.gamma="x"']) == 2
 
 
+def test_cli_rejects_negative_seed_flag(tmp_path, capsys):
+    out_dir = str(tmp_path / "out")
+    cfg = write_exp(tmp_path, {"scenario": fast_inline_scenario(), "out_dir": out_dir})
+    assert cli.main(["run", cfg, "--seed", "-1", "--seed", "0"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --seed: ")
+    assert not os.path.exists(out_dir)  # no run started
+
+
+def test_cli_rejects_negative_config_seed(tmp_path, capsys):
+    out_dir = str(tmp_path / "out")
+    payload = {"scenario": fast_inline_scenario(), "seeds": [-1, 0], "out_dir": out_dir}
+    assert cli.main(["run", write_exp(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err.startswith("config error: seeds: ")
+    assert not os.path.exists(out_dir)
+
+
 def test_workers_flag_matches_serial(tmp_path):
     out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
     base = {"scenario": fast_inline_scenario(), "seeds": [0, 1]}

@@ -127,6 +127,20 @@ def test_sweep_validation(tmp_path):
         parse_config(write_config(tmp_path, payload))
 
 
+def test_negative_controller_seed_rejected():
+    cfg = get_scenario_dict("uav-free-1")
+    cfg["controller"]["seed"] = -1
+    with pytest.raises(ConfigError, match=r"^controller: seed must be >= 0") as err:
+        scenario_from_dict(cfg)
+    assert err.value.path == "controller"
+
+
+def test_negative_run_seed_rejected():
+    with pytest.raises(ConfigError, match=r"^seeds: seeds must be >= 0") as err:
+        experiment_from_dict({"scenario": "uav-free-1", "seeds": [-1, 0]})
+    assert err.value.path == "seeds"
+
+
 def test_inline_scenario(tmp_path):
     inline = get_scenario_dict("uav-free-1")
     inline["max_steps"] = 17

@@ -33,11 +33,14 @@ UAV_MISSIONS = MissionSet(
 
 
 def make_params(**kw):
-    defaults = dict(
-        n_samples=64, horizon=5, n_alternatives=2, n_u=2, noise_cov=1.0, seed=42
-    )
+    defaults = dict(n_samples=64, horizon=5, n_u=2, noise_cov=1.0, seed=42)
     defaults.update(kw)
     return ctrl.ControllerParams.build(**defaults)
+
+
+def n_rows(params, m):
+    """Flat rows of a plan over m backup missions."""
+    return dims(params.horizon, m)[0]
 
 
 # ----------------------------------------------------------------- sampling
@@ -54,16 +57,48 @@ def test_params_validation():
         make_params(noise_cov=np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
     with pytest.raises(ConfigError):
         make_params(horizon=1)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        make_params(seed=-1)
+
+
+def test_params_validated_on_every_construction():
+    params = make_params()
+    for change in (dict(temperature=0.0), dict(seed=-1), dict(n_samples=0), dict(horizon=1)):
+        with pytest.raises(ConfigError):
+            replace(params, **change)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        ctrl.ControllerParams(16, 5, np.eye(2), seed=-1)
+    with pytest.raises(ConfigError, match="symmetric"):
+        ctrl.ControllerParams(16, 5, np.ones(2))
+    # the factor follows the covariance through replace
+    cov = np.array([[4.0, 1.0], [1.0, 2.0]])
+    changed = replace(params, noise_cov=cov)
+    assert np.array_equal(changed.noise_chol, np.linalg.cholesky(cov))
+    assert np.array_equal(replace(changed, seed=3).noise_chol, changed.noise_chol)
+
+
+def test_params_hold_only_the_sampling_choices():
+    cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+    params = ctrl.ControllerParams(16, 5, cov)
+    # the caller's array stays the caller's; the params hold read-only copies
+    assert cov.flags.writeable
+    cov[0, 0] = 9.0
+    assert params.noise_cov[0, 0] == 2.0
+    assert not params.noise_cov.flags.writeable and not params.noise_chol.flags.writeable
+    assert not hasattr(params, "n_alternatives") and not hasattr(params, "with_seed")
+    with pytest.raises(ValueError, match="noise_chol"):
+        replace(params, noise_chol=np.eye(2))
 
 
 def test_sample_noise_deterministic_and_matches_reference():
     params = make_params()
-    batch1 = ctrl.sample_noise(params, step_index=7)
-    batch2 = ctrl.sample_noise(params, step_index=7)
+    rows = n_rows(params, 2)
+    batch1 = ctrl.sample_noise(params, 7, rows)
+    batch2 = ctrl.sample_noise(params, 7, rows)
     assert np.array_equal(batch1, batch2)
-    assert not np.array_equal(batch1, ctrl.sample_noise(params, step_index=8))
+    assert not np.array_equal(batch1, ctrl.sample_noise(params, 8, rows))
 
-    assert np.array_equal(batch1, _reference_batch(params, 7))
+    assert np.array_equal(batch1, _reference_batch(params, 7, rows))
 
 
 @st.composite
@@ -122,8 +157,8 @@ def test_noise_samples_do_not_depend_on_batch_size(key, horizon, m):
 
 
 def test_sample_noise_statistics():
-    params = make_params(n_samples=500, horizon=10, n_alternatives=2, seed=11)
-    batch = ctrl.sample_noise(params, step_index=0)  # 2 x 100 x 500 draws
+    params = make_params(n_samples=500, horizon=10, seed=11)
+    batch = ctrl.sample_noise(params, 0, n_rows(params, 2))  # 2 x 100 x 500 draws
     flat = batch.reshape(2, -1).T
     n = flat.shape[0]
     assert abs(flat.mean()) < 4.0 / np.sqrt(2 * n)
@@ -134,17 +169,16 @@ def test_sample_noise_statistics():
 
 def test_sample_noise_applies_covariance():
     cov = np.array([[4.0, 1.0], [1.0, 2.0]])
-    params = make_params(n_samples=400, horizon=10, n_alternatives=1, noise_cov=cov)
-    batch = ctrl.sample_noise(params, step_index=1).reshape(2, -1).T
+    params = make_params(n_samples=400, horizon=10, noise_cov=cov)
+    batch = ctrl.sample_noise(params, 1, n_rows(params, 1)).reshape(2, -1).T
     emp = np.cov(batch.T)
     assert np.allclose(emp, cov, atol=0.15)
 
 
-def _reference_batch(params, step_index):
+def _reference_batch(params, step_index, rows):
     """The noise batch of :func:`oracle.draw_noise`, one fresh generator per slab."""
     key = ctrl.stream_key(params.seed, step_index)
-    shape = (params.n_u, dims(params.horizon, params.n_alternatives)[0], params.n_samples)
-    return draw_noise(key, shape, params.noise_chol)
+    return draw_noise(key, (params.n_u, rows, params.n_samples), params.noise_chol)
 
 
 @pytest.fixture
@@ -192,37 +226,62 @@ def _call_within(seconds, fn):
 def test_prefetched_noise_matches_draw_noise(own_prefetch):
     pf, ahead = own_prefetch
     cov = np.array([[2.0, 0.5], [0.5, 1.0]])  # the worker applies the factor too
-    multi = make_params(n_samples=16, horizon=5, n_alternatives=2, noise_cov=cov, seed=8)
-    single = replace(multi, n_alternatives=0)  # the abort's m=0 problem
-    # the worker's share of steps 1..5 in flat rows (25 at m=2, 5 at m=0):
-    # all, one, none (a stale job, with the worker stopped), all but one, all
+    params = make_params(n_samples=16, horizon=5, noise_cov=cov, seed=8)
+    # the worker's share of steps 1..5 in flat rows (25 at m=2, 5 at the
+    # abort's m=0 problem): all, one, none (a stale job, with the worker
+    # stopped), all but one, all
     shares = [25, 1, None, 4, 5]
-    for t, params in enumerate([multi] * 3 + [single] * 3):
+    for t, rows in enumerate([25] * 3 + [5] * 3):
         share = shares[t - 1] if t else None
         if share is not None:
             _worker_drew(pf, share)
         elif t:
             os.kill(pf.pid, signal.SIGSTOP)
-        batch = _call_within(60, lambda: ctrl.sample_noise(params, t))
+        batch = _call_within(60, lambda: ctrl.sample_noise(params, t, rows))
         if t and share is None:
             os.kill(pf.pid, signal.SIGCONT)
-        assert np.array_equal(batch, _reference_batch(params, t)), t
+        assert np.array_equal(batch, _reference_batch(params, t, rows)), t
     assert ahead[1:] == [25, 1, 0, 4, 5]
+    assert not pf.failed
+
+
+def test_prefetch_grows_its_shared_batch(own_prefetch):
+    # each new shape is larger than the last: the caller grows the shared
+    # file and maps it again, the worker maps it again on its next job,
+    # and the rows the worker drew into the grown file are copied exact
+    pf, ahead = own_prefetch
+    small = make_params(n_samples=16, horizon=5, seed=7)
+    wide = make_params(n_samples=4096, horizon=5, seed=7)
+    long = make_params(n_samples=5000, horizon=7, seed=7)
+    # (params, m, the worker's forced share of the second batch in flat
+    # rows): 5 of 5, 25 of 25, 12 of 25 and 70 of 70
+    stages = [(small, 0, 5), (small, 2, 25), (wide, 2, 12), (long, 3, 70)]
+    sizes = []
+    for i, (params, m, share) in enumerate(stages):
+        rows = n_rows(params, m)
+        for t in (2 * i, 2 * i + 1):
+            if t % 2:
+                _worker_drew(pf, share)
+            batch = _call_within(60, lambda: ctrl.sample_noise(params, t, rows))
+            assert np.array_equal(batch, _reference_batch(params, t, rows)), t
+        assert ahead[-1] == share
+        sizes.append(len(pf._shared))
+    assert sizes == sorted(set(sizes))
     assert not pf.failed
 
 
 def test_prefetch_never_waits_for_a_stopped_worker(own_prefetch):
     pf, ahead = own_prefetch
-    params = make_params(n_samples=16, horizon=5, n_alternatives=2, seed=5)
-    ctrl.sample_noise(params, 0)
+    params = make_params(n_samples=16, horizon=5, seed=5)
+    ctrl.sample_noise(params, 0, 25)
     _worker_drew(pf, 25)
-    ctrl.sample_noise(params, 1)  # asks the worker for step 2
+    ctrl.sample_noise(params, 1, 25)  # asks the worker for step 2
     os.kill(pf.pid, signal.SIGSTOP)
     try:
-        batch = _call_within(60, lambda: ctrl.sample_noise(params, 2))
+        batch = _call_within(60, lambda: ctrl.sample_noise(params, 2, 25))
     finally:
         os.kill(pf.pid, signal.SIGCONT)
-    assert np.array_equal(batch, _reference_batch(params, 2))
+    assert np.array_equal(batch, _reference_batch(params, 2, 25))
     assert ahead[1:] == [25, 0] and not pf.failed
 
 
@@ -232,40 +291,40 @@ def test_prefetch_meeting_in_the_middle_keeps_batches_exact(own_prefetch):
     # long enough to write that one counted before it is written gets
     # copied half-drawn
     pf, ahead = own_prefetch
-    params = make_params(n_samples=4096, horizon=5, n_alternatives=2, seed=9)
-    ctrl.sample_noise(params, 0)
+    params = make_params(n_samples=4096, horizon=5, seed=9)
+    ctrl.sample_noise(params, 0, 25)
     _worker_drew(pf, 25)  # started
-    batches = _call_within(60, lambda: [ctrl.sample_noise(params, t) for t in range(1, 41)])
+    batches = _call_within(60, lambda: [ctrl.sample_noise(params, t, 25) for t in range(1, 41)])
     for t, batch in enumerate(batches, 1):
-        assert np.array_equal(batch, _reference_batch(params, t)), t
+        assert np.array_equal(batch, _reference_batch(params, t, 25)), t
     assert not pf.failed
 
 
 def test_prefetched_noise_is_private(own_prefetch):
     pf, ahead = own_prefetch
-    params = make_params(n_samples=16, horizon=5, n_alternatives=2, seed=4)
-    ctrl.sample_noise(params, 0)
+    params = make_params(n_samples=16, horizon=5, seed=4)
+    ctrl.sample_noise(params, 0, 25)
     _worker_drew(pf, 25)
-    batch = ctrl.sample_noise(params, 1)
+    batch = ctrl.sample_noise(params, 1, 25)
     assert ahead[-1] == 25  # drawn by the worker
     assert batch.flags.writeable and batch.flags.owndata
     batch[...] = np.nan
     _worker_drew(pf, 25)
-    assert np.array_equal(ctrl.sample_noise(params, 2), _reference_batch(params, 2))
+    assert np.array_equal(ctrl.sample_noise(params, 2, 25), _reference_batch(params, 2, 25))
     assert ahead[-1] == 25
 
 
 def test_prefetch_falls_back_inline_when_worker_dies(own_prefetch):
     pf, ahead = own_prefetch
-    params = make_params(n_samples=16, horizon=5, n_alternatives=2, seed=6)
-    ctrl.sample_noise(params, 0)  # starts the worker and requests step 1
+    params = make_params(n_samples=16, horizon=5, seed=6)
+    ctrl.sample_noise(params, 0, 25)  # starts the worker and requests step 1
     os.kill(pf.pid, signal.SIGKILL)
     pf._proc.wait(timeout=60)
-    batch = _call_within(60, lambda: ctrl.sample_noise(params, 1))
-    assert np.array_equal(batch, _reference_batch(params, 1))
+    batch = _call_within(60, lambda: ctrl.sample_noise(params, 1, 25))
+    assert np.array_equal(batch, _reference_batch(params, 1, 25))
     assert ahead[-1] == 0 and pf.failed
     # from then on every step is drawn here
-    assert np.array_equal(ctrl.sample_noise(params, 2), _reference_batch(params, 2))
+    assert np.array_equal(ctrl.sample_noise(params, 2, 25), _reference_batch(params, 2, 25))
     assert ahead[-1] == 0
 
 
@@ -344,7 +403,7 @@ def test_softmax_all_non_finite_raises():
 def _step_with_noise(monkeypatch, sample_noise, n_samples=64, step_index=0):
     """One m=0 control step of the double integrator with ``sample_noise``
     in place of the sampler."""
-    params = make_params(n_samples=n_samples, horizon=5, n_alternatives=0)
+    params = make_params(n_samples=n_samples, horizon=5)
     missions = MissionSet((UAV_MISSIONS[0],))
     wl = WeightLawParams(gamma=0.0)
     monkeypatch.setattr(ctrl, "sample_noise", sample_noise)
@@ -357,7 +416,7 @@ def _step_with_noise(monkeypatch, sample_noise, n_samples=64, step_index=0):
 
 def test_all_non_finite_sample_costs_name_the_step(monkeypatch):
     # every perturbed plan overflows the cost; the noise-free plan stays finite
-    huge = lambda params, _: np.full((params.n_u, params.horizon, params.n_samples), 1e300)
+    huge = lambda params, _, n_inputs: np.full((params.n_u, n_inputs, params.n_samples), 1e300)
     with pytest.raises(NonFiniteCostError, match="control step 7: ") as info:
         _step_with_noise(monkeypatch, huge, step_index=7)
     assert info.value.step == 7
@@ -366,15 +425,15 @@ def test_all_non_finite_sample_costs_name_the_step(monkeypatch):
 def test_step_diagnostics_effective_sample_size(monkeypatch):
     n = 64
     # equal sample costs: uniform weights, ESS = K
-    zero = lambda params, _: np.zeros((params.n_u, params.horizon, params.n_samples))
+    zero = lambda params, _, n_inputs: np.zeros((params.n_u, n_inputs, params.n_samples))
     u, _, diag = _step_with_noise(monkeypatch, zero, n_samples=n)
     assert diag.ess == n
     assert diag.max_weight == 1.0 / n
 
     # one finite sample cost: one-hot weights, ESS = 1, and the masked
     # samples move the plan not at all
-    def one_finite(params, _):
-        noise = np.full((params.n_u, params.horizon, params.n_samples), 1e300)
+    def one_finite(params, _, n_inputs):
+        noise = np.full((params.n_u, n_inputs, params.n_samples), 1e300)
         noise[:, :, 3] = 0.25
         return noise
 
@@ -385,7 +444,7 @@ def test_step_diagnostics_effective_sample_size(monkeypatch):
 
 
 def test_non_finite_noise_free_row_names_the_step():
-    params = make_params(n_samples=16, horizon=5, n_alternatives=2)
+    params = make_params(n_samples=16, horizon=5)
     model, wl = DoubleIntegrator(), WeightLawParams(gamma=0.66)
     x = np.zeros(4)
     state = ctrl.init_state(x, params, UAV_MISSIONS, wl)
@@ -398,7 +457,7 @@ def test_non_finite_noise_free_row_names_the_step():
 
 
 def test_step_diagnostics_layer_seconds():
-    params = make_params(n_samples=16, horizon=5, n_alternatives=2)
+    params = make_params(n_samples=16, horizon=5)
     wl = WeightLawParams(gamma=0.66)
     x = np.zeros(4)
     state = ctrl.init_state(x, params, UAV_MISSIONS, wl)
@@ -431,7 +490,7 @@ def test_mppi_update_degenerate_and_cancellation():
 
 
 def test_control_step_is_deterministic():
-    params = make_params(n_samples=32, horizon=5, n_alternatives=2)
+    params = make_params(n_samples=32, horizon=5)
     model = DoubleIntegrator()
     wl = WeightLawParams(gamma=0.66)
     x = np.zeros(4)
@@ -446,7 +505,7 @@ def test_control_step_is_deterministic():
 
 
 def test_control_step_alpha_on_simplex_and_descent():
-    params = make_params(n_samples=48, horizon=6, n_alternatives=2, seed=5)
+    params = make_params(n_samples=48, horizon=6, seed=5)
     model = DoubleIntegrator()
     wl = WeightLawParams(gamma=0.66)
     x = np.zeros(4)
@@ -572,7 +631,7 @@ def test_single_step_brute_force_oracle(monkeypatch):
     p0 = np.array([1.0, 0.0, 0.0, 0.0])
     p1 = np.array([0.0, 1.0, 0.0, 0.0])
     missions = MissionSet((Mission.build(p0), Mission.build(p1)))
-    params = make_params(n_samples=2, horizon=2, n_alternatives=1, temperature=0.7)
+    params = make_params(n_samples=2, horizon=2, temperature=0.7)
     wl = WeightLawParams(gamma=0.0)
     model = DoubleIntegrator()
 
@@ -615,9 +674,9 @@ def test_single_step_brute_force_oracle(monkeypatch):
 
 
 def test_control_cost_flag_changes_weighting():
-    params_off = make_params(n_samples=16, horizon=4, n_alternatives=2, seed=3)
+    params_off = make_params(n_samples=16, horizon=4, seed=3)
     params_on = ctrl.ControllerParams.build(
-        n_samples=16, horizon=4, n_alternatives=2, n_u=2, seed=3, control_cost=True
+        n_samples=16, horizon=4, n_u=2, seed=3, control_cost=True
     )
     model = DoubleIntegrator()
     wl = WeightLawParams(gamma=0.5)
@@ -646,7 +705,7 @@ def _gamma_zero_runs(control_cost: bool, n_steps: int = 40):
     runs = []
     for missions, params in (
         (scenario.missions, scenario.controller),
-        (MissionSet((scenario.missions[0],)), replace(scenario.controller, n_alternatives=0)),
+        (MissionSet((scenario.missions[0],)), scenario.controller),
     ):
         x = scenario.x0.copy()
         state = ctrl.init_state(x, params, missions, wl)

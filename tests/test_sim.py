@@ -47,10 +47,7 @@ def small_scenario(**kw):
         model=model,
         missions=missions,
         obstacles=ObstacleSet.empty(),
-        controller=ControllerParams.build(
-            n_samples=64, horizon=5, n_alternatives=missions.n_alternatives,
-            n_u=2, seed=0,
-        ),
+        controller=ControllerParams.build(n_samples=64, horizon=5, n_u=2, seed=0),
         weight_law=WeightLawParams(gamma=0.4),
         x0=np.zeros(4),
         max_steps=150,
@@ -189,9 +186,7 @@ def test_abort_nearest_policy_single_alternative():
     for seed in (0, 1):
         scenario = small_scenario(
             missions=missions,
-            controller=ControllerParams.build(
-                n_samples=64, horizon=5, n_alternatives=1, n_u=2, seed=0
-            ),
+            controller=ControllerParams.build(n_samples=64, horizon=5, n_u=2, seed=0),
             abort=AbortSpec(step=4, policy="nearest"),
             max_steps=200,
         )
@@ -208,6 +203,11 @@ def test_abort_validation():
         AbortSpec(step=-1)
     with pytest.raises(ConfigError):
         AbortSpec(step=1, policy="random")
+
+
+def test_negative_run_seed_rejected():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        run_closed_loop(small_scenario(max_steps=2), seed=-1)
 
 
 def test_descent_constraint_along_closed_loop():

@@ -203,7 +203,9 @@ def feasible_halfspaces(draw):
     w = vec(st.floats(0.0, 1.0))
     assume(w.sum() > 0.0)
     y0 = w / w.sum()
-    b = float(c @ y0) + draw(st.floats(0.0, 5.0))
+    # y0's sum may round below 1, which can put c.y0 an ulp under min(c),
+    # the least c.alpha over the exact simplex
+    b = max(float(c @ y0), float(c.min())) + draw(st.floats(0.0, 5.0))
     return v, c, b, y0
 
 
@@ -229,8 +231,6 @@ def test_halfspace_projection_properties(instance):
 @given(feasible_halfspaces(), st.floats(-6.0, 6.0))
 def test_halfspace_projection_does_not_depend_on_constraint_scale(instance, log_scale):
     v, c, b, _ = instance
-    # y0's sum may round below 1, which can leave b an ulp under min(c)
-    assume(b >= c.min())
     scale = 10.0**log_scale
     alpha = project_simplex_halfspace(v, c, b)
     scaled = project_simplex_halfspace(v, scale * c, scale * b)
@@ -281,6 +281,15 @@ def test_update_weights_gamma_zero_recursively_feasible():
         tails = rng.uniform(0, 1, size=4)
         alpha = update_weights(alpha, np.array([1.0, 0, 0, 0]), costs, tails)
         assert np.array_equal(alpha, [1.0, 0.0, 0.0, 0.0])
+
+
+def test_update_weights_accepts_weights_summing_an_ulp_under_one():
+    # these weights sum to 1 - 1.1e-16, so c.alpha_prev is an ulp under
+    # min(c) = 2; alpha_prev is still a feasible simplex point
+    alpha = np.array([0.2, 0.7, 0.1])
+    assert alpha.sum() < 1.0 and np.full(3, 2.0) @ alpha < 2.0
+    out = update_weights(alpha, alpha, np.full(3, 2.0), np.zeros(3))
+    assert np.array_equal(out, project_simplex(alpha))
 
 
 def test_update_weights_rejects_nonfinite():
