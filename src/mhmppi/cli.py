@@ -8,9 +8,11 @@ Verbs:
   ``--workers``, and ``--override path=value`` (repeatable) adjust the
   config without editing the file.
 * ``list-scenarios`` -- names and one-line notes of the built-in scenarios.
-* ``print-defaults`` -- the full default config reference as JSON: an
-  experiment skeleton plus every built-in scenario with all physical
-  defaults materialized.
+* ``print-defaults`` -- the config reference as JSON: an experiment
+  skeleton plus every built-in scenario dict as written.  A key a
+  scenario leaves out (``control_cost``, ``completion_metric``, the
+  mission weights and modes, ...) takes the default of the constructor
+  its section feeds; see :mod:`mhmppi.config`.
 
 Runs are deterministic given (config, seed): trace payloads are byte
 identical across repeats except for the wall-time column.

@@ -1,9 +1,18 @@
 """Strict experiment/scenario configuration parsing.
 
-Configs are JSON files.  Every key is validated; unknown keys are errors
-carrying the offending path, as are out-of-range values.  A fully
-resolved per-run config dictionary is hashed (SHA-256 of its canonical
-JSON form) into every output file for provenance.
+Configs are JSON files.  Each scenario section holds the keyword arguments
+of the object it builds: ``model`` of its ``kind``'s class, a mission of
+:meth:`Mission.build`, ``obstacles`` of :meth:`ObstacleSet.from_boxes`,
+``controller`` of :meth:`ControllerParams.build` (``samples`` is
+``n_samples``), ``weights`` of :class:`WeightLawParams`, ``abort`` of
+:class:`AbortSpec` and the top-level keys of :class:`Scenario`.  A key left
+out takes the constructor's default; no default is restated here.  Types
+are strict: the constructors check every value and convert none, so an
+integer rejects 20.5, ``true`` and ``"20"``, a flag rejects ``"false"``,
+and a real value rejects NaN.  Unknown keys are errors, and every error
+carries the path of its section.  A fully resolved per-run config
+dictionary is hashed (SHA-256 of its canonical JSON form) into every
+output file for provenance.
 """
 
 from __future__ import annotations
@@ -15,18 +24,16 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .controller import ControllerParams
 from .cost import Mission, MissionSet, ObstacleSet
 from .dynamics import DoubleIntegrator, SimpleCar
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .scenarios import get_scenario_dict
 from .sim import AbortSpec, Scenario
 from .weights import WeightLawParams
 
 
-def _check_keys(section: dict, allowed: dict, path: str) -> None:
+def _check_keys(section: dict, allowed: tuple, path: str) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"expected an object, got {type(section).__name__}", path=path)
     for key in section:
@@ -34,13 +41,6 @@ def _check_keys(section: dict, allowed: dict, path: str) -> None:
             raise ConfigError(
                 f"unknown key {key!r} (allowed: {', '.join(sorted(allowed))})", path=path
             )
-
-
-def _get(section: dict, key: str, default, path: str):
-    value = section.get(key, default)
-    if value is None and default is not None:
-        raise ConfigError("value must not be null", path=f"{path}.{key}")
-    return value
 
 
 @contextlib.contextmanager
@@ -55,161 +55,83 @@ def _wrap(path: str):
         raise ConfigError(str(exc), path=path) from None
 
 
-_MODEL_KEYS = {"kind": None, "wheelbase": None, "time_step": None, "modes": None}
-_MISSION_KEYS = {"target": None, "state_weight": None, "input_weight": None, "mode": None}
-_OBSTACLE_KEYS = {"boxes": None, "penalty": None}
-_CONTROLLER_KEYS = {
-    "samples": None,
-    "horizon": None,
-    "temperature": None,
-    "noise_cov": None,
-    "seed": None,
-    "control_cost": None,
-}
-_WEIGHT_KEYS = {"gamma": None, "temperature": None, "metric": None}
-_ABORT_KEYS = {"step": None, "new_mode": None, "policy": None}
-_SCENARIO_KEYS = {
-    "model": None,
-    "missions": None,
-    "obstacles": None,
-    "controller": None,
-    "weights": None,
-    "x0": None,
-    "max_steps": None,
-    "completion_tol": None,
-    "completion_metric": None,
-    "abort": None,
-}
-_EXPERIMENT_KEYS = {
-    "scenario": None,
-    "overrides": None,
-    "sweeps": None,
-    "seeds": None,
-    "out_dir": None,
-}
+def _build(make, cfg: dict, key: str, keys: tuple, **given):
+    """``make(**given, **section)`` for the section ``cfg[key]``: its keys
+    checked against ``keys``, ``samples`` passed as ``n_samples``, and an
+    error located at ``key``.  An absent or null section is empty."""
+    section = {} if cfg.get(key) is None else cfg[key]
+    _check_keys(section, keys, key)
+    with _wrap(key):
+        return make(**given, **{_PARAMETERS.get(k, k): v for k, v in section.items()})
 
 
-def _build_model(section: dict, path: str):
-    _check_keys(section, _MODEL_KEYS, path)
-    kind = _get(section, "kind", None, path)
-    if kind is None:
-        raise ConfigError("model kind is required", path=f"{path}.kind")
-    modes = section.get("modes")
-    if kind == "double_integrator":
-        for key in ("wheelbase", "time_step"):
-            if key in section:
-                raise ConfigError(
-                    f"{key} does not apply to the double integrator", path=f"{path}.{key}"
-                )
-        with _wrap(path):
-            return DoubleIntegrator(modes)
-    if kind == "simple_car":
-        with _wrap(path):
-            return SimpleCar(
-                wheelbase=float(section.get("wheelbase", 0.2)),
-                time_step=float(section.get("time_step", 0.1)),
-                modes=modes,
-            )
-    raise ConfigError(
-        f"unknown model kind {kind!r} (use double_integrator or simple_car)",
-        path=f"{path}.kind",
-    )
-
-
-def _fit_state(vec, n_x: int, path: str) -> np.ndarray:
-    """Accept an n_x vector, or a longer one whose extra entries are zero
-    (car targets are conventionally written as 4-vectors)."""
-    arr = np.asarray(vec, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] < n_x:
-        raise ConfigError(f"expected a state vector of dim >= {n_x}", path=path)
-    if arr.shape[0] > n_x and np.any(arr[n_x:] != 0.0):
+def _model(kind=None, **params):
+    """The model class ``kind`` built from the rest of its section."""
+    if not isinstance(kind, str) or kind not in _MODELS:
         raise ConfigError(
-            f"entries beyond dim {n_x} must be zero for this model", path=path
+            f"unknown model kind {kind!r} (use {' or '.join(_MODELS)})", path="model.kind"
         )
-    return arr[:n_x]
+    return _MODELS[kind](**params)
+
+
+_MODELS = {"double_integrator": DoubleIntegrator, "simple_car": SimpleCar}
+_PARAMETERS = {"samples": "n_samples"}  # JSON key -> parameter, where they differ
+_MODEL_KEYS = ("kind", "wheelbase", "time_step", "modes")
+_MISSION_KEYS = ("target", "state_weight", "input_weight", "mode")
+_OBSTACLE_KEYS = ("boxes", "penalty")
+_CONTROLLER_KEYS = ("samples", "horizon", "temperature", "noise_cov", "seed", "control_cost")
+_WEIGHT_KEYS = ("gamma", "temperature", "metric")
+_ABORT_KEYS = ("step", "new_mode", "policy")
+_SCENARIO_SCALARS = ("x0", "max_steps", "completion_tol", "completion_metric")
+_SCENARIO_KEYS = (
+    "model", "missions", "obstacles", "controller", "weights", "abort", *_SCENARIO_SCALARS
+)
+_EXPERIMENT_KEYS = ("scenario", "overrides", "sweeps", "seeds", "out_dir")
+
+
+def _fit_state(section: dict, key: str, n_x: int, path: str) -> dict:
+    """``section`` with the list ``section[key]`` cut to n_x entries when its
+    extra entries are zero (car targets are conventionally written as
+    4-vectors)."""
+    vec = section.get(key)
+    if not isinstance(vec, list) or len(vec) <= n_x:
+        return section
+    if any(v != 0 for v in vec[n_x:]):
+        raise ConfigError(f"entries beyond dim {n_x} must be zero for this model", path=path)
+    return {**section, key: vec[:n_x]}
 
 
 def scenario_from_dict(cfg: dict, name: str = "custom") -> Scenario:
-    """Validate and build a Scenario from its config dictionary."""
+    """Validate and build a Scenario from its config dictionary.  Each
+    section's entries are the keyword arguments of the object it builds."""
     _check_keys(cfg, _SCENARIO_KEYS, "scenario")
-    model = _build_model(_get(cfg, "model", None, "scenario") or {}, "model")
+    model = _build(_model, cfg, "model", _MODEL_KEYS)
 
-    missions_cfg = _get(cfg, "missions", None, "scenario")
+    missions_cfg = cfg.get("missions")
     if not isinstance(missions_cfg, list) or not missions_cfg:
         raise ConfigError("at least the primary mission is required", path="missions")
     missions = []
     for idx, entry in enumerate(missions_cfg):
         mpath = f"missions[{idx}]"
         _check_keys(entry, _MISSION_KEYS, mpath)
-        if "target" not in entry:
-            raise ConfigError("target is required", path=f"{mpath}.target")
+        entry = _fit_state(entry, "target", model.n_x, f"{mpath}.target")
         with _wrap(mpath):
-            missions.append(
-                Mission.build(
-                    _fit_state(entry["target"], model.n_x, f"{mpath}.target"),
-                    state_weight=entry.get("state_weight", 1.0),
-                    input_weight=entry.get("input_weight", 1.0),
-                    mode=int(entry.get("mode", 0)),
-                    n_u=model.n_u,
-                )
-            )
-    mission_set = MissionSet(tuple(missions))
+            missions.append(Mission.build(n_u=model.n_u, **entry))
 
-    obs_cfg = cfg.get("obstacles") or {}
-    _check_keys(obs_cfg, _OBSTACLE_KEYS, "obstacles")
-    with _wrap("obstacles"):
-        obstacles = ObstacleSet.from_boxes(
-            obs_cfg.get("boxes", []), penalty=float(obs_cfg.get("penalty", 1.0e4))
-        )
-
-    ctrl_cfg = _get(cfg, "controller", None, "scenario") or {}
-    _check_keys(ctrl_cfg, _CONTROLLER_KEYS, "controller")
-    with _wrap("controller"):
-        controller = ControllerParams.build(
-            n_samples=int(_get(ctrl_cfg, "samples", 1000, "controller")),
-            horizon=int(_get(ctrl_cfg, "horizon", 10, "controller")),
-            n_u=model.n_u,
-            noise_cov=ctrl_cfg.get("noise_cov", 1.0),
-            temperature=float(ctrl_cfg.get("temperature", 0.5)),
-            seed=int(ctrl_cfg.get("seed", 0)),
-            control_cost=bool(ctrl_cfg.get("control_cost", False)),
-        )
-
-    weights_cfg = cfg.get("weights") or {}
-    _check_keys(weights_cfg, _WEIGHT_KEYS, "weights")
-    with _wrap("weights"):
-        weight_law = WeightLawParams(
-            gamma=float(weights_cfg.get("gamma", 0.66)),
-            temperature=float(weights_cfg.get("temperature", 1.0)),
-            metric=weights_cfg.get("metric", "position"),
-        )
-
-    abort_cfg = cfg.get("abort")
-    abort = None
-    if abort_cfg is not None:
-        _check_keys(abort_cfg, _ABORT_KEYS, "abort")
-        if "step" not in abort_cfg:
-            raise ConfigError("abort step is required", path="abort.step")
-        with _wrap("abort"):
-            abort = AbortSpec(
-                step=int(abort_cfg["step"]),
-                new_mode=int(abort_cfg.get("new_mode", 0)),
-                policy=abort_cfg.get("policy", "min_cost"),
-            )
-
+    abort = None if cfg.get("abort") is None else _build(AbortSpec, cfg, "abort", _ABORT_KEYS)
+    scalars = _fit_state(cfg, "x0", model.n_x, "x0")
     with _wrap("scenario"):
         return Scenario(
             name=name,
             model=model,
-            missions=mission_set,
-            obstacles=obstacles,
-            controller=controller,
-            weight_law=weight_law,
-            x0=_fit_state(_get(cfg, "x0", None, "scenario"), model.n_x, "x0"),
-            max_steps=int(cfg.get("max_steps", 400)),
-            completion_tol=float(cfg.get("completion_tol", 0.5)),
-            completion_metric=cfg.get("completion_metric", "position"),
+            missions=MissionSet(tuple(missions)),
+            obstacles=_build(ObstacleSet.from_boxes, cfg, "obstacles", _OBSTACLE_KEYS),
+            controller=_build(
+                ControllerParams.build, cfg, "controller", _CONTROLLER_KEYS, n_u=model.n_u
+            ),
+            weight_law=_build(WeightLawParams, cfg, "weights", _WEIGHT_KEYS),
             abort=abort,
+            **{key: scalars[key] for key in _SCENARIO_SCALARS if key in scalars},
         )
 
 
@@ -279,7 +201,7 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def experiment_from_dict(raw: dict) -> ExperimentConfig:
     _check_keys(raw, _EXPERIMENT_KEYS, "experiment")
-    scenario_ref = _get(raw, "scenario", None, "experiment")
+    scenario_ref = raw.get("scenario")
     if scenario_ref is None:
         raise ConfigError("scenario is required", path="scenario")
     if isinstance(scenario_ref, str):
@@ -297,7 +219,7 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(sweeps, list):
         raise ConfigError("sweeps must be a list", path="sweeps")
     for idx, axis in enumerate(sweeps):
-        _check_keys(axis, {"path": None, "values": None}, f"sweeps[{idx}]")
+        _check_keys(axis, ("path", "values"), f"sweeps[{idx}]")
         if not isinstance(axis.get("path"), str):
             raise ConfigError("sweep path must be a string", path=f"sweeps[{idx}].path")
         if not isinstance(axis.get("values"), list) or not axis["values"]:
@@ -319,10 +241,11 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
 
 def check_seeds(seeds, path: str) -> list:
     """``seeds``, a non-empty list of integers >= 0, as a list."""
-    if not (isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds)):
+    if not (isinstance(seeds, list) and seeds):
         raise ConfigError("seeds must be a non-empty list of integers", path=path)
-    if min(seeds) < 0:
-        raise ConfigError(f"seeds must be >= 0, got {seeds}", path=path)
+    with _wrap(path):
+        for seed in seeds:
+            check_int("seeds", seed, 0)
     return list(seeds)
 
 

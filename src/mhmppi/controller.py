@@ -89,7 +89,7 @@ import numpy as np
 from . import cost as cost_mod
 from .cost import MissionSet, ObstacleSet
 from .dynamics import DynamicsModel
-from .errors import ConfigError, NonFiniteCostError
+from .errors import ConfigError, NonFiniteCostError, check_int, check_real, real_array
 from .multi_horizon import MultiHorizonInput, branch_rows, dims
 from .weights import WeightLawParams, desired_weights, update_weights
 
@@ -113,43 +113,35 @@ class ControllerParams:
     noise_chol: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not self.temperature > 0.0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        dims(self.horizon, 0)  # validates the horizon
-        cov = np.array(self.noise_cov, dtype=float)
+        check_int("n_samples", self.n_samples, 1)
+        check_int("horizon", self.horizon, 2)
+        check_real("temperature", self.temperature, above=0.0)
+        check_int("seed", self.seed, 0)
+        if not isinstance(self.control_cost, bool):
+            raise ConfigError(f"control_cost must be true or false, got {self.control_cost!r}")
+        cov = real_array("noise_cov", self.noise_cov)
         if cov.ndim != 2 or cov.shape != cov.T.shape or not np.allclose(cov, cov.T):
             raise ConfigError(f"noise_cov must be a symmetric matrix, got {cov.tolist()}")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise ConfigError("noise_cov must be positive definite") from None
-        cov.flags.writeable = False
         chol.flags.writeable = False
         object.__setattr__(self, "noise_cov", cov)
         object.__setattr__(self, "noise_chol", chol)
 
     @classmethod
     def build(
-        cls,
-        n_samples: int,
-        horizon: int,
-        n_u: int,
-        noise_cov=1.0,
-        temperature: float = 0.5,
-        seed: int = 0,
-        control_cost: bool = False,
+        cls, n_samples: int = 1000, horizon: int = 10, *, n_u: int, noise_cov=1.0, **choices
     ) -> "ControllerParams":
-        """As the constructor; a scalar ``noise_cov`` scales the identity."""
-        cov = np.asarray(noise_cov, dtype=float)
+        """As the constructor, with the other fields' defaults; a scalar
+        ``noise_cov`` scales the n_u x n_u identity."""
+        cov = real_array("noise_cov", noise_cov)
         if cov.ndim == 0:
-            cov = float(cov) * np.eye(n_u)
+            cov = cov * np.eye(n_u)
         if cov.shape != (n_u, n_u):
             raise ConfigError(f"noise_cov must be scalar or {n_u}x{n_u}, got {cov.shape}")
-        return cls(n_samples, horizon, cov, temperature, seed, control_cost)
+        return cls(n_samples, horizon, cov, **choices)
 
     @property
     def n_u(self) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int, check_real, real_array
 
 POSITION_DIMS = 2
 
@@ -46,39 +46,56 @@ def distance(x: np.ndarray, target: np.ndarray, metric: str = "position") -> np.
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
-def _psd_weight(M, n: int, what: str) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 0:
-        M = float(M) * np.eye(n)
-    if M.shape != (n, n):
-        raise ConfigError(f"{what} must be a scalar or {n}x{n} matrix, got shape {M.shape}")
+def _psd_weight(M, what: str) -> np.ndarray:
+    M = real_array(what, M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ConfigError(f"{what} must be a square matrix, got shape {M.shape}")
     if not np.allclose(M, M.T):
         raise ConfigError(f"{what} must be symmetric")
     if np.any(np.linalg.eigvalsh(M) < -1e-12):
         raise ConfigError(f"{what} must be positive semidefinite")
-    M.flags.writeable = False
     return M
+
+
+def _scaled_eye(M, n: int, what: str):
+    """A scalar ``M`` times the n x n identity; any other ``M`` as given."""
+    return real_array(what, M) * np.eye(n) if np.ndim(M) == 0 else M
 
 
 @dataclass(frozen=True)
 class Mission:
-    """One target with its quadratic weights and branch dynamics mode."""
+    """One target with its quadratic weights and branch dynamics mode.
+    Every construction (direct, :meth:`build` or
+    :func:`dataclasses.replace`) is validated and raises
+    :class:`ConfigError`; the arrays are read-only copies of the caller's."""
 
-    target: np.ndarray
-    state_weight: np.ndarray  # Q, n_x x n_x PSD (scalar -> scaled identity)
+    target: np.ndarray  # (n_x,)
+    state_weight: np.ndarray  # Q, n_x x n_x PSD
     input_weight: np.ndarray  # R, n_u x n_u PSD
     mode: int = 0
 
+    def __post_init__(self):
+        target = real_array("target", self.target)
+        if target.ndim != 1:
+            raise ConfigError(f"target must be a vector, got shape {target.shape}")
+        state_weight = _psd_weight(self.state_weight, "state_weight")
+        if len(state_weight) != len(target):
+            raise ConfigError(f"state_weight must be {len(target)}x{len(target)} like the target")
+        check_int("mode", self.mode, 0)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "state_weight", state_weight)
+        object.__setattr__(self, "input_weight", _psd_weight(self.input_weight, "input_weight"))
+
     @classmethod
-    def build(cls, target, state_weight=1.0, input_weight=1.0, mode=0, n_u=2) -> "Mission":
-        target = np.asarray(target, dtype=float)
-        target.flags.writeable = False
-        n_x = target.shape[0]
+    def build(cls, target, state_weight=1.0, input_weight=1.0, n_u: int = 2, **mode) -> "Mission":
+        """As the constructor; a scalar weight scales the identity of the
+        target's dimension (Q) or of ``n_u`` (R)."""
+        target = real_array("target", target)
         return cls(
             target,
-            _psd_weight(state_weight, n_x, "state_weight"),
-            _psd_weight(input_weight, n_u, "input_weight"),
-            mode,
+            _scaled_eye(state_weight, target.size, "state_weight"),
+            _scaled_eye(input_weight, n_u, "input_weight"),
+            **mode,
         )
 
 
@@ -117,16 +134,15 @@ class ObstacleSet:
     penalty: float = 1.0e4
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float).reshape(-1, POSITION_DIMS)
-        hi = np.asarray(self.hi, dtype=float).reshape(-1, POSITION_DIMS)
-        if lo.shape != hi.shape:
-            raise ConfigError("obstacle corner arrays must have matching shapes")
+        lo = real_array("lo", self.lo)
+        hi = real_array("hi", self.hi)
+        if lo.shape != hi.shape or lo.ndim != 2 or lo.shape[1] != POSITION_DIMS:
+            raise ConfigError("obstacle corner arrays must both be (n_boxes, 2)")
         if np.any(lo > hi):
             raise ConfigError("obstacle min corner must be <= max corner")
+        check_real("obstacle penalty", self.penalty)
         if self.penalty < 0.0:
             raise ConfigError("obstacle penalty must be >= 0")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -135,14 +151,18 @@ class ObstacleSet:
         return cls(np.zeros((0, POSITION_DIMS)), np.zeros((0, POSITION_DIMS)), 0.0)
 
     @classmethod
-    def from_boxes(cls, boxes, penalty: float = 1.0e4) -> "ObstacleSet":
-        """boxes: iterable of (min_corner, max_corner) pairs."""
-        boxes = list(boxes)
-        if not boxes:
-            return cls(np.zeros((0, POSITION_DIMS)), np.zeros((0, POSITION_DIMS)), penalty)
-        lo = np.stack([np.asarray(b[0], dtype=float) for b in boxes])
-        hi = np.stack([np.asarray(b[1], dtype=float) for b in boxes])
-        return cls(lo, hi, penalty)
+    def from_boxes(cls, boxes=(), **penalty) -> "ObstacleSet":
+        """As the constructor, from a sequence of (min_corner, max_corner)
+        pairs of position-plane corners."""
+        corners = real_array("boxes", boxes)
+        if corners.size == 0:
+            corners = corners.reshape(0, 2, POSITION_DIMS)
+        if corners.shape[1:] != (2, POSITION_DIMS):
+            raise ConfigError(
+                f"boxes must be (min corner, max corner) pairs of {POSITION_DIMS}-vectors, "
+                f"got shape {corners.shape}"
+            )
+        return cls(corners[:, 0], corners[:, 1], **penalty)
 
     @property
     def n_boxes(self) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_real, real_array
 
 
 class DynamicsModel:
@@ -35,12 +35,11 @@ class DynamicsModel:
     n_u: int
 
     def __init__(self, modes=None):
-        modes = np.array(np.ones((1, self.n_u)) if modes is None else modes, dtype=float)
+        modes = real_array("modes", np.ones((1, self.n_u)) if modes is None else modes)
         if modes.ndim != 2 or modes.shape[1] != self.n_u:
             raise ConfigError(f"modes must be an (n_modes, {self.n_u}) array of input scales")
         if np.any(modes < 0.0):
             raise ConfigError("input scale entries must be >= 0")
-        modes.flags.writeable = False
         self.modes = modes
 
     def update(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -106,10 +105,8 @@ class SimpleCar(DynamicsModel):
     n_u = 2
 
     def __init__(self, wheelbase: float = 0.2, time_step: float = 0.1, modes=None):
-        if wheelbase <= 0.0:
-            raise ConfigError("wheelbase must be > 0")
-        if time_step <= 0.0:
-            raise ConfigError("time_step must be > 0")
+        check_real("wheelbase", wheelbase, above=0.0)
+        check_real("time_step", time_step, above=0.0)
         self.wheelbase = float(wheelbase)
         self.time_step = float(time_step)
         super().__init__(modes)

@@ -23,7 +23,7 @@ import numpy as np
 from . import controller as ctrl
 from .cost import MissionSet, ObstacleSet, distance
 from .dynamics import DynamicsModel, step
-from .errors import ConfigError
+from .errors import ConfigError, check_int, check_real, real_array
 from .multi_horizon import MultiHorizonInput
 from .weights import WeightLawParams, desired_weights
 
@@ -40,14 +40,18 @@ class AbortSpec:
     policy: str = "min_cost"
 
     def __post_init__(self):
-        if self.step < 0:
-            raise ConfigError(f"abort step must be >= 0, got {self.step}")
+        check_int("abort step", self.step, 0)
+        check_int("abort new_mode", self.new_mode, 0)
         if self.policy not in ABORT_POLICIES:
             raise ConfigError(f"abort policy must be one of {ABORT_POLICIES}")
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """One closed-loop experiment.  Every construction (direct or
+    :func:`dataclasses.replace`) is validated and raises
+    :class:`ConfigError`; ``x0`` is a read-only copy of the caller's."""
+
     name: str
     model: DynamicsModel
     missions: MissionSet
@@ -61,19 +65,19 @@ class Scenario:
     abort: AbortSpec | None = None
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
+        x0 = real_array("x0", self.x0)
         if x0.shape != (self.model.n_x,):
             raise ConfigError(f"x0 must have dim {self.model.n_x}, got shape {x0.shape}")
-        x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
-        if self.max_steps < 1:
-            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.completion_tol <= 0.0:
-            raise ConfigError(f"completion_tol must be > 0, got {self.completion_tol}")
+        check_int("max_steps", self.max_steps, 1)
+        check_real("completion_tol", self.completion_tol, above=0.0)
+        distance(np.zeros(2), np.zeros(2), self.completion_metric)  # validates the selector
+        n_x, n_u = self.model.n_x, self.model.n_u
         for i, mission in enumerate(self.missions.missions):
-            if mission.target.shape != (self.model.n_x,):
+            if mission.target.shape != (n_x,) or mission.input_weight.shape != (n_u, n_u):
                 raise ConfigError(
-                    f"missions[{i}].target must have dim {self.model.n_x}"
+                    f"missions[{i}] must have a target of dim {n_x} and an input_weight of "
+                    f"{n_u}x{n_u}"
                 )
             self.model.mode_scale(mission.mode)  # validates the mode index
         if self.abort is not None:
@@ -133,10 +137,11 @@ class ClosedLoopTrace:
         return np.stack(rows)
 
 
-def is_completed(x, target, metric: str = "position", tol: float = 0.5) -> bool:
+def is_completed(
+    x, target, metric: str = Scenario.completion_metric, tol: float = Scenario.completion_tol
+) -> bool:
     """Mission completion: within ``tol`` of the target (boundary counts)."""
-    if tol <= 0.0:
-        raise ConfigError(f"completion tolerance must be > 0, got {tol}")
+    check_real("completion tolerance", tol, above=0.0)
     return bool(distance(x, target, metric) <= tol)
 
 

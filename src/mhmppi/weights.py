@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import MissionSet, distance
-from .errors import ConfigError, InfeasibleConstraintError
+from .errors import ConfigError, InfeasibleConstraintError, check_real
 
 # Bisection on the halfspace multiplier: residual tolerance (relative to
 # max|c|) and step cap.
@@ -41,10 +41,10 @@ class WeightLawParams:
     metric: str = "position"
 
     def __post_init__(self):
+        check_real("gamma", self.gamma)
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.temperature <= 0.0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        check_real("temperature", self.temperature, above=0.0)
         distance(np.zeros(2), np.zeros(2), self.metric)  # validates the selector
 
 

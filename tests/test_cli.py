@@ -162,6 +162,18 @@ def test_cli_rejects_negative_config_seed(tmp_path, capsys):
     assert not os.path.exists(out_dir)
 
 
+def test_bad_completion_metric_exits_before_any_run(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    payload = {
+        "scenario": fast_inline_scenario(),
+        "overrides": {"completion_metric": "bogus"},
+        "out_dir": str(out_dir),
+    }
+    assert cli.main(["run", write_exp(tmp_path, payload)]) == 2
+    assert capsys.readouterr().err.startswith("config error: scenario: ")
+    assert not out_dir.exists()
+
+
 def test_workers_flag_matches_serial(tmp_path):
     out1, out2 = str(tmp_path / "w1"), str(tmp_path / "w2")
     base = {"scenario": fast_inline_scenario(), "seeds": [0, 1]}

@@ -189,3 +189,48 @@ def test_nonzero_extra_target_entries_rejected():
     cfg["missions"][1]["target"] = [2, 6, 0, 5.0]
     with pytest.raises(ConfigError, match="must be zero"):
         scenario_from_dict(cfg)
+
+
+@pytest.mark.parametrize(
+    "payload, path",
+    [
+        ({"overrides": {"controller.samples": 100.7}}, "controller"),
+        ({"overrides": {"controller.samples": True}}, "controller"),
+        ({"overrides": {"controller.seed": 1.9}}, "controller"),
+        ({"overrides": {"controller.horizon": "12"}}, "controller"),
+        ({"overrides": {"controller.control_cost": "false"}}, "controller"),
+        ({"overrides": {"max_steps": 10.5}}, "scenario"),
+        ({"overrides": {"abort": {"step": 20.5}}}, "abort"),
+        ({"overrides": {"missions[0].mode": 0.9}}, "missions[0]"),
+        ({"overrides": {"obstacles.boxes": [[[0, 0]]]}}, "obstacles"),
+        ({"seeds": [True]}, "seeds"),
+    ],
+)
+def test_values_are_checked_not_coerced(payload, path):
+    # each of these once ran as a different experiment: K=100, seed 1, an
+    # abort at step 20, control cost on
+    with pytest.raises(ConfigError) as err:
+        experiment_from_dict({"scenario": "uav-free-1", **payload})
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize(
+    "override, path",
+    [
+        ({"completion_tol": float("nan")}, "scenario"),
+        ({"x0": [0.0, float("nan"), 0.0, 0.0]}, "scenario"),
+        ({"weights.temperature": float("nan")}, "weights"),
+        ({"model.modes": [[1.0, float("nan")]]}, "model"),
+        ({"model": {"kind": "simple_car", "wheelbase": float("nan")}}, "model"),
+        ({"missions[1].target": [2.0, float("nan"), 0.0, 0.0]}, "missions[1]"),
+        ({"obstacles.penalty": float("nan")}, "obstacles"),
+        ({"obstacles.boxes": [[[0, 0], [float("nan"), 1]]]}, "obstacles"),
+    ],
+)
+def test_non_finite_values_rejected(tmp_path, override, path):
+    config_file = write_config(tmp_path, {"scenario": "uav-free-1", "overrides": override})
+    with open(config_file, encoding="utf-8") as fh:
+        assert "NaN" in fh.read()  # json writes and reads a bare NaN token
+    with pytest.raises(ConfigError) as err:
+        parse_config(config_file)
+    assert err.value.path == path

@@ -77,6 +77,24 @@ def test_params_validated_on_every_construction():
     assert np.array_equal(replace(changed, seed=3).noise_chol, changed.noise_chol)
 
 
+def test_params_fields_checked_not_coerced():
+    params = make_params()
+    for change in (
+        dict(n_samples=100.7),
+        dict(n_samples=True),
+        dict(seed=1.9),
+        dict(horizon="12"),
+        dict(control_cost="false"),
+        dict(control_cost=1),
+        dict(temperature=float("nan")),
+        dict(noise_cov=np.array([[1.0, np.nan], [np.nan, 1.0]])),
+    ):
+        with pytest.raises(ConfigError):
+            replace(params, **change)
+    with pytest.raises(ConfigError, match="noise_cov"):
+        make_params(noise_cov="1.0")
+
+
 def test_params_hold_only_the_sampling_choices():
     cov = np.array([[2.0, 0.5], [0.5, 1.0]])
     params = ctrl.ControllerParams(16, 5, cov)

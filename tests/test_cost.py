@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,32 @@ def test_weight_matrix_validation():
         Mission.build([0, 0, 0, 0], state_weight=np.diag([1.0, 1.0, 1.0, -1.0]))
     with pytest.raises(ConfigError):
         Mission.build([0, 0, 0, 0], input_weight=np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_mission_validated_on_every_construction():
+    with pytest.raises(ConfigError, match="positive semidefinite"):
+        Mission(np.zeros(4), -np.eye(4), np.eye(2), mode=-3)
+    with pytest.raises(ConfigError, match="mode must be >= 0"):
+        Mission(np.zeros(4), np.eye(4), np.eye(2), mode=-3)
+    mission = Mission.build([1, 2, 0, 0])
+    for change in (
+        dict(mode=-1),  # as the abort handover's replace would write it
+        dict(mode=0.9),
+        dict(target=[1.0, np.nan, 0.0, 0.0]),
+        dict(state_weight=np.eye(3)),
+        dict(input_weight=np.ones((2, 3))),
+    ):
+        with pytest.raises(ConfigError):
+            replace(mission, **change)
+
+
+def test_mission_holds_private_read_only_copies():
+    target, q, r = np.array([1.0, 2.0, 0.0, 0.0]), np.eye(4), 2.0 * np.eye(2)
+    mission = Mission.build(target, state_weight=q, input_weight=r)
+    # the caller's arrays stay the caller's
+    assert target.flags.writeable and q.flags.writeable and r.flags.writeable
+    target[0], q[0, 0], r[0, 0] = 9.0, 9.0, 9.0
+    assert mission.target[0] == 1.0
+    assert mission.state_weight[0, 0] == 1.0 and mission.input_weight[0, 0] == 2.0
+    for arr in (mission.target, mission.state_weight, mission.input_weight):
+        assert not arr.flags.writeable

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -298,3 +300,29 @@ def test_scenario_validation():
     bad = MissionSet((Mission.build([0.0, 0, 0, 0]), Mission.build([1.0, 0, 0])))
     with pytest.raises(ConfigError):
         small_scenario(missions=bad)
+
+
+def test_scenario_fields_checked_not_coerced():
+    for bad in (
+        dict(max_steps=10.5),
+        dict(max_steps=True),
+        dict(completion_tol=float("nan")),
+        dict(completion_metric="bogus"),
+        dict(x0=[0.0, float("inf"), 0.0, 0.0]),
+        dict(abort=AbortSpec(step=5, new_mode=0), max_steps=4.0),
+    ):
+        with pytest.raises(ConfigError):
+            small_scenario(**bad)
+    with pytest.raises(ConfigError, match="max_steps must be an integer"):
+        replace(small_scenario(), max_steps=2.5)
+    for bad in (dict(step=20.5), dict(step=True), dict(step=1, new_mode=0.5)):
+        with pytest.raises(ConfigError):
+            AbortSpec(**bad)
+
+
+def test_scenario_holds_a_private_read_only_x0():
+    x0 = np.zeros(4)
+    scenario = small_scenario(x0=x0)
+    assert x0.flags.writeable  # the caller's array stays the caller's
+    x0[0] = 5.0
+    assert scenario.x0[0] == 0.0 and not scenario.x0.flags.writeable
