@@ -4,9 +4,10 @@ Verbs:
 
 * ``run <config.json>`` -- execute the configured scenario over the sweep
   cross-product and seed list, writing one trace file per run plus an
-  aggregate ``stats.csv``.  Flags ``--seed`` (repeatable), ``--out-dir``,
-  ``--workers``, and ``--override path=value`` (repeatable) adjust the
-  config without editing the file.
+  aggregate ``stats.csv``.  Flags ``--seed`` (repeatable), ``--out-dir``
+  and ``--override path=value`` (repeatable) are applied to the config with
+  ``dataclasses.replace``, so they are checked like the file's values, and
+  ``--workers`` must be >= 1, all before any run starts.
 * ``list-scenarios`` -- names and one-line notes of the built-in scenarios.
 * ``print-defaults`` -- the config reference as JSON: an experiment
   skeleton plus every built-in scenario dict as written.  A key a
@@ -26,10 +27,11 @@ import re
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from . import config as config_mod
 from . import sim, traceio
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .scenarios import SCENARIO_NOTES, builtin_scenarios
 
 
@@ -38,27 +40,20 @@ def _sanitize(token: str) -> str:
 
 
 def _run_label(sweep_point: dict) -> str:
-    if not sweep_point:
-        return ""
     return ",".join(f"{p.split('.')[-1]}={v}" for p, v in sorted(sweep_point.items()))
 
 
 def _execute_run(args: tuple) -> sim.ClosedLoopTrace:
     """One run of the cross product; writes its trace file."""
-    cfg, sweep_point, seed, out_dir = args
-    scenario_dict, scenario = config_mod.resolve_run_scenario(cfg, sweep_point)
-    group = _run_label(sweep_point) or cfg.scenario_name
+    scenario_name, sweep_point, scenario_dict, seed, out_dir = args
+    scenario = config_mod.scenario_from_dict(scenario_dict, name=scenario_name)
+    label = _run_label(sweep_point)
     trace = sim.run_closed_loop(scenario, seed=seed)
-    trace.meta["group"] = group
+    trace.meta["group"] = label or scenario_name
     trace.meta["config_hash"] = config_mod.config_hash(scenario_dict, seed)
     trace.diagnostics = []  # not serialized; keep pool transfers small
-    name_bits = [cfg.scenario_name]
-    if sweep_point:
-        name_bits.append(_run_label(sweep_point))
-    name_bits.append(f"seed{seed}")
-    filename = _sanitize("_".join(name_bits)) + ".csv"
-    path = f"{out_dir}/{filename}"
-    traceio.write_trace(trace, path)
+    name = "_".join(bit for bit in (scenario_name, label, f"seed{seed}") if bit)
+    traceio.write_trace(trace, f"{out_dir}/{_sanitize(name)}.csv")
     return trace
 
 
@@ -73,9 +68,12 @@ def _run_isolated(job: tuple):
 
 
 def run_experiment(cfg: config_mod.ExperimentConfig, workers: int = 1) -> int:
-    """Execute sweeps x seeds; returns a process exit status."""
-    points = config_mod.sweep_points(cfg)
-    jobs = [(cfg, point, seed, cfg.out_dir) for point in points for seed in cfg.seeds]
+    """Execute the run table x seeds; returns a process exit status."""
+    jobs = [
+        (cfg.scenario_name, point, scenario, seed, cfg.out_dir)
+        for point, scenario in cfg.runs
+        for seed in cfg.seeds
+    ]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -90,7 +88,7 @@ def run_experiment(cfg: config_mod.ExperimentConfig, workers: int = 1) -> int:
     if traces:
         rows = sim.analyze(traces)
         traceio.write_stats(rows, f"{cfg.out_dir}/stats.csv")
-    for (_, point, seed, _), exc in failures:
+    for (_, point, _, seed, _), exc in failures:
         print(f"FAILED: sweep={point} seed={seed}: {exc}", file=sys.stderr)
     print(
         f"{len(traces)} run(s) completed, {len(failures)} failed; "
@@ -100,22 +98,23 @@ def run_experiment(cfg: config_mod.ExperimentConfig, workers: int = 1) -> int:
 
 
 def _cmd_run(args) -> int:
+    check_int("--workers", args.workers, 1)
     cfg = config_mod.parse_config(args.config)
-    if args.seed:
-        cfg.seeds = config_mod.check_seeds(args.seed, "--seed")
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
+    overrides = dict(cfg.overrides)
     for item in args.override or []:
-        path, _, raw = item.partition("=")
-        if not _ or not path:
+        path, sep, raw = item.partition("=")
+        if not sep or not path:
             raise ConfigError(f"--override takes path=value, got {item!r}")
         try:
-            value = json.loads(raw)
+            overrides[path] = json.loads(raw)
         except json.JSONDecodeError:
-            value = raw
-        cfg.overrides[path] = value
-    config_mod.check_runs(cfg)  # the overrides and every sweep point must build
-    return run_experiment(cfg, workers=args.workers)
+            overrides[path] = raw
+    flags = {"overrides": overrides}
+    if args.seed:
+        flags["seeds"] = config_mod.check_seeds(args.seed, "--seed")
+    if args.out_dir is not None:
+        flags["out_dir"] = args.out_dir
+    return run_experiment(replace(cfg, **flags), workers=args.workers)
 
 
 def _cmd_list(_args) -> int:
@@ -125,14 +124,11 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_defaults(_args) -> int:
+    sweeps = [{"path": "controller.samples", "values": [100, 1000]}]
+    example = config_mod.experiment_from_dict({"scenario": "uav-free-1", "sweeps": sweeps})
+    keys = ("overrides", "sweeps", "seeds", "out_dir")  # all but sweeps at their defaults
     reference = {
-        "experiment": {
-            "scenario": "uav-free-1",
-            "overrides": {},
-            "sweeps": [{"path": "controller.samples", "values": [100, 1000]}],
-            "seeds": [0],
-            "out_dir": "results",
-        },
+        "experiment": {"scenario": "uav-free-1", **{k: getattr(example, k) for k in keys}},
         "scenarios": builtin_scenarios(),
     }
     print(json.dumps(reference, indent=2, sort_keys=True))

@@ -10,9 +10,15 @@ out takes the constructor's default; no default is restated here.  Types
 are strict: the constructors check every value and convert none, so an
 integer rejects 20.5, ``true`` and ``"20"``, a flag rejects ``"false"``,
 and a real value rejects NaN.  Unknown keys are errors, and every error
-carries the path of its section.  A fully resolved per-run config
-dictionary is hashed (SHA-256 of its canonical JSON form) into every
-output file for provenance.
+carries the path of its section.
+
+An experiment file's keys are the fields of :class:`ExperimentConfig`,
+except ``scenario``, which is a built-in name or an inline scenario
+object.  The same rules hold there: a key that is left out or ``null``
+takes the field's default, and a value of the wrong type (``"out_dir":
+5``, ``"overrides": []``) is an error at its key, not coerced.  A fully
+resolved per-run config dictionary is hashed (SHA-256 of its canonical
+JSON form) into every output file for provenance.
 """
 
 from __future__ import annotations
@@ -135,14 +141,52 @@ def scenario_from_dict(cfg: dict, name: str = "custom") -> Scenario:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A scenario run over the sweep cross product and the seed list.  Every
+    construction (direct, :func:`experiment_from_dict` or
+    :func:`dataclasses.replace`) is validated here and raises
+    :class:`ConfigError`.  ``runs`` holds one (sweep point, resolved
+    scenario dict) pair per point, each built once, so a bad value is
+    reported before any run starts."""
+
     scenario_name: str
     scenario: dict  # resolved scenario config (before overrides/sweeps)
-    overrides: dict = field(default_factory=dict)
+    overrides: dict = field(default_factory=dict)  # {dotted path: value}
     sweeps: list = field(default_factory=list)  # [{"path": ..., "values": [...]}]
     seeds: list = field(default_factory=lambda: [0])
     out_dir: str = "results"
+    runs: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.overrides, dict):
+            raise ConfigError("overrides must be an object of path -> value", path="overrides")
+        if not isinstance(self.sweeps, list):
+            raise ConfigError("sweeps must be a list", path="sweeps")
+        for idx, axis in enumerate(self.sweeps):
+            _check_keys(axis, ("path", "values"), f"sweeps[{idx}]")
+            if not isinstance(axis.get("path"), str):
+                raise ConfigError("sweep path must be a string", path=f"sweeps[{idx}].path")
+            if not isinstance(axis.get("values"), list) or not axis["values"]:
+                raise ConfigError(
+                    "sweep values must be a non-empty list", path=f"sweeps[{idx}].values"
+                )
+        check_seeds(self.seeds, "seeds")
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise ConfigError(f"must be a non-empty string, got {self.out_dir!r}", path="out_dir")
+
+        runs = [({}, resolve_run_scenario(self, {})[0])]  # the overrides alone
+        if self.sweeps:
+            axes = [[(axis["path"], value) for value in axis["values"]] for axis in self.sweeps]
+            runs = [self._run(dict(combo)) for combo in itertools.product(*axes)]
+        object.__setattr__(self, "runs", tuple(runs))
+
+    def _run(self, point: dict) -> tuple:
+        try:
+            return point, resolve_run_scenario(self, point)[0]
+        except ConfigError as exc:
+            at = ", ".join(f"{path}={value!r}" for path, value in point.items())
+            raise ConfigError(f"at sweep point {at}: {exc}", path="sweeps") from None
 
 
 def set_by_path(cfg: dict, dotted: str, value) -> None:
@@ -200,6 +244,8 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 def experiment_from_dict(raw: dict) -> ExperimentConfig:
+    """Resolve ``scenario`` (a built-in name or an inline object) and pass
+    every other key to :class:`ExperimentConfig`; a null key is left out."""
     _check_keys(raw, _EXPERIMENT_KEYS, "experiment")
     scenario_ref = raw.get("scenario")
     if scenario_ref is None:
@@ -210,33 +256,8 @@ def experiment_from_dict(raw: dict) -> ExperimentConfig:
         name, scenario = "custom", copy.deepcopy(scenario_ref)
     else:
         raise ConfigError("scenario must be a name or an object", path="scenario")
-
-    overrides = raw.get("overrides") or {}
-    if not isinstance(overrides, dict):
-        raise ConfigError("overrides must be an object of path -> value", path="overrides")
-
-    sweeps = raw.get("sweeps") or []
-    if not isinstance(sweeps, list):
-        raise ConfigError("sweeps must be a list", path="sweeps")
-    for idx, axis in enumerate(sweeps):
-        _check_keys(axis, ("path", "values"), f"sweeps[{idx}]")
-        if not isinstance(axis.get("path"), str):
-            raise ConfigError("sweep path must be a string", path=f"sweeps[{idx}].path")
-        if not isinstance(axis.get("values"), list) or not axis["values"]:
-            raise ConfigError(
-                "sweep values must be a non-empty list", path=f"sweeps[{idx}].values"
-            )
-
-    cfg = ExperimentConfig(
-        scenario_name=name,
-        scenario=scenario,
-        overrides=overrides,
-        sweeps=sweeps,
-        seeds=check_seeds(raw.get("seeds", [0]), "seeds"),
-        out_dir=str(raw.get("out_dir", "results")),
-    )
-    check_runs(cfg)
-    return cfg
+    given = {key: value for key, value in raw.items() if key != "scenario" and value is not None}
+    return ExperimentConfig(scenario_name=name, scenario=scenario, **given)
 
 
 def check_seeds(seeds, path: str) -> list:
@@ -247,25 +268,6 @@ def check_seeds(seeds, path: str) -> list:
         for seed in seeds:
             check_int("seeds", seed, 0)
     return list(seeds)
-
-
-def sweep_points(cfg: ExperimentConfig) -> list:
-    """Every point of the sweep cross product, as ``{path: value}`` dicts;
-    one empty point when there are no sweeps."""
-    axes = [[(axis["path"], value) for value in axis["values"]] for axis in cfg.sweeps]
-    return [dict(combo) for combo in itertools.product(*axes)]
-
-
-def check_runs(cfg: ExperimentConfig) -> None:
-    """Build the scenario of every sweep point once, so that a bad override
-    or sweep value is reported before any run starts."""
-    resolve_run_scenario(cfg, {})  # the overrides alone
-    for point in sweep_points(cfg) if cfg.sweeps else ():
-        try:
-            resolve_run_scenario(cfg, point)
-        except ConfigError as exc:
-            at = ", ".join(f"{path}={value!r}" for path, value in point.items())
-            raise ConfigError(f"at sweep point {at}: {exc}", path="sweeps") from None
 
 
 def resolve_run_scenario(cfg: ExperimentConfig, sweep_point: dict):

@@ -3,15 +3,19 @@
 Traces are comma-separated text: a header row, one row per executed
 control step (step index, state, input, mission weights, sample-cost mean
 and standard deviation, wall seconds), and a final ``#``-prefixed
-metadata line carrying the termination reason, final state, and the
-config hash.  Numbers are written with 17 significant digits, which
-round-trips float64 exactly.  Files are written to a temp file and
-renamed into place, so readers never observe partial output.
+metadata line of shell-quoted ``key=value`` tokens carrying the
+termination reason, final state, and the config hash.  Stats tables are
+CSV.  Numbers are written with 17 significant digits, which round-trips
+float64 exactly.  Files are written to a temp file and renamed into
+place, so readers never observe partial output.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import os
+import shlex
 import tempfile
 
 import numpy as np
@@ -75,7 +79,7 @@ def write_trace(trace: ClosedLoopTrace, path: str) -> None:
     ]
     for key in _META_FIELDS:
         if key in trace.meta:
-            meta_tokens.append(f"{key}={trace.meta[key]}")
+            meta_tokens.append(shlex.quote(f"{key}={trace.meta[key]}"))
     lines.append("# " + " ".join(meta_tokens))
     try:
         _atomic_write(path, "\n".join(lines) + "\n")
@@ -103,8 +107,10 @@ def read_trace(path: str) -> ClosedLoopTrace:
     if not meta_line.startswith("#"):
         raise ValueError(f"{path}: missing metadata line")
     meta: dict = {}
-    for token in meta_line[1:].split():
-        key, _, value = token.partition("=")
+    for token in shlex.split(meta_line[1:]):
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"{path}: metadata token {token!r} is not key=value")
         meta[key] = value
 
     records = []
@@ -135,34 +141,28 @@ def read_trace(path: str) -> ClosedLoopTrace:
 
 
 def write_stats(rows: list, path: str) -> None:
-    """Write analyze() rows as a comma-separated table (17g floats)."""
+    """Write analyze() rows as a CSV table (17g floats)."""
     if not rows:
         raise ValueError("no stats rows to write")
-    columns = list(rows[0].keys())
-    lines = [",".join(columns)]
+    out = io.StringIO()
+    writer = csv.DictWriter(out, list(rows[0]), extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
     for row in rows:
-        fields = []
-        for col in columns:
-            val = row.get(col, "")
-            fields.append(_fmt(val) if isinstance(val, float) else str(val))
-        lines.append(",".join(fields))
-    _atomic_write(path, "\n".join(lines) + "\n")
+        writer.writerow({k: _fmt(v) if isinstance(v, float) else v for k, v in row.items()})
+    _atomic_write(path, out.getvalue())
+
+
+def _cell(text: str):
+    """A stats cell as an int, else a float, else the string itself."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def read_stats(path: str) -> list:
-    """Parse a stats table back into a list of dicts (numbers as floats)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    columns = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        row = {}
-        for col, tok in zip(columns, line.split(",")):
-            try:
-                row[col] = int(tok) if tok.isdigit() or (
-                    tok.startswith("-") and tok[1:].isdigit()
-                ) else float(tok)
-            except ValueError:
-                row[col] = tok
-        rows.append(row)
-    return rows
+    """Parse a stats table back into a list of dicts of numbers and strings."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return [{col: _cell(text) for col, text in row.items()} for row in csv.DictReader(fh)]

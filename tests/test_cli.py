@@ -48,6 +48,17 @@ def test_print_defaults_is_valid_json(capsys):
     assert reference["scenarios"]["uav-free-1"]["weights"]["gamma"] == 0.66
 
 
+def test_print_defaults_skeleton_round_trips(capsys):
+    from mhmppi.config import experiment_from_dict
+
+    assert cli.main(["print-defaults"]) == 0
+    skeleton = json.loads(capsys.readouterr().out)["experiment"]
+    cfg = experiment_from_dict(skeleton)
+    assert cfg.scenario_name == skeleton["scenario"]
+    for key in ("overrides", "sweeps", "seeds", "out_dir"):
+        assert getattr(cfg, key) == skeleton[key], key
+
+
 def test_run_writes_traces_and_stats(tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     cfg = write_exp(
@@ -238,3 +249,64 @@ def test_failed_run_prints_traceback(tmp_path):
         assert "NonFiniteCostError: control step 0" in proc.stderr, workers
         files = sorted(os.listdir(out_dir))
         assert files == ["custom_x0=-0-0-0-0-_seed0.csv", "stats.csv"], workers
+
+
+def test_two_axis_sweep_stats_read_back(tmp_path):
+    # each group label joins its axes with a comma
+    out_dir = str(tmp_path / "out")
+    cfg = write_exp(
+        tmp_path,
+        {
+            "scenario": {**fast_inline_scenario(), "max_steps": 5},
+            "sweeps": [
+                {"path": "weights.gamma", "values": [0.0, 0.5]},
+                {"path": "controller.temperature", "values": [0.5, 1.0]},
+            ],
+            "seeds": [0, 1],
+            "out_dir": out_dir,
+        },
+    )
+    assert cli.main(["run", cfg]) == 0
+    rows = read_stats(os.path.join(out_dir, "stats.csv"))
+    assert [r["group"] for r in rows] == [
+        "temperature=0.5,gamma=0.0",
+        "temperature=0.5,gamma=0.5",
+        "temperature=1.0,gamma=0.0",
+        "temperature=1.0,gamma=0.5",
+    ]
+    assert all(r["n_runs"] == 2 for r in rows)
+    assert all(isinstance(r["mean_steps"], (int, float)) for r in rows)
+
+
+def test_list_valued_sweep_group_reads_back(tmp_path):
+    out_dir = str(tmp_path / "out")
+    cfg = write_exp(
+        tmp_path,
+        {
+            "scenario": {**fast_inline_scenario(), "max_steps": 5},
+            "sweeps": [{"path": "x0", "values": [[0, 0, 0, 0], [0.5, 0, 0, 0]]}],
+            "out_dir": out_dir,
+        },
+    )
+    assert cli.main(["run", cfg]) == 0
+    traces = sorted(f for f in os.listdir(out_dir) if f != "stats.csv")
+    groups = [read_trace(os.path.join(out_dir, f)).meta["group"] for f in traces]
+    assert groups == ["x0=[0, 0, 0, 0]", "x0=[0.5, 0, 0, 0]"]
+    rows = read_stats(os.path.join(out_dir, "stats.csv"))
+    assert [r["group"] for r in rows] == groups
+
+
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--workers", "0"], "config error: --workers must be >= 1"),
+        (["--workers", "-1"], "config error: --workers must be >= 1"),
+        (["--out-dir", ""], "config error: out_dir: "),
+    ],
+)
+def test_cli_rejects_bad_flags_before_any_run(tmp_path, capsys, flags, error):
+    out_dir = tmp_path / "out"
+    cfg = write_exp(tmp_path, {"scenario": fast_inline_scenario(), "out_dir": str(out_dir)})
+    assert cli.main(["run", cfg, *flags]) == 2
+    assert capsys.readouterr().err.startswith(error)
+    assert not out_dir.exists()

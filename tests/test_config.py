@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -204,6 +205,13 @@ def test_nonzero_extra_target_entries_rejected():
         ({"overrides": {"missions[0].mode": 0.9}}, "missions[0]"),
         ({"overrides": {"obstacles.boxes": [[[0, 0]]]}}, "obstacles"),
         ({"seeds": [True]}, "seeds"),
+        ({"out_dir": ""}, "out_dir"),
+        ({"out_dir": 5}, "out_dir"),
+        ({"overrides": []}, "overrides"),
+        ({"overrides": 0}, "overrides"),
+        ({"overrides": False}, "overrides"),
+        ({"sweeps": {}}, "sweeps"),
+        ({"sweeps": 0}, "sweeps"),
     ],
 )
 def test_values_are_checked_not_coerced(payload, path):
@@ -212,6 +220,36 @@ def test_values_are_checked_not_coerced(payload, path):
     with pytest.raises(ConfigError) as err:
         experiment_from_dict({"scenario": "uav-free-1", **payload})
     assert err.value.path == path
+
+
+def test_null_experiment_keys_take_the_defaults():
+    cfg = experiment_from_dict(
+        {"scenario": "uav-free-1", "out_dir": None, "seeds": None, "overrides": None}
+    )
+    assert cfg.out_dir == "results"
+    assert cfg.seeds == [0]
+    assert cfg.overrides == {} and cfg.sweeps == []
+
+
+def test_every_experiment_construction_is_checked():
+    cfg = experiment_from_dict(
+        {"scenario": "uav-free-1", "sweeps": [{"path": "weights.gamma", "values": [0.0, 0.5]}]}
+    )
+    assert [point for point, _ in cfg.runs] == [{"weights.gamma": 0.0}, {"weights.gamma": 0.5}]
+    assert [scenario["weights"]["gamma"] for _, scenario in cfg.runs] == [0.0, 0.5]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.out_dir = "elsewhere"
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(cfg, out_dir="")
+    assert err.value.path == "out_dir"
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(cfg, overrides={"controller.samples": 0})
+    assert err.value.path == "controller"
+    with pytest.raises(ConfigError) as err:
+        config_mod.ExperimentConfig("custom", get_scenario_dict("uav-free-1"), seeds=[-1])
+    assert err.value.path == "seeds"
+    moved = dataclasses.replace(cfg, overrides={"max_steps": 7})
+    assert all(scenario["max_steps"] == 7 for _, scenario in moved.runs)
 
 
 @pytest.mark.parametrize(

@@ -102,6 +102,15 @@ def test_stats_round_trip(tmp_path):
     assert back == rows
 
 
+def test_meta_token_without_equals_names_the_file(tmp_path):
+    path = tmp_path / "t.csv"
+    write_trace(make_trace(n_steps=2), str(path))
+    text = path.read_text()
+    path.write_text(text.rstrip("\n") + " stray\n")
+    with pytest.raises(ValueError, match=f"{path}: metadata token 'stray'"):
+        read_trace(str(path))
+
+
 def test_seventeen_digit_precision(tmp_path):
     # adversarial float values must survive the text round trip bit-exactly
     vals = [1 / 3, np.pi * 1e8, 5e-324, 1e308, -0.1, 2**53 + 1.0]
