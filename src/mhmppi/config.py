@@ -146,9 +146,11 @@ class ExperimentConfig:
     """A scenario run over the sweep cross product and the seed list.  Every
     construction (direct, :func:`experiment_from_dict` or
     :func:`dataclasses.replace`) is validated here and raises
-    :class:`ConfigError`.  ``runs`` holds one (sweep point, resolved
-    scenario dict) pair per point, each built once, so a bad value is
-    reported before any run starts."""
+    :class:`ConfigError`.  ``scenario``, ``overrides``, ``sweeps`` and
+    ``seeds`` are private deep copies of the caller's, so they keep
+    matching ``runs``, which holds one (sweep point, resolved scenario
+    dict) pair per point, each built once, so a bad value is reported
+    before any run starts."""
 
     scenario_name: str
     scenario: dict  # resolved scenario config (before overrides/sweeps)
@@ -159,6 +161,8 @@ class ExperimentConfig:
     runs: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("scenario", "overrides", "sweeps", "seeds"):
+            object.__setattr__(self, name, copy.deepcopy(getattr(self, name)))
         if not isinstance(self.overrides, dict):
             raise ConfigError("overrides must be an object of path -> value", path="overrides")
         if not isinstance(self.sweeps, list):

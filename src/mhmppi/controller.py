@@ -65,6 +65,25 @@ depend only on the key and d, so the reproducibility contract above is
 unchanged: every batch is bit-identical whichever process drew which of
 its rows, and there is nothing to configure.
 
+Step buffers
+------------
+A step allocates none of its batch-sized arrays after the first step of
+its shape.  The noise batch, the plan batch, the primary rollout, the
+branch-tail states and the tail loop's per-time inputs, occupancy and
+stage costs, and the temporaries of the dynamics and cost kernels, are
+per-thread :mod:`mhmppi.buffers` scratch: made on first use (never in
+:func:`init_state`), and reused by every later step of the same or a
+smaller shape.  Fresh arrays would cost more than their allocation: a
+step's arrays run to megabytes, and the allocator hands such memory back
+to the system when it is freed, so a step that allocates them pays a
+page fault on every page it writes.  Every buffer is written before it
+is read, so the values of a step do not depend on what an earlier step
+left there, and nothing a caller keeps points into them: the cost
+matrices :func:`evaluate_plan_batch` returns, the noise-free costs that
+:class:`StepDiagnostics` keeps (copied out of those matrices, so that a
+kept step holds m+1 costs each, not K+1), the new plan and the executed
+input are arrays of their own.
+
 Plain MPPI is the m=0 case
 --------------------------
 With no backup missions the flat plan is the primary horizon and the
@@ -87,7 +106,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cost as cost_mod
-from .cost import MissionSet, ObstacleSet
+from .buffers import buffer
+from .cost import POSITION_DIMS, MissionSet, ObstacleSet
 from .dynamics import DynamicsModel
 from .errors import ConfigError, NonFiniteCostError, check_int, check_real, real_array
 from .multi_horizon import MultiHorizonInput, branch_rows, dims
@@ -236,16 +256,20 @@ def _fill_noise(
             out[:, d] = (chol[:, :, None] * out[None, :, d]).sum(axis=1)
 
 
-def sample_noise(params: ControllerParams, step_index: int, n_inputs: int) -> np.ndarray:
+def sample_noise(
+    params: ControllerParams, step_index: int, n_inputs: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """The (n_u, n_inputs, K) noise batch for one step of a plan of
     ``n_inputs`` flat rows: ``[c, d, q]`` is component c of sample q's
-    perturbation of flat input d.  The array is the caller's own; part
-    of it may have been drawn by a worker."""
+    perturbation of flat input d.  It is written into and returned as
+    ``out``, an array of that shape; by default a new array, the
+    caller's own.  Part of it may have been drawn by a worker."""
     # imported on the first step, not with the package: the multiprocessing
     # and subprocess modules it needs add about 6% to the import time
     from .prefetch import process_prefetch
 
-    out = np.empty((params.n_u, n_inputs, params.n_samples))
+    if out is None:
+        out = np.empty((params.n_u, n_inputs, params.n_samples))
     prefetch = process_prefetch()
     if prefetch is None:
         _fill_noise(out, params.seed, step_index, params.noise_chol, range(n_inputs))
@@ -280,15 +304,22 @@ def mppi_update(
 
 
 def rollout_primary_batch(
-    model: DynamicsModel, x0: np.ndarray, inputs: np.ndarray, scale: np.ndarray
+    model: DynamicsModel,
+    x0: np.ndarray,
+    inputs: np.ndarray,
+    scale: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Simulate (n_u, N, K) input batches from one state; returns (n_x, N+1, K)."""
+    """Simulate (n_u, N, K) input batches from one state; the (n_x, N+1, K)
+    states are written into and returned as ``out`` (a new array by
+    default)."""
     horizon, n_batch = inputs.shape[1], inputs.shape[2]
-    scale = scale[:, None]
-    states = np.empty((model.n_x, horizon + 1, n_batch))
+    states = np.empty((model.n_x, horizon + 1, n_batch)) if out is None else out
+    scaled = buffer("controller.rollout_inputs", inputs.shape)
+    np.multiply(scale[:, None, None], inputs, out=scaled)
     states[:, 0] = x0[:, None]
     for k in range(horizon):
-        states[:, k + 1] = model.update(states[:, k], scale * inputs[:, k])
+        model.update(states[:, k], scaled[:, k], out=states[:, k + 1])
     return states
 
 
@@ -315,8 +346,10 @@ def evaluate_plan_batch(
     weight.  The tails run in one pass over time t = 1..N-1: branch p
     splits off after input p, so at time t the branches p < t are running,
     and one ``model.update`` advances all of them, held as one
-    (n_x, m, N-1, K) state array.  Time N-1 is the final stage of every
-    branch, which gives the tail costs.
+    (n_x, m, N-1, K) state array, in place; the boxes are tested once per
+    time for all of them.  Time N-1 is the final stage of every branch,
+    which gives the tail costs.  Only the two returned matrices are new
+    arrays; the rest is step-buffer scratch (module docstring).
     """
     n_batch = flat_batch.shape[2]
     m = missions.n_alternatives
@@ -327,11 +360,14 @@ def evaluate_plan_batch(
             f"{n_inputs} for horizon {horizon} with {m} alternatives"
         )
     scales = np.stack([model.mode_scale(mode) for mode in missions.modes])
+    n_u, n_x = flat_batch.shape[0], model.n_x
     primary_inputs = flat_batch[:, :horizon]
-    states = rollout_primary_batch(model, x0, primary_inputs, scales[0])
+    states = buffer("controller.states", (n_x, horizon + 1, n_batch))
+    rollout_primary_batch(model, x0, primary_inputs, scales[0], states)
     costs = np.empty((n_batch, m + 1))
     tail_costs = np.empty((n_batch, m + 1))
-    stage = cost_mod.stage_cost_terms(missions[0], states[:, 1:], primary_inputs, obstacles)
+    stage = buffer("controller.terms", (horizon, n_batch))
+    cost_mod.stage_cost_terms(missions[0], states[:, 1:], primary_inputs, obstacles, stage)
     terminal = cost_mod.terminal_cost_terms(missions[0], states[:, -1])
     costs[:, 0] = stage.sum(axis=0) + terminal
     tail_costs[:, 0] = stage[-1] + terminal
@@ -341,26 +377,43 @@ def evaluate_plan_batch(
     backups = list(enumerate(missions.missions[1:]))
     shared = np.arange(horizon - 1, 0, -1.0)  # branches through primary stage k = 1..N-1
     branch_sum = np.empty((m, n_batch))
+    terms = buffer("controller.terms", (horizon - 1, n_batch))
     for j, mission in backups:
         terms = cost_mod.stage_cost_terms(
-            mission, states[:, 1:-1], primary_inputs[:, :-1], obstacles
+            mission, states[:, 1:-1], primary_inputs[:, :-1], obstacles, terms
         )
         branch_sum[j] = shared @ terms
 
     rows = branch_rows(horizon, m).transpose(0, 2, 1)  # [t, i-1, p]
     tail_scales = scales[1:].T[:, :, None, None]  # (n_u, m, 1, 1)
-    x = np.empty((model.n_x, m, horizon - 1, n_batch))  # x[:, j, p]: branch (j+1, p)
+    scaled = not np.all(tail_scales == 1.0)
+    boxes = obstacles.n_boxes and obstacles.penalty
+    # x[:, j, p]: branch (j+1, p)
+    x = buffer("controller.tail_states", (n_x, m, horizon - 1, n_batch))
     stage = np.empty((m, n_batch))
     for t in range(1, horizon):
         x[:, :, t - 1] = states[:, t, None]
-        u = flat_batch[:, rows[t, :, :t]]  # (n_u, m, t, K): input t of the running branches
-        x[:, :, :t] = model.update(x[:, :, :t], tail_scales * u)
+        running = x[:, :, :t]
+        # (n_u, m, t, K): input t of the running branches
+        u = buffer("controller.tail_inputs", (n_u, m, t, n_batch))
+        # mode "clip", as "raise" would gather into a temporary and copy
+        np.take(flat_batch, rows[t, :, :t], axis=1, out=u, mode="clip")
+        applied = u
+        if scaled:
+            applied = np.multiply(tail_scales, u, out=buffer("controller.tail_scaled", u.shape))
+        model.update(running, applied, out=running)
+        hit = [None] * m
+        if boxes:
+            hit = buffer("controller.tail_hit", (m, t, n_batch), bool)
+            obstacles.inside(running[:POSITION_DIMS], hit)
+        terms = buffer("controller.terms", (t, n_batch))
         for j, mission in backups:
-            terms = cost_mod.stage_cost_terms(mission, x[:, j, :t], u[:, j], obstacles)
-            stage[j] = terms.sum(axis=0)
+            cost_mod.stage_cost_terms(mission, running[:, j], u[:, j], obstacles, terms, hit[j])
+            terms.sum(axis=0, out=stage[j])
         branch_sum += stage
+    terms = buffer("controller.terms", (horizon - 1, n_batch))
     for j, mission in backups:
-        terminal = cost_mod.terminal_cost_terms(mission, x[:, j]).sum(axis=0)
+        terminal = cost_mod.terminal_cost_terms(mission, x[:, j], terms).sum(axis=0)
         costs[:, j + 1] = (branch_sum[j] + terminal) / (horizon - 1)
         tail_costs[:, j + 1] = (stage[j] + terminal) / (horizon - 1)
     return costs, tail_costs
@@ -398,19 +451,20 @@ def control_step(
 
     shifted = state.inputs.shift()
     plan = shifted.flat.T[:, :, None]  # (n_u, n_inputs, 1)
+    shape = (params.n_u, shifted.flat.shape[0], params.n_samples)
     t_noise = time.perf_counter()
-    noise = sample_noise(params, state.step_index, shifted.flat.shape[0])
+    noise = sample_noise(params, state.step_index, shape[1], out=buffer("controller.noise", shape))
     t_eval = time.perf_counter()
     # sample 0: the noise-free shifted plan (for the weight update); samples
     # 1..K: the noise-perturbed plans.  Sample results are independent of
     # batch composition, so this changes no values, only the call count.
-    flat_all = np.empty(noise.shape[:2] + (noise.shape[2] + 1,))
+    flat_all = buffer("controller.flat_all", noise.shape[:2] + (noise.shape[2] + 1,))
     flat_all[:, :, :1] = plan
     np.add(plan, noise, out=flat_all[:, :, 1:])
     costs_all, tails_all = evaluate_plan_batch(
         model, x, flat_all, params.horizon, missions, obstacles
     )
-    plan_costs, tail_costs = costs_all[0], tails_all[0]
+    plan_costs, tail_costs = costs_all[0].copy(), tails_all[0].copy()
     if not (np.isfinite(plan_costs).all() and np.isfinite(tail_costs).all()):
         raise NonFiniteCostError(
             f"noise-free plan costs {plan_costs.tolist()} and tail costs "

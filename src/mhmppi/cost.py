@@ -15,17 +15,19 @@ is the primary plan's cost, entry i >= 1 averages mission i's cost over
 its N-1 branch plans.
 
 :func:`stage_cost_terms` and :func:`terminal_cost_terms` are the batched
-kernels: they take component-first ``(n_x, ...)``/``(n_u, ...)`` arrays.
-``controller.evaluate_plan_batch`` sums them into the cost vectors of a
-whole batch of plans.
+kernels: they take component-first ``(n_x, ...)``/``(n_u, ...)`` arrays,
+and write into ``out`` when given one.  Their temporaries are
+:mod:`mhmppi.buffers` scratch.  ``controller.evaluate_plan_batch`` sums
+them into the cost vectors of a whole batch of plans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .buffers import buffer
 from .errors import ConfigError, check_int, check_real, real_array
 
 POSITION_DIMS = 2
@@ -57,6 +59,15 @@ def _psd_weight(M, what: str) -> np.ndarray:
     return M
 
 
+def _diagonal_support(M: np.ndarray):
+    """``(i, M[i, i])`` for each nonzero diagonal entry of a diagonal M, in
+    order; None for any other M."""
+    w = M.diagonal().tolist()
+    if np.count_nonzero(M) != np.count_nonzero(w):
+        return None
+    return tuple((i, v) for i, v in enumerate(w) if v)
+
+
 def _scaled_eye(M, n: int, what: str):
     """A scalar ``M`` times the n x n identity; any other ``M`` as given."""
     return real_array(what, M) * np.eye(n) if np.ndim(M) == 0 else M
@@ -67,12 +78,17 @@ class Mission:
     """One target with its quadratic weights and branch dynamics mode.
     Every construction (direct, :meth:`build` or
     :func:`dataclasses.replace`) is validated and raises
-    :class:`ConfigError`; the arrays are read-only copies of the caller's."""
+    :class:`ConfigError`; the arrays are read-only copies of the caller's.
+    ``state_support`` and ``input_support`` are the weights' nonzero
+    diagonal entries as ``(index, weight)`` pairs when the weight is
+    diagonal, and None when it is not."""
 
     target: np.ndarray  # (n_x,)
     state_weight: np.ndarray  # Q, n_x x n_x PSD
     input_weight: np.ndarray  # R, n_u x n_u PSD
     mode: int = 0
+    state_support: tuple | None = field(init=False)
+    input_support: tuple | None = field(init=False)
 
     def __post_init__(self):
         target = real_array("target", self.target)
@@ -82,9 +98,12 @@ class Mission:
         if len(state_weight) != len(target):
             raise ConfigError(f"state_weight must be {len(target)}x{len(target)} like the target")
         check_int("mode", self.mode, 0)
+        input_weight = _psd_weight(self.input_weight, "input_weight")
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "state_weight", state_weight)
-        object.__setattr__(self, "input_weight", _psd_weight(self.input_weight, "input_weight"))
+        object.__setattr__(self, "input_weight", input_weight)
+        object.__setattr__(self, "state_support", _diagonal_support(state_weight))
+        object.__setattr__(self, "input_support", _diagonal_support(input_weight))
 
     @classmethod
     def build(cls, target, state_weight=1.0, input_weight=1.0, n_u: int = 2, **mode) -> "Mission":
@@ -168,41 +187,54 @@ class ObstacleSet:
     def n_boxes(self) -> int:
         return self.lo.shape[0]
 
-    def inside(self, positions: np.ndarray) -> np.ndarray:
-        """Boolean occupancy of any box for (2, ...) positions (inclusive)."""
+    def inside(self, positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Boolean occupancy of any box for (2, ...) positions (inclusive),
+        written into and returned as ``out`` (a new array by default)."""
         positions = np.asarray(positions)
-        if self.n_boxes == 0:
-            return np.zeros(positions.shape[1:], dtype=bool)
-        x, y = positions[0], positions[1]
-        hit = np.zeros(x.shape, dtype=bool)
+        if out is None:
+            out = np.zeros(positions.shape[1:], dtype=bool)
+        else:
+            out[...] = False
+        x, y = positions[0, ...], positions[1, ...]
+        scratch = buffer("cost.box", (2,) + out.shape, bool)
+        box, test = scratch[0, ...], scratch[1, ...]
         for (lx, ly), (hx, hy) in zip(self.lo, self.hi):
-            hit |= (x >= lx) & (x <= hx) & (y >= ly) & (y <= hy)
-        return hit
+            np.greater_equal(x, lx, out=box)
+            box &= np.less_equal(x, hx, out=test)
+            box &= np.greater_equal(y, ly, out=test)
+            box &= np.less_equal(y, hy, out=test)
+            out |= box
+        return out
 
 
-def _quad(x: np.ndarray, M: np.ndarray, center=None) -> np.ndarray:
-    """``d^T M d`` with ``d = x - center`` over the component axis 0 of ``x``.
+def _quad(x: np.ndarray, M: np.ndarray, support, center=None, out=None) -> np.ndarray:
+    """``d^T M d`` with ``d = x - center`` over the component axis 0 of
+    ``x``, written into and returned as ``out`` (a new array by default).
 
-    A diagonal M is a weighted sum of squares, one component slab at a
-    time, that skips zero weights; any other M takes the dense product.
+    A diagonal M, given as its ``support`` (see :class:`Mission`), is a
+    weighted sum of squares, one component slab at a time, that skips
+    zero weights; any other M (support None) takes the dense product.
     """
-    w = np.diagonal(M)
-    if np.count_nonzero(M) == np.count_nonzero(w):
-        total = np.zeros(x.shape[1:])
-        for i in np.flatnonzero(w):
-            if center is None:
-                d = x[i] * x[i]
-            else:
-                d = x[i] - center[i]
-                d *= d
-            if w[i] != 1.0:
-                d *= w[i]
-            total += d
-        return total
-    if center is not None:
-        x = x - center.reshape((-1,) + (1,) * (x.ndim - 1))
-    d = x.reshape(len(M), -1)
-    return ((M @ d) * d).sum(0).reshape(x.shape[1:])
+    if out is None:
+        out = np.empty(x.shape[1:])
+    if support is None:
+        if center is not None:
+            x = x - center.reshape((-1,) + (1,) * (x.ndim - 1))
+        d = x.reshape(len(M), -1)
+        out[...] = ((M @ d) * d).sum(0).reshape(x.shape[1:])
+        return out
+    out[...] = 0.0
+    d = buffer("cost.quad", out.shape)
+    for i, w in support:
+        if center is None:
+            np.multiply(x[i], x[i], out=d)
+        else:
+            np.subtract(x[i], center[i], out=d)
+            d *= d
+        if w != 1.0:
+            d *= w
+        out += d
+    return out
 
 
 def stage_cost_terms(
@@ -210,15 +242,27 @@ def stage_cost_terms(
     states: np.ndarray,
     inputs: np.ndarray,
     obstacles: ObstacleSet,
+    out: np.ndarray | None = None,
+    hit: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Element-wise stage costs for matching (n_x, ...)/(n_u, ...) arrays."""
-    cost = _quad(states, mission.state_weight, mission.target)
-    cost += _quad(inputs, mission.input_weight)
+    """Element-wise stage costs for matching (n_x, ...)/(n_u, ...) arrays,
+    written into and returned as ``out`` (a new array by default).
+    ``hit`` is ``obstacles.inside`` of the states' positions when the
+    caller has it already."""
+    cost = _quad(states, mission.state_weight, mission.state_support, mission.target, out)
+    cost += _quad(
+        inputs, mission.input_weight, mission.input_support, out=buffer("cost.input", cost.shape)
+    )
     if obstacles.n_boxes and obstacles.penalty:
-        np.add(cost, obstacles.penalty, out=cost, where=obstacles.inside(states[:POSITION_DIMS]))
+        if hit is None:
+            hit = obstacles.inside(states[:POSITION_DIMS], buffer("cost.hit", cost.shape, bool))
+        np.add(cost, obstacles.penalty, out=cost, where=hit)
     return cost
 
 
-def terminal_cost_terms(mission: Mission, states: np.ndarray) -> np.ndarray:
-    """Terminal quadratic for (n_x, ...) states."""
-    return _quad(states, mission.state_weight, mission.target)
+def terminal_cost_terms(
+    mission: Mission, states: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Terminal quadratic for (n_x, ...) states, written into and returned
+    as ``out`` (a new array by default)."""
+    return _quad(states, mission.state_weight, mission.state_support, mission.target, out)

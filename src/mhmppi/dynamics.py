@@ -18,13 +18,16 @@ All step functions are pure and operate on float64 arrays laid out
 component first: a batch of states is ``(n_x, ...)`` and a batch of inputs
 ``(n_u, ...)``, with any batch axes after the component axis, so each
 component is one contiguous slab.  A single state or input is 1-D and
-reads the same in either layout.
+reads the same in either layout.  ``update`` writes its result into
+``out`` when given one, which may be ``x`` itself; its temporaries are
+:mod:`mhmppi.buffers` scratch, so a batched update allocates nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .buffers import buffer
 from .errors import ConfigError, check_real, real_array
 
 
@@ -42,8 +45,12 @@ class DynamicsModel:
             raise ConfigError("input scale entries must be >= 0")
         self.modes = modes
 
-    def update(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Nominal transition ``x_next = f(x, u)`` on (n_x, ...)/(n_u, ...) arrays."""
+    def update(self, x: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Nominal transition ``x_next = f(x, u)`` on (n_x, ...)/(n_u, ...)
+        arrays, written into and returned as ``out`` (a new array by
+        default).  ``out`` may be ``x``, which then advances in place with
+        bit-identical values; any other overlap with ``x`` or ``u`` is not
+        allowed."""
         raise NotImplementedError
 
     def mode_scale(self, mode: int) -> np.ndarray:
@@ -82,15 +89,18 @@ class DoubleIntegrator(DynamicsModel):
     A.flags.writeable = False
     B.flags.writeable = False
 
-    def update(self, x, u):
+    def update(self, x, u, out=None):
         # A x + B u, one slab per component: position += dt * velocity,
-        # velocity += dt * acceleration
+        # velocity += dt * acceleration; the positions are written first,
+        # while the old velocity is still in x when out is x
         dt = self.time_step
-        out = np.empty(x.shape)
-        np.multiply(dt, x[2:], out=out[:2])
-        out[:2] += x[:2]
-        np.multiply(dt, u, out=out[2:])
-        out[2:] += x[2:]
+        if out is None:
+            out = np.empty(x.shape)
+        step = buffer("dynamics.step", x[2:].shape)
+        np.multiply(dt, x[2:], out=step)
+        np.add(x[:2], step, out=out[:2])
+        np.multiply(dt, u, out=step)
+        np.add(x[2:], step, out=out[2:])
         return out
 
 
@@ -111,18 +121,25 @@ class SimpleCar(DynamicsModel):
         self.time_step = float(time_step)
         super().__init__(modes)
 
-    def update(self, x, u):
-        theta = x[2]
-        v = u[0]
-        phi = u[1]
+    def update(self, x, u, out=None):
+        # [i, ...] keeps a 0-d view of a single state's component; the
+        # heading is written last, after both positions have read it
+        theta, v, phi = x[2, ...], u[0, ...], u[1, ...]
         dt = self.time_step
-        return np.stack(
-            [
-                x[0] + v * np.cos(theta) * dt,
-                x[1] + v * np.sin(theta) * dt,
-                theta + (v / self.wheelbase) * np.tan(phi) * dt,
-            ]
-        )
+        if out is None:
+            out = np.empty(x.shape)
+        scratch = buffer("dynamics.car", (2,) + theta.shape)
+        a, b = scratch[0, ...], scratch[1, ...]
+        for i, turn in ((0, np.cos), (1, np.sin)):
+            turn(theta, out=a)
+            a *= v
+            a *= dt
+            np.add(x[i, ...], a, out=out[i, ...])
+        np.divide(v, self.wheelbase, out=b)
+        b *= np.tan(phi, out=a)
+        b *= dt
+        np.add(theta, b, out=out[2, ...])
+        return out
 
 
 def step(model: DynamicsModel, x: np.ndarray, u: np.ndarray, mode: int = 0) -> np.ndarray:

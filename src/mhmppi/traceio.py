@@ -141,11 +141,14 @@ def read_trace(path: str) -> ClosedLoopTrace:
 
 
 def write_stats(rows: list, path: str) -> None:
-    """Write analyze() rows as a CSV table (17g floats)."""
+    """Write analyze() rows as a CSV table (17g floats).  The header is
+    every row's columns in first-seen order; a row without a column
+    (a group with fewer missions) leaves its cell empty."""
     if not rows:
         raise ValueError("no stats rows to write")
     out = io.StringIO()
-    writer = csv.DictWriter(out, list(rows[0]), extrasaction="ignore", lineterminator="\n")
+    columns = dict.fromkeys(col for row in rows for col in row)
+    writer = csv.DictWriter(out, list(columns), lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow({k: _fmt(v) if isinstance(v, float) else v for k, v in row.items()})
@@ -163,6 +166,10 @@ def _cell(text: str):
 
 
 def read_stats(path: str) -> list:
-    """Parse a stats table back into a list of dicts of numbers and strings."""
+    """Parse a stats table back into a list of dicts of numbers and
+    strings; an empty cell is a column the row does not have."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [{col: _cell(text) for col, text in row.items()} for row in csv.DictReader(fh)]
+        return [
+            {col: _cell(text) for col, text in row.items() if text != ""}
+            for row in csv.DictReader(fh)
+        ]

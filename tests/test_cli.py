@@ -296,6 +296,27 @@ def test_list_valued_sweep_group_reads_back(tmp_path):
     assert [r["group"] for r in rows] == groups
 
 
+def test_stats_keep_the_columns_of_every_group(tmp_path):
+    # the 2-mission group sorts first; the 3-mission group has one more column
+    out_dir = str(tmp_path / "out")
+    two = fast_inline_scenario()["missions"]
+    three = [{"target": [2.5, 2.0, 0.0, 0.0]}, *two, {"target": [2.0, 0.0, 0.0, 0.0]}]
+    cfg = write_exp(
+        tmp_path,
+        {
+            "scenario": {**fast_inline_scenario(), "max_steps": 5},
+            "sweeps": [{"path": "missions", "values": [three, two]}],
+            "out_dir": out_dir,
+        },
+    )
+    assert cli.main(["run", cfg]) == 0
+    rows = read_stats(os.path.join(out_dir, "stats.csv"))
+    assert [r["group"].startswith("missions=[{'target': [2.0") for r in rows] == [True, False]
+    assert "mean_min_dist_alt2" not in rows[0]
+    assert isinstance(rows[1]["mean_min_dist_alt2"], float)
+    assert isinstance(rows[1]["mean_min_dist_nearest_alt"], float)
+
+
 @pytest.mark.parametrize(
     "flags, error",
     [

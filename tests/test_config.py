@@ -252,6 +252,16 @@ def test_every_experiment_construction_is_checked():
     assert all(scenario["max_steps"] == 7 for _, scenario in moved.runs)
 
 
+def test_experiment_keeps_its_own_copies():
+    overrides, sweeps = {"max_steps": 9}, [{"path": "weights.gamma", "values": [0.0]}]
+    cfg = experiment_from_dict({"scenario": "uav-free-1", "overrides": overrides, "sweeps": sweeps})
+    overrides["max_steps"] = 3
+    sweeps[0]["values"].append(0.5)
+    assert cfg.overrides == {"max_steps": 9} and cfg.runs[0][1]["max_steps"] == 9
+    assert [point for point, _ in cfg.runs] == [{"weights.gamma": 0.0}]
+    assert cfg.sweeps == [{"path": "weights.gamma", "values": [0.0]}]
+
+
 @pytest.mark.parametrize(
     "override, path",
     [

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhmppi import buffers, prefetch
 from mhmppi import controller as ctrl
-from mhmppi import prefetch
 from mhmppi.config import scenario_from_dict
 from mhmppi.cost import Mission, MissionSet, ObstacleSet
 from mhmppi.dynamics import DoubleIntegrator, SimpleCar, step
@@ -434,7 +435,7 @@ def _step_with_noise(monkeypatch, sample_noise, n_samples=64, step_index=0):
 
 def test_all_non_finite_sample_costs_name_the_step(monkeypatch):
     # every perturbed plan overflows the cost; the noise-free plan stays finite
-    huge = lambda params, _, n_inputs: np.full((params.n_u, n_inputs, params.n_samples), 1e300)
+    huge = lambda params, _, n_inputs, out: np.full((params.n_u, n_inputs, params.n_samples), 1e300)
     with pytest.raises(NonFiniteCostError, match="control step 7: ") as info:
         _step_with_noise(monkeypatch, huge, step_index=7)
     assert info.value.step == 7
@@ -443,14 +444,14 @@ def test_all_non_finite_sample_costs_name_the_step(monkeypatch):
 def test_step_diagnostics_effective_sample_size(monkeypatch):
     n = 64
     # equal sample costs: uniform weights, ESS = K
-    zero = lambda params, _, n_inputs: np.zeros((params.n_u, n_inputs, params.n_samples))
+    zero = lambda params, _, n_inputs, out: np.zeros((params.n_u, n_inputs, params.n_samples))
     u, _, diag = _step_with_noise(monkeypatch, zero, n_samples=n)
     assert diag.ess == n
     assert diag.max_weight == 1.0 / n
 
     # one finite sample cost: one-hot weights, ESS = 1, and the masked
     # samples move the plan not at all
-    def one_finite(params, _, n_inputs):
+    def one_finite(params, _, n_inputs, out):
         noise = np.full((params.n_u, n_inputs, params.n_samples), 1e300)
         noise[:, :, 3] = 0.25
         return noise
@@ -663,7 +664,7 @@ def test_single_step_brute_force_oracle(monkeypatch):
         ]
     )
     # sampled as (n_u, n_inputs, K)
-    monkeypatch.setattr(ctrl, "sample_noise", lambda *_: fixed_noise.transpose(2, 1, 0).copy())
+    monkeypatch.setattr(ctrl, "sample_noise", lambda *_, out: fixed_noise.transpose(2, 1, 0).copy())
 
     x0 = np.array([0.2, -0.1, 0.05, 0.0])
     state = ctrl.ControllerState(prev, np.array([1.0, 0.0]), 0)
@@ -746,3 +747,109 @@ def test_gamma_zero_matches_single_mission_step():
     multi, single = _gamma_zero_runs(control_cost=True, n_steps=2)
     assert np.array_equal(multi[0], single[0])
     assert not np.array_equal(multi[1], single[1])
+
+
+# ------------------------------------------------------------- step buffers
+
+
+@pytest.mark.parametrize("model_cls", [DoubleIntegrator, SimpleCar])
+@pytest.mark.parametrize("m", [0, 2])
+def test_narrow_batch_matches_rows_of_wide_batch(model_cls, m):
+    # the narrow batch runs in the wide batch's buffers, whose tails hold
+    # the wide batch's values: sample q's costs must still not see them
+    model, missions, obstacles, base, _ = _oracle_case(model_cls, 5, m, seed=7 + m)
+    rng = np.random.default_rng(m)
+    plans = base.flat[None] + 0.8 * rng.standard_normal((64, *base.flat.shape))
+    x0 = rng.uniform(-0.5, 0.5, model.n_x)
+    wide = ctrl.evaluate_plan_batch(model, x0, plans.transpose(2, 1, 0), 5, missions, obstacles)
+    narrow = ctrl.evaluate_plan_batch(
+        model, x0, plans[:32].transpose(2, 1, 0), 5, missions, obstacles
+    )
+    for w, n in zip(wide, narrow):
+        assert n.tobytes() == w[:32].tobytes()
+
+
+def _buffer_case():
+    """Double integrator over two backups in a degraded mode, with boxes:
+    every step buffer, the tail scaling and the occupancy among them."""
+    model = DoubleIntegrator(modes=[[1.0, 1.0], [0.6, 0.8]])
+    missions = MissionSet(
+        (
+            Mission.build([1.5, 1.5, 0, 0]),
+            Mission.build([0.0, 1.5, 0, 0], mode=1),
+            Mission.build([1.5, 0.0, 0, 0], state_weight=2.0),
+        )
+    )
+    obstacles = ObstacleSet.from_boxes([((0.2, 0.2), (0.8, 0.8))], penalty=50.0)
+    params = make_params(n_samples=64, horizon=6, seed=11)
+    return model, missions, obstacles, params, WeightLawParams(gamma=0.66)
+
+
+def _buffer_steps(n_steps, between=None):
+    model, missions, obstacles, params, wl = _buffer_case()
+    x = np.array([0.1, 0.0, 0.2, 0.3])
+    state = ctrl.init_state(x, params, missions, wl)
+    out = []
+    for t in range(n_steps):
+        if between is not None and t:
+            between()
+        u, state, diag = ctrl.control_step(x, state, model, missions, obstacles, params, wl)
+        out.append((u, state, diag))
+        x = step(model, x, u)
+    return out
+
+
+def test_step_does_not_read_what_earlier_steps_left_in_its_buffers():
+    def poison():
+        store = vars(buffers._local)
+        assert "controller.noise" in store and "controller.tail_states" in store
+        for flat in store.values():
+            flat.fill(np.nan)  # True in the boolean occupancy buffers
+
+    clean, poisoned = _buffer_steps(3), _buffer_steps(3, between=poison)
+    for (u, state, diag), (u_p, state_p, diag_p) in zip(clean, poisoned):
+        assert u.tobytes() == u_p.tobytes()
+        assert state.inputs.flat.tobytes() == state_p.inputs.flat.tobytes()
+        assert state.alpha.tobytes() == state_p.alpha.tobytes()
+        for name, value in vars(diag).items():
+            if not name.endswith("_s") and name != "seconds":
+                assert np.asarray(value).tobytes() == np.asarray(vars(diag_p)[name]).tobytes()
+
+
+def test_step_results_outlive_the_next_step():
+    [(u, state, diag)] = _buffer_steps(1)
+    results = (u, state.inputs.flat, diag.alpha, diag.plan_costs, diag.tail_costs)
+    kept = [a.copy() for a in results]
+    model, missions, obstacles, params, wl = _buffer_case()
+    ctrl.control_step(np.zeros(4), state, model, missions, obstacles, params, wl)
+    for before, after in zip(kept, results):
+        assert before.tobytes() == after.tobytes()
+
+
+@pytest.mark.parametrize(
+    "scenario, modes",
+    [
+        ("uav-free-1", [[1.0, 1.0], [0.6, 0.6]]),  # the abort-handover shape
+        ("uav-obstacles", None),  # the branches-n20 shape
+    ],
+)
+def test_steady_step_allocates_little(scenario, modes):
+    # a steady step reuses its batch-sized buffers; fresh ones cost a page
+    # fault per page written (5.5 and 17.4 MB per step when they were new)
+    cfg = get_scenario_dict(scenario)
+    if modes is not None:
+        cfg["model"]["modes"] = modes
+    sc = scenario_from_dict(cfg, scenario)
+    args = (sc.model, sc.missions, sc.obstacles, sc.controller, sc.weight_law)
+    x = np.asarray(sc.x0, dtype=float)
+    state = ctrl.init_state(x, sc.controller, sc.missions, sc.weight_law)
+    for _ in range(3):
+        u, state, _ = ctrl.control_step(x, state, *args)
+        x = step(sc.model, x, u)
+    tracemalloc.start()
+    try:
+        ctrl.control_step(x, state, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5e6

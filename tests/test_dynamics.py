@@ -109,3 +109,37 @@ def test_step_is_pure():
     step(model, x, u)
     assert np.array_equal(x, [1, 1, 1, 1])
     assert np.array_equal(u, [2, 2])
+
+
+def _plain_update(model, x, u):
+    """The transition as plain expressions, one component at a time."""
+    dt = model.time_step
+    if isinstance(model, DoubleIntegrator):
+        return np.concatenate([x[:2] + dt * x[2:], x[2:] + dt * u])
+    theta, v, phi = x[2], u[0], u[1]
+    return np.stack(
+        [
+            x[0] + v * np.cos(theta) * dt,
+            x[1] + v * np.sin(theta) * dt,
+            theta + (v / model.wheelbase) * np.tan(phi) * dt,
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "model", [DoubleIntegrator([[1, 1], [0.6, 0.7]]), SimpleCar(modes=[[1, 1], [0.6, 0.7]])]
+)
+@pytest.mark.parametrize("batch", [(), (3, 5)])
+def test_update_in_place_is_bit_identical(model, batch):
+    rng = np.random.default_rng(len(batch))
+    x = rng.standard_normal((model.n_x, *batch))
+    u = model.mode_scale(1).reshape((-1,) + (1,) * len(batch)) * rng.standard_normal(
+        (model.n_u, *batch)
+    )
+    expected = _plain_update(model, x, u)
+    assert model.update(x, u).tobytes() == expected.tobytes()
+    into = np.empty_like(x)
+    assert model.update(x, u, out=into) is into
+    assert into.tobytes() == expected.tobytes()
+    assert model.update(x, u, out=x) is x
+    assert x.tobytes() == expected.tobytes()
