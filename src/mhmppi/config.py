@@ -8,9 +8,9 @@ of the object it builds: ``model`` of its ``kind``'s class, a mission of
 :class:`AbortSpec` and the top-level keys of :class:`Scenario`.  A key left
 out takes the constructor's default; no default is restated here.  Types
 are strict: the constructors check every value and convert none, so an
-integer rejects 20.5, ``true`` and ``"20"``, a flag rejects ``"false"``,
-and a real value rejects NaN.  Unknown keys are errors, and every error
-carries the path of its section.
+integer rejects 20.5, ``true`` and ``"20"``, and a real value rejects
+NaN.  Unknown keys are errors, and every error carries the path of its
+section.
 
 An experiment file's keys are the fields of :class:`ExperimentConfig`,
 except ``scenario``, which is a built-in name or an inline scenario
@@ -85,7 +85,7 @@ _PARAMETERS = {"samples": "n_samples"}  # JSON key -> parameter, where they diff
 _MODEL_KEYS = ("kind", "wheelbase", "time_step", "modes")
 _MISSION_KEYS = ("target", "state_weight", "input_weight", "mode")
 _OBSTACLE_KEYS = ("boxes", "penalty")
-_CONTROLLER_KEYS = ("samples", "horizon", "temperature", "noise_cov", "seed", "control_cost")
+_CONTROLLER_KEYS = ("samples", "horizon", "temperature", "noise_cov", "seed")
 _WEIGHT_KEYS = ("gamma", "temperature", "metric")
 _ABORT_KEYS = ("step", "new_mode", "policy")
 _SCENARIO_SCALARS = ("x0", "max_steps", "completion_tol", "completion_metric")

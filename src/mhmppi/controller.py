@@ -45,25 +45,17 @@ step index.
 Noise prefetch
 --------------
 Step t+1's noise batch depends only on its key (seed, t+1, Cholesky
-factor, batch shape), not on the state.  So :func:`sample_noise` shares
-the drawing with one worker process (:mod:`mhmppi.prefetch`, started on
-the first step).  Once step t has its batch, the worker is sent step
-t+1's key and draws that batch's flat rows upward from row 0 while this
-process evaluates step t.  When step t+1 asks for its batch, this process
-draws its rows downward from the last until it meets the rows the worker
-has drawn, and copies those into a private array.  It never waits for
-the worker, so a step whose worker is slow or starved of CPU costs what
-an inline draw costs.  A batch whose key does not match the worker's
-last job (a new seed, or the m=2 to m=0 change at an abort) is sent to
-the worker first, which stops the stale job, and then shared the same
-way.  The noise is drawn inline, with no worker, when the process may
-use fewer than two CPUs, when it is a multiprocessing child (``cli
---workers N`` already keeps N processes busy), outside Linux or x86-64,
-and from the step on which the worker cannot start or is found dead.
-Both processes run the same :func:`_fill_noise` loop, and row d's values
-depend only on the key and d, so the reproducibility contract above is
-unchanged: every batch is bit-identical whichever process drew which of
-its rows, and there is nothing to configure.
+factor, batch shape), not on the state, so :func:`sample_noise` shares
+its drawing with one worker process, which draws the next step's rows
+while this process evaluates the current one; :mod:`mhmppi.prefetch`
+describes how the two split a batch.  Both run the same
+:func:`_fill_noise` loop, and row d's values depend only on the key and
+d, so every batch is bit-identical whichever process drew which of its
+rows, and the reproducibility contract above holds unchanged.  The noise
+is drawn inline, with no worker, when the process may use fewer than two
+CPUs, when it is a multiprocessing child (``cli --workers N`` already
+keeps N processes busy), outside Linux or x86-64, and from the step on
+which the worker cannot start or is found dead.
 
 Step buffers
 ------------
@@ -92,9 +84,7 @@ MPPI.  The closed-loop harness runs the post-abort phase this way with the
 same :class:`ControllerParams`: m is the mission set's and the plan's.  With
 the backup-weight gamma at zero the weights stay ``[1, 0, ..., 0]``, and a
 step over m backup missions executes bit-identical inputs to the m=0 step
-on the primary mission alone.  That equivalence does not hold with
-``control_cost=True``: the penalty spans every flat row, backup tails
-included, so the two diverge as soon as the shifted plan is nonzero.
+on the primary mission alone.
 """
 
 from __future__ import annotations
@@ -127,9 +117,6 @@ class ControllerParams:
     noise_cov: np.ndarray  # (n_u, n_u) symmetric positive definite
     temperature: float = 0.5
     seed: int = 0
-    # Adds the noise-alignment penalty over every flat row to the sample
-    # costs; with it on, gamma=0 no longer reduces the step to the m=0 case.
-    control_cost: bool = False
     noise_chol: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -137,8 +124,6 @@ class ControllerParams:
         check_int("horizon", self.horizon, 2)
         check_real("temperature", self.temperature, above=0.0)
         check_int("seed", self.seed, 0)
-        if not isinstance(self.control_cost, bool):
-            raise ConfigError(f"control_cost must be true or false, got {self.control_cost!r}")
         cov = real_array("noise_cov", self.noise_cov)
         if cov.ndim != 2 or cov.shape != cov.T.shape or not np.allclose(cov, cov.T):
             raise ConfigError(f"noise_cov must be a symmetric matrix, got {cov.tolist()}")
@@ -476,14 +461,6 @@ def control_step(
     t_update = time.perf_counter()
 
     sample_costs = costs_all[1:] @ alpha
-    if params.control_cost:
-        sample_costs = sample_costs + params.temperature * np.einsum(
-            "cdq,cd->q",
-            noise,
-            np.linalg.solve(params.noise_cov, shifted.flat.T),
-            optimize=False,
-        )
-
     try:
         weights = softmax_weights(sample_costs, params.temperature)
     except NonFiniteCostError as exc:

@@ -59,13 +59,17 @@ def _psd_weight(M, what: str) -> np.ndarray:
     return M
 
 
-def _diagonal_support(M: np.ndarray):
-    """``(i, M[i, i])`` for each nonzero diagonal entry of a diagonal M, in
-    order; None for any other M."""
-    w = M.diagonal().tolist()
-    if np.count_nonzero(M) != np.count_nonzero(w):
-        return None
-    return tuple((i, v) for i, v in enumerate(w) if v)
+def _support(M: np.ndarray) -> tuple:
+    """``(i, j, w)`` for each nonzero entry of M's upper triangle, row by
+    row: ``w`` is ``M[i, i]`` on the diagonal and ``2 M[i, j]`` off it, so
+    ``d^T M d`` is the sum of ``w d_i d_j``."""
+    rows = M.tolist()
+    return tuple(
+        (i, j, w if i == j else 2.0 * w)
+        for i, row in enumerate(rows)
+        for j, w in enumerate(row[i:], i)
+        if w
+    )
 
 
 def _scaled_eye(M, n: int, what: str):
@@ -80,15 +84,15 @@ class Mission:
     :func:`dataclasses.replace`) is validated and raises
     :class:`ConfigError`; the arrays are read-only copies of the caller's.
     ``state_support`` and ``input_support`` are the weights' nonzero
-    diagonal entries as ``(index, weight)`` pairs when the weight is
-    diagonal, and None when it is not."""
+    upper-triangle entries as ``(i, j, weight)`` triples (see
+    :func:`_quad`)."""
 
     target: np.ndarray  # (n_x,)
     state_weight: np.ndarray  # Q, n_x x n_x PSD
     input_weight: np.ndarray  # R, n_u x n_u PSD
     mode: int = 0
-    state_support: tuple | None = field(init=False)
-    input_support: tuple | None = field(init=False)
+    state_support: tuple = field(init=False)
+    input_support: tuple = field(init=False)
 
     def __post_init__(self):
         target = real_array("target", self.target)
@@ -102,8 +106,8 @@ class Mission:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "state_weight", state_weight)
         object.__setattr__(self, "input_weight", input_weight)
-        object.__setattr__(self, "state_support", _diagonal_support(state_weight))
-        object.__setattr__(self, "input_support", _diagonal_support(input_weight))
+        object.__setattr__(self, "state_support", _support(state_weight))
+        object.__setattr__(self, "input_support", _support(input_weight))
 
     @classmethod
     def build(cls, target, state_weight=1.0, input_weight=1.0, n_u: int = 2, **mode) -> "Mission":
@@ -166,10 +170,6 @@ class ObstacleSet:
         object.__setattr__(self, "hi", hi)
 
     @classmethod
-    def empty(cls) -> "ObstacleSet":
-        return cls(np.zeros((0, POSITION_DIMS)), np.zeros((0, POSITION_DIMS)), 0.0)
-
-    @classmethod
     def from_boxes(cls, boxes=(), **penalty) -> "ObstacleSet":
         """As the constructor, from a sequence of (min_corner, max_corner)
         pairs of position-plane corners."""
@@ -207,30 +207,25 @@ class ObstacleSet:
         return out
 
 
-def _quad(x: np.ndarray, M: np.ndarray, support, center=None, out=None) -> np.ndarray:
+def _quad(x: np.ndarray, support: tuple, center=None, out=None) -> np.ndarray:
     """``d^T M d`` with ``d = x - center`` over the component axis 0 of
     ``x``, written into and returned as ``out`` (a new array by default).
-
-    A diagonal M, given as its ``support`` (see :class:`Mission`), is a
-    weighted sum of squares, one component slab at a time, that skips
-    zero weights; any other M (support None) takes the dense product.
-    """
+    M is given as its ``support`` (see :class:`Mission`): the sum runs one
+    component slab at a time over M's nonzero entries, so a diagonal M is
+    a weighted sum of squares."""
     if out is None:
         out = np.empty(x.shape[1:])
-    if support is None:
-        if center is not None:
-            x = x - center.reshape((-1,) + (1,) * (x.ndim - 1))
-        d = x.reshape(len(M), -1)
-        out[...] = ((M @ d) * d).sum(0).reshape(x.shape[1:])
-        return out
     out[...] = 0.0
     d = buffer("cost.quad", out.shape)
-    for i, w in support:
+    for i, j, w in support:
         if center is None:
-            np.multiply(x[i], x[i], out=d)
+            np.multiply(x[i], x[j], out=d)
         else:
             np.subtract(x[i], center[i], out=d)
-            d *= d
+            if i == j:
+                d *= d
+            else:
+                d *= np.subtract(x[j], center[j], out=buffer("cost.quad_j", out.shape))
         if w != 1.0:
             d *= w
         out += d
@@ -249,10 +244,8 @@ def stage_cost_terms(
     written into and returned as ``out`` (a new array by default).
     ``hit`` is ``obstacles.inside`` of the states' positions when the
     caller has it already."""
-    cost = _quad(states, mission.state_weight, mission.state_support, mission.target, out)
-    cost += _quad(
-        inputs, mission.input_weight, mission.input_support, out=buffer("cost.input", cost.shape)
-    )
+    cost = _quad(states, mission.state_support, mission.target, out)
+    cost += _quad(inputs, mission.input_support, out=buffer("cost.input", cost.shape))
     if obstacles.n_boxes and obstacles.penalty:
         if hit is None:
             hit = obstacles.inside(states[:POSITION_DIMS], buffer("cost.hit", cost.shape, bool))
@@ -265,4 +258,4 @@ def terminal_cost_terms(
 ) -> np.ndarray:
     """Terminal quadratic for (n_x, ...) states, written into and returned
     as ``out`` (a new array by default)."""
-    return _quad(states, mission.state_weight, mission.state_support, mission.target, out)
+    return _quad(states, mission.state_support, mission.target, out)

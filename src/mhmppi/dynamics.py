@@ -50,8 +50,16 @@ class DynamicsModel:
         arrays, written into and returned as ``out`` (a new array by
         default).  ``out`` may be ``x``, which then advances in place with
         bit-identical values; any other overlap with ``x`` or ``u`` is not
-        allowed."""
+        allowed.  Raises ValueError when axis 0 of ``x`` is not n_x or that
+        of ``u`` is not n_u."""
         raise NotImplementedError
+
+    def _check_shapes(self, x: np.ndarray, u: np.ndarray) -> None:
+        if x.shape[:1] != (self.n_x,) or u.shape[:1] != (self.n_u,):
+            raise ValueError(
+                f"update takes (n_x, ...) = ({self.n_x}, ...) states and (n_u, ...) = "
+                f"({self.n_u}, ...) inputs, got {x.shape} and {u.shape}"
+            )
 
     def mode_scale(self, mode: int) -> np.ndarray:
         if not 0 <= mode < len(self.modes):
@@ -93,6 +101,7 @@ class DoubleIntegrator(DynamicsModel):
         # A x + B u, one slab per component: position += dt * velocity,
         # velocity += dt * acceleration; the positions are written first,
         # while the old velocity is still in x when out is x
+        self._check_shapes(x, u)
         dt = self.time_step
         if out is None:
             out = np.empty(x.shape)
@@ -124,6 +133,7 @@ class SimpleCar(DynamicsModel):
     def update(self, x, u, out=None):
         # [i, ...] keeps a 0-d view of a single state's component; the
         # heading is written last, after both positions have read it
+        self._check_shapes(x, u)
         theta, v, phi = x[2, ...], u[0, ...], u[1, ...]
         dt = self.time_step
         if out is None:

@@ -63,7 +63,8 @@ def test_all_builtin_scenarios_build():
 
 
 def test_unknown_keys_rejected_with_path():
-    for key in ("bogus", "workers"):
+    # the last is the sample-cost flag that was removed: the cost has one form
+    for key in ("bogus", "workers", "control_cost"):
         with pytest.raises(ConfigError, match=f"controller: unknown key '{key}'"):
             scenario_from_dict(
                 {**get_scenario_dict("uav-free-1"), "controller": {"samples": 10, key: 1}}
@@ -199,7 +200,7 @@ def test_nonzero_extra_target_entries_rejected():
         ({"overrides": {"controller.samples": True}}, "controller"),
         ({"overrides": {"controller.seed": 1.9}}, "controller"),
         ({"overrides": {"controller.horizon": "12"}}, "controller"),
-        ({"overrides": {"controller.control_cost": "false"}}, "controller"),
+        ({"overrides": {"controller.noise_cov": "1.0"}}, "controller"),
         ({"overrides": {"max_steps": 10.5}}, "scenario"),
         ({"overrides": {"abort": {"step": 20.5}}}, "abort"),
         ({"overrides": {"missions[0].mode": 0.9}}, "missions[0]"),
@@ -216,7 +217,7 @@ def test_nonzero_extra_target_entries_rejected():
 )
 def test_values_are_checked_not_coerced(payload, path):
     # each of these once ran as a different experiment: K=100, seed 1, an
-    # abort at step 20, control cost on
+    # abort at step 20
     with pytest.raises(ConfigError) as err:
         experiment_from_dict({"scenario": "uav-free-1", **payload})
     assert err.value.path == path

@@ -23,7 +23,7 @@ from mhmppi.scenarios import get_scenario_dict
 from mhmppi.weights import WeightLawParams
 from oracle import cost_vector, draw_noise, expand, from_parts, tail_cost_vector
 
-NO_OBS = ObstacleSet.empty()
+NO_OBS = ObstacleSet.from_boxes()
 UAV_MISSIONS = MissionSet(
     (
         Mission.build([10, 10, 0, 0]),
@@ -85,8 +85,6 @@ def test_params_fields_checked_not_coerced():
         dict(n_samples=True),
         dict(seed=1.9),
         dict(horizon="12"),
-        dict(control_cost="false"),
-        dict(control_cost=1),
         dict(temperature=float("nan")),
         dict(noise_cov=np.array([[1.0, np.nan], [np.nan, 1.0]])),
     ):
@@ -692,32 +690,11 @@ def test_single_step_brute_force_oracle(monkeypatch):
     assert np.allclose(u_exec, expected_u, rtol=1e-12)
 
 
-def test_control_cost_flag_changes_weighting():
-    params_off = make_params(n_samples=16, horizon=4, seed=3)
-    params_on = ctrl.ControllerParams.build(
-        n_samples=16, horizon=4, n_u=2, seed=3, control_cost=True
-    )
-    model = DoubleIntegrator()
-    wl = WeightLawParams(gamma=0.5)
-    x = np.array([1.0, 1.0, 0.0, 0.0])
-    state0 = ctrl.init_state(x, params_off, UAV_MISSIONS, wl)
-    # warm the plan so the shifted plan is nonzero and the alignment term bites
-    for _ in range(3):
-        u, state0, _ = ctrl.control_step(
-            x, state0, model, UAV_MISSIONS, NO_OBS, params_off, wl
-        )
-    u_off, _, _ = ctrl.control_step(
-        x, state0, model, UAV_MISSIONS, NO_OBS, params_off, wl
-    )
-    u_on, _, _ = ctrl.control_step(x, state0, model, UAV_MISSIONS, NO_OBS, params_on, wl)
-    assert not np.array_equal(u_off, u_on)
-
-
-def _gamma_zero_runs(control_cost: bool, n_steps: int = 40):
+def _gamma_zero_runs(scenario_name: str, n_steps: int = 40):
     """Executed inputs of the m=2 step with gamma=0 and of the m=0 step on
     the primary mission alone, each closing the loop on its own inputs."""
-    cfg = get_scenario_dict("uav-obstacles")
-    cfg["controller"].update(samples=50, horizon=10, control_cost=control_cost)
+    cfg = get_scenario_dict(scenario_name)
+    cfg["controller"].update(samples=50, horizon=10)
     scenario = scenario_from_dict(cfg)
     model, obstacles = scenario.model, scenario.obstacles
     wl = WeightLawParams(gamma=0.0)
@@ -740,13 +717,13 @@ def _gamma_zero_runs(control_cost: bool, n_steps: int = 40):
 def test_gamma_zero_matches_single_mission_step():
     # with no weight on the backups, the branch tails change nothing the
     # plant sees: the m=0 step on the primary mission executes the same bits
-    multi, single = _gamma_zero_runs(control_cost=False)
+    multi, single = _gamma_zero_runs("uav-obstacles")
     assert multi.tobytes() == single.tobytes()
-    # not so with the control-cost penalty, which spans every flat row,
-    # backup tails included; at step 0 the shifted plan is zero and adds none
-    multi, single = _gamma_zero_runs(control_cost=True, n_steps=2)
-    assert np.array_equal(multi[0], single[0])
-    assert not np.array_equal(multi[1], single[1])
+
+
+def test_gamma_zero_matches_single_mission_step_on_the_car():
+    multi, single = _gamma_zero_runs("ugv-obstacles")
+    assert multi.tobytes() == single.tobytes()
 
 
 # ------------------------------------------------------------- step buffers

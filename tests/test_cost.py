@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mhmppi.cost import Mission, MissionSet, ObstacleSet, distance
+from mhmppi.cost import Mission, MissionSet, ObstacleSet, distance, stage_cost_terms
 from mhmppi.dynamics import DoubleIntegrator
 from mhmppi.errors import ConfigError
 from mhmppi.multi_horizon import MultiHorizonInput, dims
@@ -17,7 +17,7 @@ from oracle import (
     tail_cost_vector,
 )
 
-NO_OBS = ObstacleSet.empty()
+NO_OBS = ObstacleSet.from_boxes()
 
 
 def uav_missions(targets):
@@ -256,3 +256,17 @@ def test_mission_holds_private_read_only_copies():
     assert mission.state_weight[0, 0] == 1.0 and mission.input_weight[0, 0] == 2.0
     for arr in (mission.target, mission.state_weight, mission.input_weight):
         assert not arr.flags.writeable
+
+
+def test_weight_support_lists_the_nonzero_upper_triangle():
+    q = np.array([[2.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 1.0]])
+    mission = Mission.build([1.0, 0.0, 0.0], state_weight=q, input_weight=0.5)
+    assert mission.state_support == ((0, 0, 2.0), (0, 2, 1.0), (2, 2, 1.0))
+    assert mission.input_support == ((0, 0, 0.5), (1, 1, 0.5))
+    assert Mission.build([0, 0], state_weight=0.0).state_support == ()
+    # the kernel sums w d_i d_j over the support, one slab per entry
+    rng = np.random.default_rng(3)
+    states, inputs = rng.standard_normal((3, 7)), rng.standard_normal((2, 7))
+    d = states - mission.target[:, None]
+    expected = np.einsum("ik,ij,jk->k", d, q, d) + 0.5 * (inputs * inputs).sum(0)
+    assert np.allclose(stage_cost_terms(mission, states, inputs, NO_OBS), expected, rtol=1e-13)

@@ -143,3 +143,20 @@ def test_update_in_place_is_bit_identical(model, batch):
     assert into.tobytes() == expected.tobytes()
     assert model.update(x, u, out=x) is x
     assert x.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("model", [DoubleIntegrator(), SimpleCar()])
+def test_update_rejects_wrong_component_counts(model):
+    # a car state with a 4th entry once came back with uninitialised memory
+    # there, and a 3rd input entry was silently ignored
+    x, u = np.zeros(model.n_x), np.zeros(model.n_u)
+    for bad_x, bad_u in (
+        (np.zeros(model.n_x + 1), u),
+        (np.zeros(model.n_x - 1), u),
+        (x, np.zeros(model.n_u + 1)),
+        (x, np.zeros(1)),
+        (np.zeros((model.n_x + 1, 5)), np.zeros((model.n_u, 5))),
+    ):
+        with pytest.raises(ValueError, match="update takes"):
+            model.update(bad_x, bad_u)
+    assert model.update(x, u).shape == (model.n_x,)

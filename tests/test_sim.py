@@ -48,7 +48,7 @@ def small_scenario(**kw):
         name="small",
         model=model,
         missions=missions,
-        obstacles=ObstacleSet.empty(),
+        obstacles=ObstacleSet.from_boxes(),
         controller=ControllerParams.build(n_samples=64, horizon=5, n_u=2, seed=0),
         weight_law=WeightLawParams(gamma=0.4),
         x0=np.zeros(4),
