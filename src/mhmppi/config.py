@@ -86,25 +86,13 @@ _MODEL_KEYS = ("kind", "wheelbase", "time_step", "modes")
 _MISSION_KEYS = ("target", "state_weight", "input_weight", "mode")
 _OBSTACLE_KEYS = ("boxes", "penalty")
 _CONTROLLER_KEYS = ("samples", "horizon", "temperature", "noise_cov", "seed")
-_WEIGHT_KEYS = ("gamma", "temperature", "metric")
+_WEIGHT_KEYS = ("gamma", "temperature")
 _ABORT_KEYS = ("step", "new_mode", "policy")
 _SCENARIO_SCALARS = ("x0", "max_steps", "completion_tol", "completion_metric")
 _SCENARIO_KEYS = (
     "model", "missions", "obstacles", "controller", "weights", "abort", *_SCENARIO_SCALARS
 )
 _EXPERIMENT_KEYS = ("scenario", "overrides", "sweeps", "seeds", "out_dir")
-
-
-def _fit_state(section: dict, key: str, n_x: int, path: str) -> dict:
-    """``section`` with the list ``section[key]`` cut to n_x entries when its
-    extra entries are zero (car targets are conventionally written as
-    4-vectors)."""
-    vec = section.get(key)
-    if not isinstance(vec, list) or len(vec) <= n_x:
-        return section
-    if any(v != 0 for v in vec[n_x:]):
-        raise ConfigError(f"entries beyond dim {n_x} must be zero for this model", path=path)
-    return {**section, key: vec[:n_x]}
 
 
 def scenario_from_dict(cfg: dict, name: str = "custom") -> Scenario:
@@ -120,12 +108,10 @@ def scenario_from_dict(cfg: dict, name: str = "custom") -> Scenario:
     for idx, entry in enumerate(missions_cfg):
         mpath = f"missions[{idx}]"
         _check_keys(entry, _MISSION_KEYS, mpath)
-        entry = _fit_state(entry, "target", model.n_x, f"{mpath}.target")
         with _wrap(mpath):
             missions.append(Mission.build(n_u=model.n_u, **entry))
 
     abort = None if cfg.get("abort") is None else _build(AbortSpec, cfg, "abort", _ABORT_KEYS)
-    scalars = _fit_state(cfg, "x0", model.n_x, "x0")
     with _wrap("scenario"):
         return Scenario(
             name=name,
@@ -137,7 +123,7 @@ def scenario_from_dict(cfg: dict, name: str = "custom") -> Scenario:
             ),
             weight_law=_build(WeightLawParams, cfg, "weights", _WEIGHT_KEYS),
             abort=abort,
-            **{key: scalars[key] for key in _SCENARIO_SCALARS if key in scalars},
+            **{key: cfg[key] for key in _SCENARIO_SCALARS if key in cfg},
         )
 
 

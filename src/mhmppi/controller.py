@@ -24,51 +24,35 @@ being the noise-free shifted plan.  Every batched state is ``(n_x, ...,
 K)``.  So each dynamics and cost term is an element-wise operation on
 contiguous K-wide slabs, one per component.
 
-Noise reproducibility contract
-------------------------------
-The noise of step t is drawn one K-wide slab at a time.  Slab (d, c),
-component c of flat row d, is the dedicated counter-block stream
-``Philox(key=stream_key(seed, t), counter=(d * n_u + c) * 2**192)``, and
-its first K standard normals are ``z[c, d, :]``.  Row d of the batch is
-``chol @ z[:, d, :]``, left as z when the Cholesky factor ``chol`` is the
-identity.  Three guarantees follow.  The primary rows d < N draw the same
-slabs for every m, so the m=0 step gets bit-identical primary noise (the
-gamma=0 equivalence below).  A slab's first K draws do not depend on K,
-so sample q's noise is the same in every batch wider than q.  And a batch
-depends only on (seed, t, chol, shape), and the weighted reduction over
-samples runs in a fixed order, so whole runs are bit-reproducible.
+Noise
+-----
+:func:`sample_noise` takes each step's noise batch from
+:mod:`mhmppi.noise`, whose substream contract fixes every batch by (seed,
+step, Cholesky factor, shape) alone, whichever process draws it.  The
+weighted reduction over samples in :func:`mppi_update` runs in a fixed
+order, so whole runs are bit-reproducible.
+
 A sample whose cost is not finite gets weight 0; a step on which no
 sample cost is finite, or whose noise-free plan has a non-finite cost or
 tail cost, raises :class:`~mhmppi.errors.NonFiniteCostError` with the
 step index.
 
-Noise prefetch
---------------
-Step t+1's noise batch depends only on its key (seed, t+1, Cholesky
-factor, batch shape), not on the state, so :func:`sample_noise` shares
-its drawing with one worker process, which draws the next step's rows
-while this process evaluates the current one; :mod:`mhmppi.prefetch`
-describes how the two split a batch.  Both run the same
-:func:`_fill_noise` loop, and row d's values depend only on the key and
-d, so every batch is bit-identical whichever process drew which of its
-rows, and the reproducibility contract above holds unchanged.  The noise
-is drawn inline, with no worker, when the process may use fewer than two
-CPUs, when it is a multiprocessing child (``cli --workers N`` already
-keeps N processes busy), outside Linux or x86-64, and from the step on
-which the worker cannot start or is found dead.
-
 Step buffers
 ------------
-A step allocates none of its batch-sized arrays after the first step of
-its shape.  The noise batch, the plan batch, the primary rollout, the
-branch-tail states and the tail loop's per-time inputs, occupancy and
-stage costs, and the temporaries of the dynamics and cost kernels, are
-per-thread :mod:`mhmppi.buffers` scratch: made on first use (never in
+A step allocates none of its slab arrays, those with a K-wide slab per
+component, state, input or time, after the first step of its shape.  The
+noise batch, the plan batch, the primary rollout, the branch-tail states
+and the tail loop's per-time inputs, occupancy and stage costs, and the
+temporaries of the dynamics and cost kernels, are per-thread
+:mod:`mhmppi.buffers` scratch: made on first use (never in
 :func:`init_state`), and reused by every later step of the same or a
-smaller shape.  Fresh arrays would cost more than their allocation: a
-step's arrays run to megabytes, and the allocator hands such memory back
-to the system when it is freed, so a step that allocates them pays a
-page fault on every page it writes.  Every buffer is written before it
+smaller shape.  Fresh slab arrays would cost more than their allocation:
+they run to megabytes, and the allocator hands such memory back to the
+system when it is freed, so a step that allocates them pays a page fault
+on every page it writes.  The per-sample cost vectors, each K or K+1
+long, are fresh: about a dozen per call of :func:`evaluate_plan_batch`
+(terminal costs, their sums with the stage costs, the branch sums and
+the cost quotients) and a few more in the update.  Every buffer is written before it
 is read, so the values of a step do not depend on what an earlier step
 left there, and nothing a caller keeps points into them: the cost
 matrices :func:`evaluate_plan_batch` returns, the noise-free costs that
@@ -90,7 +74,6 @@ on the primary mission alone.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,54 +176,6 @@ class StepDiagnostics:
     update_s: float
 
 
-def stream_key(seed: int, step_index: int) -> np.ndarray:
-    """128-bit noise stream key for one control step; ``seed`` >= 0."""
-    return np.random.SeedSequence((int(seed), int(step_index))).generate_state(2, np.uint64)
-
-
-def _is_identity(chol: np.ndarray) -> bool:
-    return bool(np.array_equal(chol, np.eye(chol.shape[0])))
-
-
-class NoiseStream:
-    """One step's standard normal source.  ``slab(s, out)`` fills the
-    contiguous float64 array ``out`` with the first ``out.size`` draws of
-    ``Philox(key=stream_key(seed, step_index), counter=s * 2**192)``.  One
-    bit generator serves every slab; only its counter is reset between
-    slabs."""
-
-    def __init__(self, seed: int, step_index: int):
-        self.key = stream_key(seed, step_index)
-        self._bits = np.random.Philox(key=self.key)
-        self._gen = np.random.Generator(self._bits)
-        self._template = self._bits.state  # reused dict; only the counter varies
-
-    def slab(self, s: int, out: np.ndarray) -> None:
-        state = self._template
-        state["state"]["counter"][3] = s  # block offset s * 2**192
-        state["buffer_pos"] = 4
-        self._bits.state = state
-        self._gen.standard_normal(out=out)
-
-
-def _fill_noise(
-    out: np.ndarray, seed: int, step_index: int, chol: np.ndarray, rows: Iterable[int]
-) -> None:
-    """Write flat rows ``rows`` of step ``step_index``'s (n_u, n_inputs, K)
-    noise batch into the same rows of ``out``, each row's slabs whole."""
-    stream = NoiseStream(seed, step_index)
-    n_u = out.shape[0]
-    plain = _is_identity(chol)
-    for d in rows:
-        for c in range(n_u):
-            stream.slab(d * n_u + c, out[c, d])
-        if not plain:
-            # chol @ z as element-wise products summed over the columns of
-            # chol in order: a matmul may fuse the multiply-adds, and how it
-            # does may depend on K
-            out[:, d] = (chol[:, :, None] * out[None, :, d]).sum(axis=1)
-
-
 def sample_noise(
     params: ControllerParams, step_index: int, n_inputs: int, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -248,18 +183,15 @@ def sample_noise(
     ``n_inputs`` flat rows: ``[c, d, q]`` is component c of sample q's
     perturbation of flat input d.  It is written into and returned as
     ``out``, an array of that shape; by default a new array, the
-    caller's own.  Part of it may have been drawn by a worker."""
+    caller's own.  Part of it may have been drawn by a worker process
+    (:mod:`mhmppi.noise`)."""
     # imported on the first step, not with the package: the multiprocessing
     # and subprocess modules it needs add about 6% to the import time
-    from .prefetch import process_prefetch
+    from .noise import process_prefetch
 
     if out is None:
         out = np.empty((params.n_u, n_inputs, params.n_samples))
-    prefetch = process_prefetch()
-    if prefetch is None:
-        _fill_noise(out, params.seed, step_index, params.noise_chol, range(n_inputs))
-    else:
-        prefetch.fill(out, params.seed, step_index, params.noise_chol)
+    process_prefetch().fill(out, params.seed, step_index, params.noise_chol)
     return out
 
 
@@ -333,8 +265,9 @@ def evaluate_plan_batch(
     and one ``model.update`` advances all of them, held as one
     (n_x, m, N-1, K) state array, in place; the boxes are tested once per
     time for all of them.  Time N-1 is the final stage of every branch,
-    which gives the tail costs.  Only the two returned matrices are new
-    arrays; the rest is step-buffer scratch (module docstring).
+    which gives the tail costs.  The slab arrays are step-buffer scratch
+    (module docstring); the two returned matrices and the per-sample cost
+    vectors summed into them are new arrays on every call.
     """
     n_batch = flat_batch.shape[2]
     m = missions.n_alternatives

@@ -1,9 +1,34 @@
-"""Drawing the next control step's noise batch in a worker process.
+"""The control step's noise: the substream contract that fixes every
+batch, and the worker process that draws the next step's batch ahead.
 
-Step t+1's noise batch depends only on (seed, t+1, Cholesky factor,
-shape), not on the state, so a worker process can draw it while this
-process evaluates step t; see "Noise prefetch" in the
-:mod:`mhmppi.controller` docstring.
+Noise reproducibility contract
+------------------------------
+The noise of step t is an (n_u, n_inputs, K) batch, drawn one K-wide slab
+at a time.  Slab (d, c), component c of flat row d, is the dedicated
+counter-block stream ``Philox(key=stream_key(seed, t), counter=(d * n_u +
+c) * 2**192)``, and its first K standard normals are ``z[c, d, :]``.  Row
+d of the batch is ``chol @ z[:, d, :]``, left as z when the Cholesky
+factor ``chol`` is the identity.  :func:`_fill_noise` is the one loop that
+draws rows in this layout.  Three guarantees follow.  The primary rows
+d < N draw the same slabs for every m, so the m=0 step gets bit-identical
+primary noise (the gamma=0 equivalence of :mod:`mhmppi.controller`).  A
+slab's first K draws do not depend on K, so sample q's noise is the same
+in every batch wider than q.  And a batch depends only on (seed, t, chol,
+shape), and the controller's weighted reduction over samples runs in a
+fixed order, so whole runs are bit-reproducible.
+
+Noise prefetch
+--------------
+Step t+1's batch depends only on its key (seed, t+1, Cholesky factor,
+batch shape), not on the state, so a worker process draws it while the
+controller evaluates step t.  Both processes run :func:`_fill_noise`, and
+row d's values depend only on the key and d, so every batch is
+bit-identical whichever process drew which of its rows, and the contract
+above holds unchanged.  The noise is drawn inline, with no worker, when
+the process may use fewer than two CPUs, when it is a multiprocessing
+child (``cli --workers N`` already keeps N processes busy), outside Linux
+or x86-64, and from the step on which the worker cannot start or is found
+dead.
 
 The two processes share one batch by work stealing, in units of one flat
 row d (the row's n_u K-wide slabs ``[:, d, :]``): the worker draws the
@@ -43,16 +68,49 @@ import select
 import subprocess
 import sys
 import threading
+from collections.abc import Iterable
 from multiprocessing.connection import Connection
 
 import numpy as np
-
-from .controller import _fill_noise
 
 POLL_MS = 1000  # how often the idle worker checks that its parent is alive
 HEADER = 64  # bytes before the batch in the shared file: the two words
 PROGRESS, CLAIM = 0, 1  # int64 word indices in the header
 COUNT = (1 << 32) - 1  # low bits of a word: a flat row count
+
+
+def stream_key(seed: int, step_index: int) -> np.ndarray:
+    """128-bit noise stream key for one control step; ``seed`` >= 0."""
+    return np.random.SeedSequence((int(seed), int(step_index))).generate_state(2, np.uint64)
+
+
+def _is_identity(chol: np.ndarray) -> bool:
+    return bool(np.array_equal(chol, np.eye(chol.shape[0])))
+
+
+def _fill_noise(
+    out: np.ndarray, seed: int, step_index: int, chol: np.ndarray, rows: Iterable[int]
+) -> None:
+    """Write flat rows ``rows`` of step ``step_index``'s (n_u, n_inputs, K)
+    noise batch into the same rows of ``out``, each row's slabs whole.  One
+    bit generator serves every slab; only its counter is reset between
+    slabs."""
+    bits = np.random.Philox(key=stream_key(seed, step_index))
+    gen = np.random.Generator(bits)
+    state = bits.state  # reused dict; only the counter varies
+    n_u = out.shape[0]
+    plain = _is_identity(chol)
+    for d in rows:
+        for c in range(n_u):
+            state["state"]["counter"][3] = d * n_u + c  # block offset (d*n_u + c) * 2**192
+            state["buffer_pos"] = 4
+            bits.state = state
+            gen.standard_normal(out=out[c, d])
+        if not plain:
+            # chol @ z as element-wise products summed over the columns of
+            # chol in order: a matmul may fuse the multiply-adds, and how it
+            # does may depend on K
+            out[:, d] = (chol[:, :, None] * out[None, :, d]).sum(axis=1)
 
 
 def worker_main(jobs_fd: int, bell_fd: int, mem_fd: int) -> None:
@@ -109,7 +167,8 @@ class NoisePrefetch:
 
     A batch is known by its key (shape, seed, step, Cholesky factor).  The
     worker starts on the first call.  Once it has failed (it could not
-    start, or died), :meth:`fill` draws every row itself.
+    start, or died, or may not run in this process at all), :meth:`fill`
+    draws every row itself.
     """
 
     def __init__(self):
@@ -220,7 +279,7 @@ class NoisePrefetch:
         src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); "
-            "from mhmppi.prefetch import worker_main; "
+            "from mhmppi.noise import worker_main; "
             "worker_main(*map(int, sys.argv[2:]))"
         )
         fds = (reader.fileno(), self._bell, self._mem)
@@ -256,20 +315,21 @@ def _key(shape: tuple, seed: int, step_index: int, chol: np.ndarray) -> tuple:
     return (tuple(shape), int(seed), int(step_index), chol.tobytes())
 
 
-# pid -> that process's NoisePrefetch, or None where it draws inline; keyed
-# by pid so that a forked child never talks to its parent's worker
+# pid -> that process's NoisePrefetch; keyed by pid so that a forked child
+# never talks to its parent's worker
 _prefetchers: dict = {}
 
 
-def process_prefetch() -> NoisePrefetch | None:
-    """This process's prefetcher, made on first use.  None where the noise
-    is drawn inline: with fewer than two usable CPUs, in a multiprocessing
-    child (a pool of runs already keeps the CPUs busy), and where there is
-    no ``os.memfd_create`` or ``os.eventfd`` (outside Linux) or the
-    machine is not x86-64 (see the module docstring)."""
+def process_prefetch() -> NoisePrefetch:
+    """This process's prefetcher, made on first use.  It is ``failed`` from
+    the start, so that it draws every batch inline, with fewer than two
+    usable CPUs, in a multiprocessing child (a pool of runs already keeps
+    the CPUs busy), and where there is no ``os.memfd_create`` or
+    ``os.eventfd`` (outside Linux) or the machine is not x86-64 (see the
+    module docstring)."""
     pid = os.getpid()
     if pid not in _prefetchers:
-        prefetch = None
+        prefetch = NoisePrefetch()
         if (
             hasattr(os, "memfd_create")
             and hasattr(os, "eventfd")
@@ -277,7 +337,8 @@ def process_prefetch() -> NoisePrefetch | None:
             and len(os.sched_getaffinity(0)) >= 2
             and multiprocessing.parent_process() is None
         ):
-            prefetch = NoisePrefetch()
             atexit.register(prefetch.close)
+        else:
+            prefetch.failed = True
         _prefetchers[pid] = prefetch
     return _prefetchers[pid]

@@ -18,7 +18,6 @@ from .errors import ConfigError
 
 _UAV_BASE = {
     "model": {"kind": "double_integrator"},
-    "missions": [{"target": [10.0, 10.0, 0.0, 0.0]}],
     "obstacles": {"boxes": [], "penalty": 1.0e4},
     "controller": {
         "samples": 1000,
@@ -27,7 +26,7 @@ _UAV_BASE = {
         "noise_cov": 1.0,
         "seed": 0,
     },
-    "weights": {"gamma": 0.66, "temperature": 1.0, "metric": "position"},
+    "weights": {"gamma": 0.66, "temperature": 1.0},
     "x0": [0.0, 0.0, 0.0, 0.0],
     "max_steps": 400,
     "completion_tol": 0.5,
@@ -41,9 +40,9 @@ _OBSTACLE_BOXES = [
 ]
 
 
-def _uav(alternatives, **updates) -> dict:
+def _uav(alternatives, primary=(10.0, 10.0, 0.0, 0.0), **updates) -> dict:
     cfg = copy.deepcopy(_UAV_BASE)
-    cfg["missions"] += [{"target": list(p)} for p in alternatives]
+    cfg["missions"] = [{"target": list(p)} for p in (primary, *alternatives)]
     for key, value in updates.items():
         if isinstance(value, dict):
             cfg[key] = {**cfg[key], **value}
@@ -65,7 +64,8 @@ def builtin_scenarios() -> dict:
             max_steps=600,
         ),
         "ugv-obstacles": _uav(
-            [[2.0, 6.0, 0.0, 0.0], [6.0, 12.0, 0.0, 0.0]],
+            [[2.0, 6.0, 0.0], [6.0, 12.0, 0.0]],
+            primary=(10.0, 10.0, 0.0),
             model={"kind": "simple_car", "wheelbase": 0.2, "time_step": 0.1},
             obstacles={"boxes": copy.deepcopy(_OBSTACLE_BOXES)},
             controller={"samples": 2000},

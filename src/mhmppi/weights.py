@@ -33,33 +33,30 @@ _BISECT_MAX_ITER = 200
 @dataclass(frozen=True)
 class WeightLawParams:
     """gamma: total weight available to backup missions, in [0, 1).
-    temperature: Gibbs temperature of the distance weighting, > 0.
-    metric: distance metric selector ("position" or "full")."""
+    temperature: Gibbs temperature of the distance weighting, > 0."""
 
     gamma: float = 0.66
     temperature: float = 1.0
-    metric: str = "position"
 
     def __post_init__(self):
         check_real("gamma", self.gamma)
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
         check_real("temperature", self.temperature, above=0.0)
-        distance(np.zeros(2), np.zeros(2), self.metric)  # validates the selector
 
 
 def desired_weights(x: np.ndarray, missions: MissionSet, params: WeightLawParams) -> np.ndarray:
     """Distance-driven target weights on the m+1 simplex.
 
     Entry 0 is 1 - gamma + w0*gamma, entry i is wi*gamma, where w is the
-    softmax of -distance/temperature over all missions (max-shifted, so
-    always finite).  When every distance overflows to inf, no mission is
+    softmax of -distance/temperature over all missions, the distance being
+    on the position plane (max-shifted, so always finite).  When every distance overflows to inf, no mission is
     nearer than another and w is uniform.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):  # a huge state's distance is inf
         logits = np.array(
-            [-distance(x, mission.target, params.metric) / params.temperature
+            [-distance(x, mission.target) / params.temperature
              for mission in missions.missions]
         )
     if logits.max() == -np.inf:

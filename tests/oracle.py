@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mhmppi.controller import _is_identity
 from mhmppi.cost import POSITION_DIMS, Mission, MissionSet, ObstacleSet
 from mhmppi.dynamics import DynamicsModel
 from mhmppi.multi_horizon import (
@@ -33,6 +32,7 @@ from mhmppi.multi_horizon import (
     branch_rows,
     dims,
 )
+from mhmppi.noise import _is_identity
 
 # ------------------------------------------------------------------ noise
 
@@ -43,7 +43,7 @@ def draw_noise(key: np.ndarray, shape: tuple, chol: np.ndarray) -> np.ndarray:
     Reference form of the convention: slab (d, c) is a new generator on
     ``Philox(key, counter=(d * n_u + c) * 2**192)``, whose first K standard
     normals are ``z[c, d]``; entry (c, d, q) of the batch is the sum of
-    ``chol[c, j] * z[j, d, q]`` over j in order.  ``controller._fill_noise``
+    ``chol[c, j] * z[j, d, q]`` over j in order.  ``noise._fill_noise``
     produces the same values while reusing one bit generator.
     """
     n_u, n_inputs, n_samples = shape

@@ -57,7 +57,6 @@ def test_all_builtin_scenarios_build():
         assert scenario.max_steps >= 1
     ugv = scenario_from_dict(get_scenario_dict("ugv-obstacles"), "ugv")
     assert isinstance(ugv.model, SimpleCar)
-    # 4-vector targets are truncated to the car's 3-dim state
     assert ugv.missions[1].target.shape == (3,)
     assert np.array_equal(ugv.missions[1].target, [2, 6, 0])
 
@@ -71,6 +70,9 @@ def test_unknown_keys_rejected_with_path():
             )
     with pytest.raises(ConfigError, match="unknown key"):
         experiment_from_dict({"scenario": "uav-free-1", "extra": 1})
+    # the weight law's distance is always the position-plane distance
+    with pytest.raises(ConfigError, match="weights: unknown key 'metric'"):
+        scenario_from_dict({**get_scenario_dict("uav-free-1"), "weights": {"metric": "full"}})
 
 
 def test_validation_errors_name_constraint():
@@ -186,11 +188,14 @@ def test_modes_config():
         assert err.value.path.startswith("model")
 
 
-def test_nonzero_extra_target_entries_rejected():
-    cfg = get_scenario_dict("ugv-obstacles")
-    cfg["missions"][1]["target"] = [2, 6, 0, 5.0]
-    with pytest.raises(ConfigError, match="must be zero"):
-        scenario_from_dict(cfg)
+def test_four_vector_car_targets_rejected():
+    # a car target has the car's three state entries; a fourth, even a
+    # zero, is an error
+    for target in ([2, 6, 0, 0.0], [2, 6, 0, 5.0]):
+        cfg = get_scenario_dict("ugv-obstacles")
+        cfg["missions"][1]["target"] = target
+        with pytest.raises(ConfigError, match=r"missions\[1\] must have a target of dim 3"):
+            scenario_from_dict(cfg)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhmppi import buffers, prefetch
+from mhmppi import buffers, noise
 from mhmppi import controller as ctrl
 from mhmppi.config import scenario_from_dict
 from mhmppi.cost import Mission, MissionSet, ObstacleSet
@@ -137,7 +137,7 @@ def _filled(key, horizon, m, n_samples):
     """A whole noise batch from ``_fill_noise``."""
     seed, step_index, chol = key
     out = np.full((chol.shape[0], dims(horizon, m)[0], n_samples), np.nan)
-    ctrl._fill_noise(out, seed, step_index, chol, range(out.shape[1]))
+    noise._fill_noise(out, seed, step_index, chol, range(out.shape[1]))
     return out
 
 
@@ -150,9 +150,9 @@ def test_fill_noise_matches_per_slab_oracle(key, horizon, m, n_samples, data):
     n_rows = dims(horizon, m)[0]
     meet = data.draw(st.integers(0, n_rows))
     out = np.full((chol.shape[0], n_rows, n_samples), np.nan)
-    ctrl._fill_noise(out, seed, step_index, chol, range(meet))
-    ctrl._fill_noise(out, seed, step_index, chol, reversed(range(meet, n_rows)))
-    ref = draw_noise(ctrl.stream_key(seed, step_index), out.shape, chol)
+    noise._fill_noise(out, seed, step_index, chol, range(meet))
+    noise._fill_noise(out, seed, step_index, chol, reversed(range(meet, n_rows)))
+    ref = draw_noise(noise.stream_key(seed, step_index), out.shape, chol)
     assert np.array_equal(out, ref)
 
 
@@ -194,7 +194,7 @@ def test_sample_noise_applies_covariance():
 
 def _reference_batch(params, step_index, rows):
     """The noise batch of :func:`oracle.draw_noise`, one fresh generator per slab."""
-    key = ctrl.stream_key(params.seed, step_index)
+    key = noise.stream_key(params.seed, step_index)
     return draw_noise(key, (params.n_u, rows, params.n_samples), params.noise_chol)
 
 
@@ -202,8 +202,8 @@ def _reference_batch(params, step_index, rows):
 def own_prefetch(monkeypatch):
     """A NoisePrefetch of this test's own, used by ``sample_noise`` even on
     one CPU, so that stopping its worker touches no other test."""
-    pf = prefetch.NoisePrefetch()
-    monkeypatch.setitem(prefetch._prefetchers, os.getpid(), pf)
+    pf = noise.NoisePrefetch()
+    monkeypatch.setitem(noise._prefetchers, os.getpid(), pf)
     ahead = []  # per call: how many flat rows the worker had drawn ahead
     fill = pf.fill
 
@@ -223,12 +223,12 @@ def _worker_drew(pf, share):
     n_rows = pf._key[0][1]
     done = pf._seq << 32 | n_rows
     for _ in range(6000):
-        if int(pf._words[prefetch.PROGRESS]) == done:
+        if int(pf._words[noise.PROGRESS]) == done:
             break
         time.sleep(0.01)
     else:
         pytest.fail("the worker did not draw its batch")
-    pf._words[prefetch.PROGRESS] = pf._seq << 32 | share
+    pf._words[noise.PROGRESS] = pf._seq << 32 | share
 
 
 def _call_within(seconds, fn):
@@ -345,19 +345,43 @@ def test_prefetch_falls_back_inline_when_worker_dies(own_prefetch):
     assert ahead[-1] == 0
 
 
+def test_noise_worker_module_is_imported_lazily():
+    # building a scenario and its first controller state loads none of the
+    # worker's modules: sample_noise imports them on the first step, so
+    # that they do not weigh on the package's import time
+    code = (
+        "import sys\n"
+        "from mhmppi import config, controller, sim\n"
+        "from mhmppi.scenarios import get_scenario_dict\n"
+        "s = config.scenario_from_dict(get_scenario_dict('uav-free-1'))\n"
+        "controller.init_state(s.x0, s.controller, s.missions, s.weight_law)\n"
+        "print(*sorted({'multiprocessing', 'subprocess', 'mhmppi.noise'} & set(sys.modules)))\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(ctrl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src_dir},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 def test_prefetching_run_exits_cleanly():
     # a closed loop in a fresh interpreter: the worker is stopped and the
     # shared memory freed with nothing on stderr (no resource_tracker or
     # leaked shared_memory warnings)
     code = (
-        "from mhmppi import config, prefetch, sim\n"
+        "from mhmppi import config, noise, sim\n"
         "from mhmppi.scenarios import get_scenario_dict\n"
         "cfg = get_scenario_dict('uav-free-1')\n"
         "cfg['controller']['samples'] = 32\n"
         "cfg['max_steps'] = 5\n"
         "sim.run_closed_loop(config.scenario_from_dict(cfg))\n"
-        "pf = prefetch.process_prefetch()\n"
-        "print(None if pf is None else pf.pid)\n"
+        "pf = noise.process_prefetch()\n"
+        "print(pf.pid)\n"
     )
     src_dir = os.path.dirname(os.path.dirname(ctrl.__file__))
     proc = subprocess.run(
@@ -630,13 +654,10 @@ def test_batch_tail_costs_match_structure_route():
 def test_noise_stream_template_reuse_is_exact():
     # drawing advances internal state; the next slab must still match a
     # freshly keyed construction (the template must not alias generator state)
-    stream = ctrl.NoiseStream(99, 0)
-    # with one component, slab s is row s of the reference batch
-    slabs = draw_noise(ctrl.stream_key(99, 0), (1, 4, 7), np.eye(1))[0]
-    out = np.empty(7)
-    for s in [3, 0, 3, 2, 0, 1]:  # revisits must reproduce identical slabs
-        stream.slab(s, out)
-        assert np.array_equal(out, slabs[s])
+    out = np.full((1, 4, 7), np.nan)
+    # with one component, slab s is row s; revisits must reproduce identical slabs
+    noise._fill_noise(out, 99, 0, np.eye(1), [3, 0, 3, 2, 0, 1])
+    assert np.array_equal(out, draw_noise(noise.stream_key(99, 0), out.shape, np.eye(1)))
 
 
 def test_single_step_brute_force_oracle(monkeypatch):

@@ -103,8 +103,6 @@ def test_weight_law_validation():
         WeightLawParams(gamma=-0.1)
     with pytest.raises(ConfigError):
         WeightLawParams(temperature=0.0)
-    with pytest.raises(ConfigError):
-        WeightLawParams(metric="manhattan")
 
 
 # ------------------------------------------------------------- projection
