@@ -4,7 +4,8 @@ Verbs:
 
 * ``run <config.json>`` -- execute the configured scenario over the sweep
   cross-product and seed list, writing one trace file per run plus an
-  aggregate ``stats.csv``.  Flags ``--seed`` (repeatable), ``--out-dir``
+  aggregate ``stats.csv``; without a seed list a run keeps its scenario's
+  ``controller.seed``.  Flags ``--seed`` (repeatable), ``--out-dir``
   and ``--override path=value`` (repeatable) are applied to the config with
   ``dataclasses.replace``, so they are checked like the file's values, and
   ``--workers`` must be >= 1, all before any run starts.
@@ -15,8 +16,8 @@ Verbs:
   modes, ...) takes the default of the constructor its section feeds; see
   :mod:`mhmppi.config`.
 
-Runs are deterministic given (config, seed): trace payloads are byte
-identical across repeats except for the wall-time column.
+Runs are deterministic given their resolved config: trace payloads are
+byte identical across repeats except for the wall-time column.
 """
 
 from __future__ import annotations
@@ -45,14 +46,14 @@ def _run_label(sweep_point: dict) -> str:
 
 def _execute_run(args: tuple) -> sim.ClosedLoopTrace:
     """One run of the cross product; writes its trace file."""
-    scenario_name, sweep_point, scenario_dict, seed, out_dir = args
+    scenario_name, sweep_point, scenario_dict, out_dir = args
     scenario = config_mod.scenario_from_dict(scenario_dict, name=scenario_name)
     label = _run_label(sweep_point)
-    trace = sim.run_closed_loop(scenario, seed=seed)
+    trace = sim.run_closed_loop(scenario)
     trace.meta["group"] = label or scenario_name
-    trace.meta["config_hash"] = config_mod.config_hash(scenario_dict, seed)
+    trace.meta["config_hash"] = config_mod.config_hash(scenario_dict)
     trace.diagnostics = []  # not serialized; keep pool transfers small
-    name = "_".join(bit for bit in (scenario_name, label, f"seed{seed}") if bit)
+    name = "_".join(bit for bit in (scenario_name, label, f"seed{trace.meta['seed']}") if bit)
     traceio.write_trace(trace, f"{out_dir}/{_sanitize(name)}.csv")
     return trace
 
@@ -68,12 +69,8 @@ def _run_isolated(job: tuple):
 
 
 def run_experiment(cfg: config_mod.ExperimentConfig, workers: int = 1) -> int:
-    """Execute the run table x seeds; returns a process exit status."""
-    jobs = [
-        (cfg.scenario_name, point, scenario, seed, cfg.out_dir)
-        for point, scenario in cfg.runs
-        for seed in cfg.seeds
-    ]
+    """Execute the run table; returns a process exit status."""
+    jobs = [(cfg.scenario_name, point, scenario, cfg.out_dir) for point, scenario in cfg.runs]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -88,8 +85,8 @@ def run_experiment(cfg: config_mod.ExperimentConfig, workers: int = 1) -> int:
     if traces:
         rows = sim.analyze(traces)
         traceio.write_stats(rows, f"{cfg.out_dir}/stats.csv")
-    for (_, point, _, seed, _), exc in failures:
-        print(f"FAILED: sweep={point} seed={seed}: {exc}", file=sys.stderr)
+    for (_, point, run, _), exc in failures:
+        print(f"FAILED: sweep={point} seed={run['controller']['seed']}: {exc}", file=sys.stderr)
     print(
         f"{len(traces)} run(s) completed, {len(failures)} failed; "
         f"outputs in {cfg.out_dir}/"

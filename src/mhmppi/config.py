@@ -2,7 +2,7 @@
 
 Configs are JSON files.  Each scenario section holds the keyword arguments
 of the object it builds: ``model`` of its ``kind``'s class, a mission of
-:meth:`Mission.build`, ``obstacles`` of :meth:`ObstacleSet.from_boxes`,
+:meth:`Mission.build`, ``obstacles`` of :class:`ObstacleSet`,
 ``controller`` of :meth:`ControllerParams.build` (``samples`` is
 ``n_samples``), ``weights`` of :class:`WeightLawParams`, ``abort`` of
 :class:`AbortSpec` and the top-level keys of :class:`Scenario`.  A key left
@@ -117,7 +117,7 @@ def scenario_from_dict(cfg: dict, name: str = "custom") -> Scenario:
             name=name,
             model=model,
             missions=MissionSet(tuple(missions)),
-            obstacles=_build(ObstacleSet.from_boxes, cfg, "obstacles", _OBSTACLE_KEYS),
+            obstacles=_build(ObstacleSet, cfg, "obstacles", _OBSTACLE_KEYS),
             controller=_build(
                 ControllerParams.build, cfg, "controller", _CONTROLLER_KEYS, n_u=model.n_u
             ),
@@ -135,14 +135,15 @@ class ExperimentConfig:
     :class:`ConfigError`.  ``scenario``, ``overrides``, ``sweeps`` and
     ``seeds`` are private deep copies of the caller's, so they keep
     matching ``runs``, which holds one (sweep point, resolved scenario
-    dict) pair per point, each built once, so a bad value is reported
-    before any run starts."""
+    dict) pair per run, each built once, so a bad value is reported
+    before any run starts.  A run's dict holds the seed it runs at
+    ``controller.seed``: each of ``seeds``, or with None its own."""
 
     scenario_name: str
     scenario: dict  # resolved scenario config (before overrides/sweeps)
     overrides: dict = field(default_factory=dict)  # {dotted path: value}
     sweeps: list = field(default_factory=list)  # [{"path": ..., "values": [...]}]
-    seeds: list = field(default_factory=lambda: [0])
+    seeds: list | None = None
     out_dir: str = "results"
     runs: tuple = field(init=False, repr=False)
 
@@ -161,22 +162,26 @@ class ExperimentConfig:
                 raise ConfigError(
                     "sweep values must be a non-empty list", path=f"sweeps[{idx}].values"
                 )
-        check_seeds(self.seeds, "seeds")
+        if self.seeds is not None:
+            check_seeds(self.seeds, "seeds")
         if not (isinstance(self.out_dir, str) and self.out_dir):
             raise ConfigError(f"must be a non-empty string, got {self.out_dir!r}", path="out_dir")
 
-        runs = [({}, resolve_run_scenario(self, {})[0])]  # the overrides alone
-        if self.sweeps:
-            axes = [[(axis["path"], value) for value in axis["values"]] for axis in self.sweeps]
-            runs = [self._run(dict(combo)) for combo in itertools.product(*axes)]
-        object.__setattr__(self, "runs", tuple(runs))
+        axes = [[(axis["path"], value) for value in axis["values"]] for axis in self.sweeps]
+        points = [dict(combo) for combo in itertools.product(*axes)]  # [{}] without sweeps
+        seeds = [None] if self.seeds is None else self.seeds
+        object.__setattr__(self, "runs", tuple(self._run(p, s) for p in points for s in seeds))
 
-    def _run(self, point: dict) -> tuple:
+    def _run(self, point: dict, seed: int | None) -> tuple:
+        fixed = {} if seed is None else {"controller.seed": seed}
         try:
-            return point, resolve_run_scenario(self, point)[0]
+            scenario, built = resolve_run_scenario(self, {**point, **fixed})
         except ConfigError as exc:
-            at = ", ".join(f"{path}={value!r}" for path, value in point.items())
-            raise ConfigError(f"at sweep point {at}: {exc}", path="sweeps") from None
+            resolve_run_scenario(self, fixed)  # raises if the sweep point is not at fault
+            where = ", ".join(f"{path}={value!r}" for path, value in point.items())
+            raise ConfigError(f"at sweep point {where}: {exc}", path="sweeps") from None
+        set_by_path(scenario, "controller.seed", built.controller.seed)
+        return point, scenario
 
 
 def set_by_path(cfg: dict, dotted: str, value) -> None:
@@ -269,8 +274,7 @@ def resolve_run_scenario(cfg: ExperimentConfig, sweep_point: dict):
     return scenario, scenario_from_dict(scenario, name=cfg.scenario_name)
 
 
-def config_hash(resolved_scenario: dict, seed: int) -> str:
-    payload = json.dumps(
-        {"scenario": resolved_scenario, "seed": seed}, sort_keys=True, separators=(",", ":")
-    )
+def config_hash(resolved_scenario: dict) -> str:
+    """SHA-256 prefix of a run's scenario dict, its seed included."""
+    payload = json.dumps(resolved_scenario, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -41,10 +41,10 @@ Step buffers
 ------------
 A step allocates none of its slab arrays, those with a K-wide slab per
 component, state, input or time, after the first step of its shape.  The
-noise batch, the plan batch, the primary rollout, the branch-tail states
-and the tail loop's per-time inputs, occupancy and stage costs, and the
-temporaries of the dynamics and cost kernels, are per-thread
-:mod:`mhmppi.buffers` scratch: made on first use (never in
+noise batch, the plan batch, the primary rollout and its occupancy, the
+branch-tail states and the tail loop's per-time inputs, occupancy and
+stage costs, and the temporaries of the dynamics and cost kernels, are
+per-thread :mod:`mhmppi.buffers` scratch: made on first use (never in
 :func:`init_state`), and reused by every later step of the same or a
 smaller shape.  Fresh slab arrays would cost more than their allocation:
 they run to megabytes, and the allocator hands such memory back to the
@@ -263,8 +263,8 @@ def evaluate_plan_batch(
     weight.  The tails run in one pass over time t = 1..N-1: branch p
     splits off after input p, so at time t the branches p < t are running,
     and one ``model.update`` advances all of them, held as one
-    (n_x, m, N-1, K) state array, in place; the boxes are tested once per
-    time for all of them.  Time N-1 is the final stage of every branch,
+    (n_x, m, N-1, K) state array, in place; each simulated state is tested
+    once against the boxes.  Time N-1 is the final stage of every branch,
     which gives the tail costs.  The slab arrays are step-buffer scratch
     (module docstring); the two returned matrices and the per-sample cost
     vectors summed into them are new arrays on every call.
@@ -285,7 +285,12 @@ def evaluate_plan_batch(
     costs = np.empty((n_batch, m + 1))
     tail_costs = np.empty((n_batch, m + 1))
     stage = buffer("controller.terms", (horizon, n_batch))
-    cost_mod.stage_cost_terms(missions[0], states[:, 1:], primary_inputs, obstacles, stage)
+    visited = states[:, 1:]  # the states charged a stage term
+    hit = None
+    if obstacles.charged:
+        hit = buffer("controller.hit", stage.shape, bool)
+        obstacles.inside(visited[:POSITION_DIMS], hit)
+    cost_mod.stage_cost_terms(missions[0], visited, primary_inputs, obstacles, stage, hit=hit)
     terminal = cost_mod.terminal_cost_terms(missions[0], states[:, -1])
     costs[:, 0] = stage.sum(axis=0) + terminal
     tail_costs[:, 0] = stage[-1] + terminal
@@ -295,17 +300,13 @@ def evaluate_plan_batch(
     backups = list(enumerate(missions.missions[1:]))
     shared = np.arange(horizon - 1, 0, -1.0)  # branches through primary stage k = 1..N-1
     branch_sum = np.empty((m, n_batch))
-    terms = buffer("controller.terms", (horizon - 1, n_batch))
     for j, mission in backups:
-        terms = cost_mod.stage_cost_terms(
-            mission, states[:, 1:-1], primary_inputs[:, :-1], obstacles, terms
-        )
-        branch_sum[j] = shared @ terms
+        cost_mod.stage_cost_terms(mission, visited, primary_inputs, obstacles, stage, hit=hit)
+        branch_sum[j] = shared @ stage[:-1]
 
     rows = branch_rows(horizon, m).transpose(0, 2, 1)  # [t, i-1, p]
     tail_scales = scales[1:].T[:, :, None, None]  # (n_u, m, 1, 1)
     scaled = not np.all(tail_scales == 1.0)
-    boxes = obstacles.n_boxes and obstacles.penalty
     # x[:, j, p]: branch (j+1, p)
     x = buffer("controller.tail_states", (n_x, m, horizon - 1, n_batch))
     stage = np.empty((m, n_batch))
@@ -321,12 +322,14 @@ def evaluate_plan_batch(
             applied = np.multiply(tail_scales, u, out=buffer("controller.tail_scaled", u.shape))
         model.update(running, applied, out=running)
         hit = [None] * m
-        if boxes:
+        if obstacles.charged:
             hit = buffer("controller.tail_hit", (m, t, n_batch), bool)
             obstacles.inside(running[:POSITION_DIMS], hit)
         terms = buffer("controller.terms", (t, n_batch))
         for j, mission in backups:
-            cost_mod.stage_cost_terms(mission, running[:, j], u[:, j], obstacles, terms, hit[j])
+            cost_mod.stage_cost_terms(
+                mission, running[:, j], u[:, j], obstacles, terms, hit=hit[j]
+            )
             terms.sum(axis=0, out=stage[j])
         branch_sum += stage
     terms = buffer("controller.terms", (horizon - 1, n_batch))

@@ -8,7 +8,8 @@ final state.  The known initial state is never charged.
 
 Obstacles are axis-aligned boxes on the position plane; occupancy adds a
 constant penalty to the stage term (soft constraint), which keeps every
-cost finite for the sampling weights downstream.
+cost finite for the sampling weights downstream.  The caller tests the
+boxes and passes the occupancy to the stage kernel.
 
 The cost of the whole plan structure is a vector of m+1 entries: entry 0
 is the primary plan's cost, entry i >= 1 averages mission i's cost over
@@ -150,42 +151,32 @@ class MissionSet:
 
 @dataclass(frozen=True)
 class ObstacleSet:
-    """Axis-aligned boxes on the position plane with a constant penalty."""
+    """Axis-aligned boxes on the position plane with a constant penalty.
+    ``boxes`` holds (min corner, max corner) pairs as a read-only [box,
+    corner, axis] array.  Every construction is validated here."""
 
-    lo: np.ndarray  # (n_boxes, 2)
-    hi: np.ndarray  # (n_boxes, 2)
+    boxes: np.ndarray = ()
     penalty: float = 1.0e4
 
     def __post_init__(self):
-        lo = real_array("lo", self.lo)
-        hi = real_array("hi", self.hi)
-        if lo.shape != hi.shape or lo.ndim != 2 or lo.shape[1] != POSITION_DIMS:
-            raise ConfigError("obstacle corner arrays must both be (n_boxes, 2)")
-        if np.any(lo > hi):
+        boxes = real_array("boxes", self.boxes)
+        if boxes.size and boxes.shape[1:] != (2, POSITION_DIMS):
+            raise ConfigError(
+                f"boxes must be (min corner, max corner) pairs of {POSITION_DIMS}-vectors, "
+                f"got shape {boxes.shape}"
+            )
+        boxes = boxes.reshape(-1, 2, POSITION_DIMS)
+        if np.any(boxes[:, 0] > boxes[:, 1]):
             raise ConfigError("obstacle min corner must be <= max corner")
         check_real("obstacle penalty", self.penalty)
         if self.penalty < 0.0:
             raise ConfigError("obstacle penalty must be >= 0")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @classmethod
-    def from_boxes(cls, boxes=(), **penalty) -> "ObstacleSet":
-        """As the constructor, from a sequence of (min_corner, max_corner)
-        pairs of position-plane corners."""
-        corners = real_array("boxes", boxes)
-        if corners.size == 0:
-            corners = corners.reshape(0, 2, POSITION_DIMS)
-        if corners.shape[1:] != (2, POSITION_DIMS):
-            raise ConfigError(
-                f"boxes must be (min corner, max corner) pairs of {POSITION_DIMS}-vectors, "
-                f"got shape {corners.shape}"
-            )
-        return cls(corners[:, 0], corners[:, 1], **penalty)
+        object.__setattr__(self, "boxes", boxes)
 
     @property
-    def n_boxes(self) -> int:
-        return self.lo.shape[0]
+    def charged(self) -> bool:
+        """Whether occupancy adds to the cost: some box, nonzero penalty."""
+        return len(self.boxes) > 0 and self.penalty != 0.0
 
     def inside(self, positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Boolean occupancy of any box for (2, ...) positions (inclusive),
@@ -198,7 +189,7 @@ class ObstacleSet:
         x, y = positions[0, ...], positions[1, ...]
         scratch = buffer("cost.box", (2,) + out.shape, bool)
         box, test = scratch[0, ...], scratch[1, ...]
-        for (lx, ly), (hx, hy) in zip(self.lo, self.hi):
+        for (lx, ly), (hx, hy) in self.boxes:
             np.greater_equal(x, lx, out=box)
             box &= np.less_equal(x, hx, out=test)
             box &= np.greater_equal(y, ly, out=test)
@@ -238,17 +229,16 @@ def stage_cost_terms(
     inputs: np.ndarray,
     obstacles: ObstacleSet,
     out: np.ndarray | None = None,
-    hit: np.ndarray | None = None,
+    *,
+    hit: np.ndarray | None,
 ) -> np.ndarray:
     """Element-wise stage costs for matching (n_x, ...)/(n_u, ...) arrays,
     written into and returned as ``out`` (a new array by default).
-    ``hit`` is ``obstacles.inside`` of the states' positions when the
-    caller has it already."""
+    The penalty is added where ``hit``, the caller's ``obstacles.inside``
+    of the states' positions, is true; None adds none."""
     cost = _quad(states, mission.state_support, mission.target, out)
     cost += _quad(inputs, mission.input_support, out=buffer("cost.input", cost.shape))
-    if obstacles.n_boxes and obstacles.penalty:
-        if hit is None:
-            hit = obstacles.inside(states[:POSITION_DIMS], buffer("cost.hit", cost.shape, bool))
+    if hit is not None:
         np.add(cost, obstacles.penalty, out=cost, where=hit)
     return cost
 

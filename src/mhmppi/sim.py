@@ -3,6 +3,7 @@
 A scenario couples a model, a mission set, obstacles, controller and
 weight-law parameters with an initial state and termination settings.
 The loop executes the controller's first input through the true dynamics
+in the mode the controller plans the primary in, the primary mission's
 (no plant mismatch), records per-step telemetry, and stops on completion
 of the active mission or after ``max_steps``.
 
@@ -166,17 +167,15 @@ def _choose_backup(scenario: Scenario, x: np.ndarray, state: ctrl.ControllerStat
     return 1 + int(np.argmin(costs[0, 1:]))
 
 
-def run_closed_loop(scenario: Scenario, seed: int | None = None) -> ClosedLoopTrace:
+def run_closed_loop(scenario: Scenario) -> ClosedLoopTrace:
     """Run one scenario to completion, abort handover included."""
-    params = scenario.controller if seed is None else replace(scenario.controller, seed=seed)
     model, missions, obstacles = scenario.model, scenario.missions, scenario.obstacles
     n_missions = len(missions)
 
     x = scenario.x0.copy()
-    mode = 0
     goal = 0
     active = missions  # the mission set the controller plans for
-    state = ctrl.init_state(x, params, missions, scenario.weight_law)
+    state = ctrl.init_state(x, scenario.controller, missions, scenario.weight_law)
 
     records: list[StepRecord] = []
     diags = []
@@ -184,13 +183,12 @@ def run_closed_loop(scenario: Scenario, seed: int | None = None) -> ClosedLoopTr
     for t in range(scenario.max_steps):
         if scenario.abort is not None and t == scenario.abort.step:
             goal = _choose_backup(scenario, x, state)
-            mode = scenario.abort.new_mode
-            active = MissionSet((replace(missions[goal], mode=mode),))
+            active = MissionSet((replace(missions[goal], mode=scenario.abort.new_mode),))
             # The stored branch plan for an abort right after the executed
             # input becomes the primary plan of the one-mission problem.
             # Its row 0 is that executed input, so control_step's shift
             # leaves exactly the branch tail, padded with one zero input.
-            warm = MultiHorizonInput(params.horizon, 0, state.inputs.branch_view(goal, 0))
+            warm = MultiHorizonInput(state.inputs.horizon, 0, state.inputs.branch_view(goal, 0))
             state = ctrl.ControllerState(warm, np.ones(1), state.step_index)
 
         target = missions[goal].target
@@ -200,7 +198,7 @@ def run_closed_loop(scenario: Scenario, seed: int | None = None) -> ClosedLoopTr
             break
 
         u, state, diag = ctrl.control_step(
-            x, state, model, active, obstacles, params, scenario.weight_law
+            x, state, model, active, obstacles, scenario.controller, scenario.weight_law
         )
         alpha = diag.alpha
         if goal != 0:
@@ -211,13 +209,14 @@ def run_closed_loop(scenario: Scenario, seed: int | None = None) -> ClosedLoopTr
             StepRecord(t, x.copy(), u, alpha, diag.cost_mean, diag.cost_std, diag.seconds)
         )
         diags.append(diag)
-        x = step(model, x, u, mode)
+        x = step(model, x, u, active[0].mode)
     else:
         termination = Termination("max_steps", None, scenario.max_steps)
 
     meta = {
         "scenario": scenario.name,
-        "seed": int(params.seed),
+        "seed": int(scenario.controller.seed),
+        "n_u": model.n_u,
         "n_missions": n_missions,
         "targets": [mission.target.tolist() for mission in missions.missions],
     }

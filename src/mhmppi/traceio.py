@@ -4,10 +4,11 @@ Traces are comma-separated text: a header row, one row per executed
 control step (step index, state, input, mission weights, sample-cost mean
 and standard deviation, wall seconds), and a final ``#``-prefixed
 metadata line of shell-quoted ``key=value`` tokens carrying the
-termination reason, final state, and the config hash.  Stats tables are
-CSV.  Numbers are written with 17 significant digits, which round-trips
-float64 exactly.  Files are written to a temp file and renamed into
-place, so readers never observe partial output.
+termination reason, final state, mission targets and config hash, all
+that :func:`mhmppi.sim.analyze` reads.  Stats tables are CSV.  Numbers
+are written with 17 significant digits, which round-trips float64
+exactly.  Files are written to a temp file and renamed into place, so
+readers never observe partial output.
 """
 
 from __future__ import annotations
@@ -54,15 +55,10 @@ def trace_columns(n_x: int, n_u: int, n_missions: int) -> list:
 
 
 def write_trace(trace: ClosedLoopTrace, path: str) -> None:
-    """Serialize one closed-loop trace; see the module docstring."""
-    n_x = trace.final_state.shape[0]
-    if trace.records:
-        n_u = trace.records[0].inp.shape[0]
-        n_missions = trace.records[0].alpha.shape[0]
-    else:
-        n_u = int(trace.meta.get("n_u", 2))
-        n_missions = int(trace.meta.get("n_missions", 1))
-    lines = [",".join(trace_columns(n_x, n_u, n_missions))]
+    """Serialize one closed-loop trace; see the module docstring.  The
+    header's counts are the run's ``meta["n_u"]`` and ``meta["n_missions"]``."""
+    n_u, n_missions = int(trace.meta["n_u"]), int(trace.meta["n_missions"])
+    lines = [",".join(trace_columns(trace.final_state.shape[0], n_u, n_missions))]
     for rec in trace.records:
         fields = (
             [str(rec.step)]
@@ -77,6 +73,9 @@ def write_trace(trace: ClosedLoopTrace, path: str) -> None:
         f"steps={trace.termination.steps}",
         "final_state=" + "|".join(_fmt(v) for v in trace.final_state),
     ]
+    if "targets" in trace.meta:
+        targets = ";".join("|".join(_fmt(v) for v in t) for t in trace.meta["targets"])
+        meta_tokens.append(f"targets={targets}")
     for key in _META_FIELDS:
         if key in trace.meta:
             meta_tokens.append(shlex.quote(f"{key}={trace.meta[key]}"))
@@ -91,7 +90,8 @@ def read_trace(path: str) -> ClosedLoopTrace:
     """Parse a trace file back into a ClosedLoopTrace.
 
     Only the serialized payload comes back: step records, termination,
-    final state, and the metadata tokens (as strings/ints in ``meta``).
+    final state, and the metadata tokens (in ``meta``: the targets as lists
+    of floats, the seed, ``n_u`` and ``n_missions`` as ints).
     In-memory diagnostics are not part of the file format.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -136,7 +136,9 @@ def read_trace(path: str) -> ClosedLoopTrace:
     final_state = np.array([float(v) for v in meta.pop("final_state").split("|")])
     if "seed" in meta:
         meta["seed"] = int(meta["seed"])
-    meta["n_missions"] = n_missions
+    if "targets" in meta:
+        meta["targets"] = [[float(v) for v in t.split("|")] for t in meta["targets"].split(";")]
+    meta["n_u"], meta["n_missions"] = n_u, n_missions
     return ClosedLoopTrace(records, termination, final_state, meta)
 
 

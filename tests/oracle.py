@@ -6,8 +6,8 @@ same work the slow, literal way, one plan at a time with the component axis
 last: :func:`expand` simulates every plan of the structure as its own
 sequence of states, and :func:`cost_vector` and :func:`tail_cost_vector`
 sum each mission's cost over those states with their own dense quadratic.
-Its rollout loops and cost kernel are its own; it shares only the models'
-``update``, ``ObstacleSet.inside`` and the plan views with the package.
+Its rollout loops, cost kernel and box occupancy are its own; it shares
+only the models' ``update`` and the plan views with the package.
 The tests compare the two routes entry by entry.
 
 It also keeps the reference forms that the package's faster paths must
@@ -186,9 +186,12 @@ def _stage_terms(mission: Mission, states, inputs, obstacles: ObstacleSet) -> np
     """Stage costs for matching (..., n_x)/(..., n_u) arrays."""
     cost = _dense_quad(states - mission.target, mission.state_weight)
     cost = cost + _dense_quad(inputs, mission.input_weight)
-    if obstacles.n_boxes and obstacles.penalty:
-        positions = np.moveaxis(states[..., :POSITION_DIMS], -1, 0)
-        cost = cost + obstacles.penalty * obstacles.inside(positions)
+    if len(obstacles.boxes) and obstacles.penalty:
+        # in a box: every position entry between its corners (inclusive)
+        positions = states[..., None, :POSITION_DIMS]
+        lo, hi = obstacles.boxes[:, 0], obstacles.boxes[:, 1]
+        occupied = ((lo <= positions) & (positions <= hi)).all(axis=-1).any(axis=-1)
+        cost = cost + obstacles.penalty * occupied
     return cost
 
 

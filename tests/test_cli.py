@@ -126,14 +126,7 @@ def test_stats_recompute_from_trace_files(tmp_path):
         for f in sorted(os.listdir(out_dir))
         if f != "stats.csv"
     ]
-    for trace in traces:  # rebuild the fields analyze() needs
-        trace.meta["targets"] = [[2, 2, 0, 0], [0, 2, 0, 0]]
-    recomputed = sim.analyze(traces)
-    stored = read_stats(os.path.join(out_dir, "stats.csv"))
-    for rec, sto in zip(recomputed, stored):
-        for key in ("n_runs", "completion_rate", "mean_cost_mean", "mean_cost_std",
-                    "mean_steps", "mean_min_dist_alt1"):
-            assert rec[key] == pytest.approx(sto[key], rel=1e-12)
+    assert sim.analyze(traces) == read_stats(os.path.join(out_dir, "stats.csv"))
 
 
 def test_cli_overrides_and_seed_flags(tmp_path):
@@ -147,6 +140,33 @@ def test_cli_overrides_and_seed_flags(tmp_path):
     assert len(traces) == 2
     trace = read_trace(os.path.join(out_dir, traces[0]))
     assert len(trace.records) <= 2
+
+
+def test_run_uses_the_seed_its_config_states(tmp_path):
+    # without a seed list a run keeps its scenario's controller.seed
+    out_dir = tmp_path / "out"
+    scenario = {**fast_inline_scenario(), "max_steps": 3}
+    scenario["controller"] = {**scenario["controller"], "seed": 5}
+    payload = {"scenario": scenario, "out_dir": str(out_dir)}
+    assert cli.main(["run", write_exp(tmp_path, payload)]) == 0
+    assert sorted(os.listdir(out_dir)) == ["custom_seed5.csv", "stats.csv"]
+    assert read_trace(str(out_dir / "custom_seed5.csv")).meta["seed"] == 5
+
+
+def test_config_hash_covers_the_seed_that_ran(tmp_path):
+    # a seed list replaces controller.seed: two configs that differ only in
+    # that seed run the same experiment, and hash alike
+    hashes = []
+    for own_seed in (0, 5):
+        out_dir = tmp_path / f"out{own_seed}"
+        scenario = {**fast_inline_scenario(), "max_steps": 3}
+        scenario["controller"] = {**scenario["controller"], "seed": own_seed}
+        payload = {"scenario": scenario, "seeds": [3], "out_dir": str(out_dir)}
+        assert cli.main(["run", write_exp(tmp_path, payload, f"c{own_seed}.json")]) == 0
+        trace = read_trace(str(out_dir / "custom_seed3.csv"))
+        assert trace.meta["seed"] == 3
+        hashes.append(trace.meta["config_hash"])
+    assert hashes[0] == hashes[1]
 
 
 def test_cli_rejects_bad_override(tmp_path):

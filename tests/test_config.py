@@ -27,7 +27,7 @@ def write_config(tmp_path, payload):
 def test_minimal_config_fully_defaults(tmp_path):
     cfg = parse_config(write_config(tmp_path, {"scenario": "uav-free-1"}))
     assert cfg.scenario_name == "uav-free-1"
-    assert cfg.seeds == [0]
+    assert cfg.seeds is None
     assert cfg.out_dir == "results"
     _, scenario = resolve_run_scenario(cfg, {})
     assert isinstance(scenario.model, DoubleIntegrator)
@@ -156,13 +156,17 @@ def test_inline_scenario(tmp_path):
 
 def test_config_hash_stability():
     base = get_scenario_dict("uav-free-1")
-    h1 = config_hash(base, 0)
-    h2 = config_hash(get_scenario_dict("uav-free-1"), 0)
-    assert h1 == h2 and len(h1) == 16
-    assert config_hash(base, 1) != h1
+    base["controller"]["seed"] = 0
+    h1 = config_hash(base)
+    again = get_scenario_dict("uav-free-1")
+    again["controller"]["seed"] = 0
+    assert config_hash(again) == h1 and len(h1) == 16
+    again["controller"]["seed"] = 1
+    assert config_hash(again) != h1
     changed = get_scenario_dict("uav-free-1")
+    changed["controller"]["seed"] = 0
     changed["weights"]["gamma"] = 0.0
-    assert config_hash(changed, 0) != h1
+    assert config_hash(changed) != h1
 
 
 def test_modes_config():
@@ -233,7 +237,7 @@ def test_null_experiment_keys_take_the_defaults():
         {"scenario": "uav-free-1", "out_dir": None, "seeds": None, "overrides": None}
     )
     assert cfg.out_dir == "results"
-    assert cfg.seeds == [0]
+    assert cfg.seeds is None
     assert cfg.overrides == {} and cfg.sweeps == []
 
 

@@ -23,7 +23,7 @@ from mhmppi.scenarios import get_scenario_dict
 from mhmppi.weights import WeightLawParams
 from oracle import cost_vector, draw_noise, expand, from_parts, tail_cost_vector
 
-NO_OBS = ObstacleSet.from_boxes()
+NO_OBS = ObstacleSet()
 UAV_MISSIONS = MissionSet(
     (
         Mission.build([10, 10, 0, 0]),
@@ -588,7 +588,7 @@ def _oracle_case(model_cls, horizon, m, seed, dense=False):
             for i in range(m + 1)
         )
     )
-    obstacles = ObstacleSet.from_boxes(
+    obstacles = ObstacleSet(
         [((-0.05, -0.3), (0.3, 0.05)), ((0.1, 0.1), (0.6, 0.6))], penalty=5.0
     )
     base = MultiHorizonInput(horizon, m, rng.standard_normal((dims(horizon, m)[0], 2)))
@@ -767,6 +767,35 @@ def test_narrow_batch_matches_rows_of_wide_batch(model_cls, m):
         assert n.tobytes() == w[:32].tobytes()
 
 
+@pytest.mark.parametrize("horizon, m", [(20, 2), (5, 3), (4, 0)])
+def test_each_simulated_state_is_tested_against_the_boxes_once(monkeypatch, horizon, m):
+    # (20, 2) is the branches-n20 shape: 400 simulated states per sample,
+    # which were 438 positions tested when each mission tested the primary
+    # states again for its own primary stage terms
+    tested = []
+    inside = ObstacleSet.inside
+
+    def spy(self, positions, out=None):
+        tested.append(np.asarray(positions)[0].size)
+        return inside(self, positions, out)
+
+    monkeypatch.setattr(ObstacleSet, "inside", spy)
+    model = DoubleIntegrator()
+    missions = MissionSet(tuple(Mission.build([1.0 + i, 1.0, 0, 0]) for i in range(m + 1)))
+    n_batch = 3
+    flat_batch = np.random.default_rng(m).standard_normal((2, dims(horizon, m)[0], n_batch))
+    box = [((0.0, 0.0), (1.0, 1.0))]
+    states = dims(horizon, m)[1] - 1  # all but the known initial state
+    for obstacles, expected in [
+        (ObstacleSet(box, penalty=5.0), states),
+        (ObstacleSet(), 0),
+        (ObstacleSet(box, penalty=0.0), 0),
+    ]:
+        tested.clear()
+        ctrl.evaluate_plan_batch(model, np.zeros(4), flat_batch, horizon, missions, obstacles)
+        assert sum(tested) == expected * n_batch, obstacles
+
+
 def _buffer_case():
     """Double integrator over two backups in a degraded mode, with boxes:
     every step buffer, the tail scaling and the occupancy among them."""
@@ -778,7 +807,7 @@ def _buffer_case():
             Mission.build([1.5, 0.0, 0, 0], state_weight=2.0),
         )
     )
-    obstacles = ObstacleSet.from_boxes([((0.2, 0.2), (0.8, 0.8))], penalty=50.0)
+    obstacles = ObstacleSet([((0.2, 0.2), (0.8, 0.8))], penalty=50.0)
     params = make_params(n_samples=64, horizon=6, seed=11)
     return model, missions, obstacles, params, WeightLawParams(gamma=0.66)
 

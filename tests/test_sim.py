@@ -40,7 +40,7 @@ def state_weighted(*targets):
     return MissionSet(tuple(Mission.build(t, state_weight=10.0) for t in targets))
 
 
-def small_scenario(**kw):
+def small_scenario(seed=0, **kw):
     """Cheap double-integrator scenario for loop mechanics tests."""
     missions = kw.pop("missions", MissionSet(tuple(Mission.build(t) for t in TARGETS)))
     model = kw.pop("model", DoubleIntegrator())
@@ -48,8 +48,8 @@ def small_scenario(**kw):
         name="small",
         model=model,
         missions=missions,
-        obstacles=ObstacleSet.from_boxes(),
-        controller=ControllerParams.build(n_samples=64, horizon=5, n_u=2, seed=0),
+        obstacles=ObstacleSet(),
+        controller=ControllerParams.build(n_samples=64, horizon=5, n_u=2, seed=seed),
         weight_law=WeightLawParams(gamma=0.4),
         x0=np.zeros(4),
         max_steps=150,
@@ -79,8 +79,8 @@ def test_immediate_completion_at_start():
 
 def test_trace_satisfies_true_dynamics_exactly():
     missions = state_weighted(*TARGETS)
-    scenario = small_scenario(missions=missions)
-    trace = run_closed_loop(scenario, seed=3)
+    scenario = small_scenario(missions=missions, seed=3)
+    trace = run_closed_loop(scenario)
     assert trace.termination.kind == "completed"
     model = scenario.model
     states = [r.state for r in trace.records] + [trace.final_state]
@@ -89,8 +89,8 @@ def test_trace_satisfies_true_dynamics_exactly():
 
 
 def test_completion_monotone_in_tolerance():
-    loose = run_closed_loop(small_scenario(completion_tol=1.0), seed=1)
-    tight = run_closed_loop(small_scenario(completion_tol=0.4), seed=1)
+    loose = run_closed_loop(small_scenario(completion_tol=1.0, seed=1))
+    tight = run_closed_loop(small_scenario(completion_tol=0.4, seed=1))
     assert loose.termination.kind == "completed"
     assert tight.termination.kind == "completed"
     assert loose.termination.steps <= tight.termination.steps
@@ -98,7 +98,7 @@ def test_completion_monotone_in_tolerance():
 
 def test_max_steps_termination():
     scenario = small_scenario(max_steps=3)
-    trace = run_closed_loop(scenario, seed=0)
+    trace = run_closed_loop(scenario)
     assert trace.termination == Termination("max_steps", None, 3)
     assert len(trace.records) == 3
 
@@ -111,8 +111,9 @@ def test_abort_switches_mission_and_mode():
         model=DoubleIntegrator(modes),
         abort=AbortSpec(step=5, new_mode=1, policy="min_cost"),
         max_steps=200,
+        seed=2,
     )
-    trace = run_closed_loop(scenario, seed=2)
+    trace = run_closed_loop(scenario)
     assert trace.termination.kind == "aborted_completed"
     assert trace.termination.mission in (1, 2)
     # post-abort records carry the one-hot of the chosen mission
@@ -126,6 +127,21 @@ def test_abort_switches_mission_and_mode():
     for k, rec in enumerate(trace.records):
         mode = 0 if k < 5 else 1
         assert np.array_equal(states[k + 1], step(model, rec.state, rec.inp, mode))
+
+
+def test_plant_steps_in_the_primary_mission_mode():
+    # no plant mismatch: the controller rolls the primary out in the
+    # primary mission's mode, so the plant steps in that mode too
+    missions = MissionSet(
+        (Mission.build(TARGETS[0], state_weight=10.0, mode=1),)
+        + state_weighted(*TARGETS[1:]).missions
+    )
+    model = DoubleIntegrator([np.ones(2), np.array([0.5, 0.5])])
+    trace = run_closed_loop(small_scenario(missions=missions, model=model, max_steps=12))
+    assert len(trace.records) == 12
+    states = [r.state for r in trace.records] + [trace.final_state]
+    for k, rec in enumerate(trace.records):
+        assert np.array_equal(states[k + 1], step(model, rec.state, rec.inp, 1)), k
 
 
 def test_abort_warm_start_begins_with_stored_branch(monkeypatch):
@@ -143,8 +159,8 @@ def test_abort_warm_start_begins_with_stored_branch(monkeypatch):
         return out
 
     monkeypatch.setattr(sim_mod.ctrl, "control_step", spy_control_step)
-    scenario = small_scenario(abort=AbortSpec(step=5), max_steps=8)
-    trace = run_closed_loop(scenario, seed=2)
+    scenario = small_scenario(abort=AbortSpec(step=5), max_steps=8, seed=2)
+    trace = run_closed_loop(scenario)
     assert len(trace.records) == 8
     assert len(calls) == len(trace.records)
     goal = int(np.argmax(trace.records[5].alpha))
@@ -188,11 +204,11 @@ def test_abort_nearest_policy_single_alternative():
     for seed in (0, 1):
         scenario = small_scenario(
             missions=missions,
-            controller=ControllerParams.build(n_samples=64, horizon=5, n_u=2, seed=0),
             abort=AbortSpec(step=4, policy="nearest"),
             max_steps=200,
+            seed=seed,
         )
-        trace = run_closed_loop(scenario, seed=seed)
+        trace = run_closed_loop(scenario)
         assert trace.termination == Termination(
             "aborted_completed", 1, trace.termination.steps
         )
@@ -209,12 +225,12 @@ def test_abort_validation():
 
 def test_negative_run_seed_rejected():
     with pytest.raises(ConfigError, match="seed must be >= 0"):
-        run_closed_loop(small_scenario(max_steps=2), seed=-1)
+        small_scenario(max_steps=2, seed=-1)
 
 
 def test_descent_constraint_along_closed_loop():
-    scenario = small_scenario(max_steps=40)
-    trace = run_closed_loop(scenario, seed=5)
+    scenario = small_scenario(max_steps=40, seed=5)
+    trace = run_closed_loop(scenario)
     alpha_prev = None
     for diag in trace.diagnostics:
         if alpha_prev is not None and diag.plan_costs.size:
@@ -228,8 +244,8 @@ def test_run_is_deterministic_per_seed():
     modes = [np.ones(2), np.array([0.6, 0.6])]
     abort = dict(model=DoubleIntegrator(modes), abort=AbortSpec(step=5, new_mode=1))
     for kw in ({}, abort):
-        a = run_closed_loop(small_scenario(**kw), seed=7)
-        b = run_closed_loop(small_scenario(**kw), seed=7)
+        a = run_closed_loop(small_scenario(**kw, seed=7))
+        b = run_closed_loop(small_scenario(**kw, seed=7))
         assert a.termination == b.termination
         assert len(a.records) == len(b.records)
         for ra, rb in zip(a.records, b.records):

@@ -3,7 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from mhmppi.sim import ClosedLoopTrace, StepRecord, Termination
+from mhmppi.config import scenario_from_dict
+from mhmppi.scenarios import get_scenario_dict
+from mhmppi.sim import ClosedLoopTrace, StepRecord, Termination, analyze, run_closed_loop
 from mhmppi.traceio import read_stats, read_trace, trace_columns, write_stats, write_trace
 
 
@@ -21,7 +23,14 @@ def make_trace(n_steps=7, n_x=4, n_u=2, n_missions=3, seed=0):
         )
         for k in range(n_steps)
     ]
-    meta = {"scenario": "uav-free-1", "seed": 3, "config_hash": "abc123", "group": "g1"}
+    meta = {
+        "scenario": "uav-free-1",
+        "seed": 3,
+        "config_hash": "abc123",
+        "group": "g1",
+        "n_u": n_u,
+        "n_missions": n_missions,
+    }
     return ClosedLoopTrace(
         records, Termination("completed", 0, n_steps), rng.standard_normal(n_x), meta
     )
@@ -71,6 +80,30 @@ def test_empty_trace_header_and_metadata_only(tmp_path):
     back = read_trace(str(path))
     assert back.records == []
     assert back.termination == Termination("completed", 0, 0)
+
+
+def test_trace_file_holds_what_analyze_reads(tmp_path):
+    trace = make_trace()
+    trace.meta["targets"] = [[1 / 3, 2e-17, 0.1, 0.0], [np.pi, -1.0, 0.0, 5e-324], [9.0] * 4]
+    path = tmp_path / "t.csv"
+    write_trace(trace, str(path))
+    back = read_trace(str(path))
+    assert back.meta["targets"] == trace.meta["targets"]  # 17 digits round-trip
+    assert analyze([back]) == analyze([trace])
+
+
+def test_empty_run_trace_takes_its_header_from_the_metadata(tmp_path):
+    # a run that completes at its start state has no step rows: the header
+    # takes the run's input and mission counts from its metadata
+    cfg = get_scenario_dict("ugv-obstacles")
+    cfg["x0"] = cfg["missions"][0]["target"]
+    trace = run_closed_loop(scenario_from_dict(cfg))
+    assert trace.records == [] and trace.meta["n_u"] == 2
+    path = tmp_path / "empty.csv"
+    write_trace(trace, str(path))
+    assert path.read_text().split("\n")[0].split(",") == trace_columns(3, 2, 3)
+    back = read_trace(str(path))
+    assert back.meta["n_u"] == 2 and back.meta["targets"] == trace.meta["targets"]
 
 
 def test_no_partial_files_on_disk(tmp_path):
