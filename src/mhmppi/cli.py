@@ -8,7 +8,8 @@ Verbs:
   ``controller.seed``.  Flags ``--seed`` (repeatable), ``--out-dir``
   and ``--override path=value`` (repeatable) are applied to the config with
   ``dataclasses.replace``, so they are checked like the file's values, and
-  ``--workers`` must be >= 1, all before any run starts.
+  ``--workers`` must be >= 1, all before any run starts.  So is a run
+  table in which two runs would write the same trace file.
 * ``list-scenarios`` -- names and one-line notes of the built-in scenarios.
 * ``print-defaults`` -- the config reference as JSON: an experiment
   skeleton plus every built-in scenario dict as written.  A key a
@@ -44,17 +45,26 @@ def _run_label(sweep_point: dict) -> str:
     return ",".join(f"{p.split('.')[-1]}={v}" for p, v in sorted(sweep_point.items()))
 
 
+def _trace_path(scenario_name: str, sweep_point: dict, scenario_dict: dict, out_dir: str) -> str:
+    """A run's trace file, named by its sweep point and the seed its dict holds."""
+    seed = f"seed{scenario_dict['controller']['seed']}"
+    name = "_".join(bit for bit in (scenario_name, _run_label(sweep_point), seed) if bit)
+    return f"{out_dir}/{_sanitize(name)}.csv"
+
+
+def _describe(job: tuple) -> str:
+    return f"sweep={job[1]} seed={job[2]['controller']['seed']}"
+
+
 def _execute_run(args: tuple) -> sim.ClosedLoopTrace:
     """One run of the cross product; writes its trace file."""
-    scenario_name, sweep_point, scenario_dict, out_dir = args
+    scenario_name, sweep_point, scenario_dict, _ = args
     scenario = config_mod.scenario_from_dict(scenario_dict, name=scenario_name)
-    label = _run_label(sweep_point)
     trace = sim.run_closed_loop(scenario)
-    trace.meta["group"] = label or scenario_name
+    trace.meta["group"] = _run_label(sweep_point) or scenario_name
     trace.meta["config_hash"] = config_mod.config_hash(scenario_dict)
     trace.diagnostics = []  # not serialized; keep pool transfers small
-    name = "_".join(bit for bit in (scenario_name, label, f"seed{trace.meta['seed']}") if bit)
-    traceio.write_trace(trace, f"{out_dir}/{_sanitize(name)}.csv")
+    traceio.write_trace(trace, _trace_path(*args))
     return trace
 
 
@@ -71,6 +81,13 @@ def _run_isolated(job: tuple):
 def run_experiment(cfg: config_mod.ExperimentConfig, workers: int = 1) -> int:
     """Execute the run table; returns a process exit status."""
     jobs = [(cfg.scenario_name, point, scenario, cfg.out_dir) for point, scenario in cfg.runs]
+    paths = [_trace_path(*job) for job in jobs]
+    for i, path in enumerate(paths):
+        j = paths.index(path)
+        if j < i:
+            raise ConfigError(
+                f"runs {j} ({_describe(jobs[j])}) and {i} ({_describe(jobs[i])}) both write {path}"
+            )
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -85,8 +102,8 @@ def run_experiment(cfg: config_mod.ExperimentConfig, workers: int = 1) -> int:
     if traces:
         rows = sim.analyze(traces)
         traceio.write_stats(rows, f"{cfg.out_dir}/stats.csv")
-    for (_, point, run, _), exc in failures:
-        print(f"FAILED: sweep={point} seed={run['controller']['seed']}: {exc}", file=sys.stderr)
+    for job, exc in failures:
+        print(f"FAILED: {_describe(job)}: {exc}", file=sys.stderr)
     print(
         f"{len(traces)} run(s) completed, {len(failures)} failed; "
         f"outputs in {cfg.out_dir}/"

@@ -82,7 +82,7 @@ from . import cost as cost_mod
 from .buffers import buffer
 from .cost import POSITION_DIMS, MissionSet, ObstacleSet
 from .dynamics import DynamicsModel
-from .errors import ConfigError, NonFiniteCostError, check_int, check_real, real_array
+from .errors import ConfigError, NonFiniteCostError, check_int, check_real, symmetric_matrix
 from .multi_horizon import MultiHorizonInput, branch_rows, dims
 from .weights import WeightLawParams, desired_weights, update_weights
 
@@ -107,9 +107,7 @@ class ControllerParams:
         check_int("horizon", self.horizon, 2)
         check_real("temperature", self.temperature, above=0.0)
         check_int("seed", self.seed, 0)
-        cov = real_array("noise_cov", self.noise_cov)
-        if cov.ndim != 2 or cov.shape != cov.T.shape or not np.allclose(cov, cov.T):
-            raise ConfigError(f"noise_cov must be a symmetric matrix, got {cov.tolist()}")
+        cov = symmetric_matrix("noise_cov", self.noise_cov)
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
@@ -124,12 +122,7 @@ class ControllerParams:
     ) -> "ControllerParams":
         """As the constructor, with the other fields' defaults; a scalar
         ``noise_cov`` scales the n_u x n_u identity."""
-        cov = real_array("noise_cov", noise_cov)
-        if cov.ndim == 0:
-            cov = cov * np.eye(n_u)
-        if cov.shape != (n_u, n_u):
-            raise ConfigError(f"noise_cov must be scalar or {n_u}x{n_u}, got {cov.shape}")
-        return cls(n_samples, horizon, cov, **choices)
+        return cls(n_samples, horizon, symmetric_matrix("noise_cov", noise_cov, n_u), **choices)
 
     @property
     def n_u(self) -> int:

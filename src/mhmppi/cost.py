@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .buffers import buffer
-from .errors import ConfigError, check_int, check_real, real_array
+from .errors import ConfigError, check_int, check_real, real_array, symmetric_matrix
 
 POSITION_DIMS = 2
 
@@ -50,11 +50,7 @@ def distance(x: np.ndarray, target: np.ndarray, metric: str = "position") -> np.
 
 
 def _psd_weight(M, what: str) -> np.ndarray:
-    M = real_array(what, M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ConfigError(f"{what} must be a square matrix, got shape {M.shape}")
-    if not np.allclose(M, M.T):
-        raise ConfigError(f"{what} must be symmetric")
+    M = symmetric_matrix(what, M)
     if np.any(np.linalg.eigvalsh(M) < -1e-12):
         raise ConfigError(f"{what} must be positive semidefinite")
     return M
@@ -71,11 +67,6 @@ def _support(M: np.ndarray) -> tuple:
         for j, w in enumerate(row[i:], i)
         if w
     )
-
-
-def _scaled_eye(M, n: int, what: str):
-    """A scalar ``M`` times the n x n identity; any other ``M`` as given."""
-    return real_array(what, M) * np.eye(n) if np.ndim(M) == 0 else M
 
 
 @dataclass(frozen=True)
@@ -117,8 +108,8 @@ class Mission:
         target = real_array("target", target)
         return cls(
             target,
-            _scaled_eye(state_weight, target.size, "state_weight"),
-            _scaled_eye(input_weight, n_u, "input_weight"),
+            symmetric_matrix("state_weight", state_weight, target.size),
+            symmetric_matrix("input_weight", input_weight, n_u),
             **mode,
         )
 

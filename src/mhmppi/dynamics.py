@@ -156,8 +156,5 @@ def step(model: DynamicsModel, x: np.ndarray, u: np.ndarray, mode: int = 0) -> n
     """One transition under mode-scaled input.  Pure; x, u are not modified."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if x.shape[-1] != model.n_x:
-        raise ValueError(f"state has dim {x.shape[-1]}, expected {model.n_x}")
-    if u.shape[-1] != model.n_u:
-        raise ValueError(f"input has dim {u.shape[-1]}, expected {model.n_u}")
+    model._check_shapes(x, u)  # before the scale, which would broadcast a short u
     return model.update(x, model.mode_scale(mode) * u)

@@ -65,3 +65,15 @@ def real_array(name: str, value) -> np.ndarray:
         raise ConfigError(f"{name} must be finite, got {arr.tolist()}")
     arr.flags.writeable = False
     return arr
+
+
+def symmetric_matrix(name: str, value, n: int | None = None) -> np.ndarray:
+    """A read-only float copy of ``value``, a symmetric square matrix.  Build
+    methods pass ``n``, and then a scalar is that multiple of the n x n
+    identity, left unchecked, like any value, for their constructor."""
+    arr = real_array(name, value)
+    if n is not None:
+        return arr * np.eye(n) if arr.ndim == 0 else arr
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.allclose(arr, arr.T):
+        raise ConfigError(f"{name} must be a symmetric square matrix, got {arr.tolist()}")
+    return arr

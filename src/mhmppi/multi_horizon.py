@@ -113,7 +113,7 @@ class MultiHorizonInput:
 
     def __post_init__(self):
         n, _ = dims(self.horizon, self.n_alternatives)
-        flat = np.asarray(self.flat, dtype=float)
+        flat = np.array(self.flat, dtype=float)
         if flat.ndim != 2 or flat.shape[0] != n:
             raise ValueError(f"flat storage must have shape ({n}, n_u), got {flat.shape}")
         flat.flags.writeable = False

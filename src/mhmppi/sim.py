@@ -81,6 +81,8 @@ class Scenario:
                     f"{n_u}x{n_u}"
                 )
             self.model.mode_scale(mission.mode)  # validates the mode index
+        if self.controller.n_u != n_u:
+            raise ConfigError(f"controller noise_cov must be {n_u}x{n_u} like the model's inputs")
         if self.abort is not None:
             if self.abort.step >= self.max_steps:
                 raise ConfigError(
@@ -224,16 +226,13 @@ def run_closed_loop(scenario: Scenario) -> ClosedLoopTrace:
 
 
 def _path_length(trace: ClosedLoopTrace) -> float:
-    pos = trace.states[:, :2]
-    return float(np.sum(np.linalg.norm(np.diff(pos, axis=0), axis=1)))
+    states = trace.states
+    return float(np.sum(distance(states[1:], states[:-1])))
 
 
 def _min_target_distances(trace: ClosedLoopTrace) -> np.ndarray:
     """Min-over-time position distance to each mission target."""
-    targets = np.asarray(trace.meta["targets"], dtype=float)
-    pos = trace.states[:, :2]
-    d = np.linalg.norm(pos[:, None, :] - targets[None, :, :2], axis=-1)
-    return d.min(axis=0)
+    return distance(trace.states[:, None, :], trace.meta["targets"]).min(axis=0)
 
 
 def analyze(traces) -> list[dict]:

@@ -2,28 +2,29 @@
 
 Traces are comma-separated text: a header row, one row per executed
 control step (step index, state, input, mission weights, sample-cost mean
-and standard deviation, wall seconds), and a final ``#``-prefixed
-metadata line of shell-quoted ``key=value`` tokens carrying the
-termination reason, final state, mission targets and config hash, all
-that :func:`mhmppi.sim.analyze` reads.  Stats tables are CSV.  Numbers
-are written with 17 significant digits, which round-trips float64
-exactly.  Files are written to a temp file and renamed into place, so
-readers never observe partial output.
+and standard deviation, wall seconds), and a last line of ``# `` and one
+JSON object: ``termination`` (its label), ``steps``, ``final_state`` and
+whichever of ``targets``, ``scenario``, ``seed``, ``group`` and
+``config_hash`` the run's ``meta`` holds, all that :func:`mhmppi.sim.analyze`
+reads.  Stats tables are CSV.  Row numbers have 17 significant digits and
+metadata floats their repr (``NaN``/``Infinity`` if not finite): both
+round-trip float64 exactly.  Files are written to a temp file and renamed
+into place, so readers never observe partial output.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import os
-import shlex
 import tempfile
 
 import numpy as np
 
 from .sim import ClosedLoopTrace, StepRecord, Termination
 
-_META_FIELDS = ("scenario", "seed", "group", "config_hash")
+_META_FIELDS = ("targets", "scenario", "seed", "group", "config_hash")
 
 
 def _fmt(value: float) -> str:
@@ -68,18 +69,13 @@ def write_trace(trace: ClosedLoopTrace, path: str) -> None:
             + [_fmt(rec.cost_mean), _fmt(rec.cost_std), _fmt(rec.seconds)]
         )
         lines.append(",".join(fields))
-    meta_tokens = [
-        f"termination={trace.termination.label()}",
-        f"steps={trace.termination.steps}",
-        "final_state=" + "|".join(_fmt(v) for v in trace.final_state),
-    ]
-    if "targets" in trace.meta:
-        targets = ";".join("|".join(_fmt(v) for v in t) for t in trace.meta["targets"])
-        meta_tokens.append(f"targets={targets}")
-    for key in _META_FIELDS:
-        if key in trace.meta:
-            meta_tokens.append(shlex.quote(f"{key}={trace.meta[key]}"))
-    lines.append("# " + " ".join(meta_tokens))
+    meta = {
+        "termination": trace.termination.label(),
+        "steps": trace.termination.steps,
+        "final_state": trace.final_state.tolist(),
+        **{key: trace.meta[key] for key in _META_FIELDS if key in trace.meta},
+    }
+    lines.append("# " + json.dumps(meta))
     try:
         _atomic_write(path, "\n".join(lines) + "\n")
     except OSError as exc:
@@ -90,9 +86,9 @@ def read_trace(path: str) -> ClosedLoopTrace:
     """Parse a trace file back into a ClosedLoopTrace.
 
     Only the serialized payload comes back: step records, termination,
-    final state, and the metadata tokens (in ``meta``: the targets as lists
-    of floats, the seed, ``n_u`` and ``n_missions`` as ints).
-    In-memory diagnostics are not part of the file format.
+    final state, and in ``meta`` the metadata object's other keys and the
+    header's ``n_u`` and ``n_missions``.  A last line that is not ``#`` and
+    a JSON object raises ValueError.  Diagnostics are not in the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
@@ -104,14 +100,12 @@ def read_trace(path: str) -> ClosedLoopTrace:
     n_missions = sum(1 for c in header if c.startswith("alpha"))
 
     meta_line = lines[-1]
-    if not meta_line.startswith("#"):
-        raise ValueError(f"{path}: missing metadata line")
-    meta: dict = {}
-    for token in shlex.split(meta_line[1:]):
-        key, sep, value = token.partition("=")
-        if not sep:
-            raise ValueError(f"{path}: metadata token {token!r} is not key=value")
-        meta[key] = value
+    try:
+        meta = json.loads(meta_line[1:]) if meta_line.startswith("#") else None
+    except json.JSONDecodeError:
+        meta = None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: last line is not # and a JSON metadata object")
 
     records = []
     for line in lines[1:-1]:
@@ -132,12 +126,8 @@ def read_trace(path: str) -> ClosedLoopTrace:
             )
         )
 
-    termination = Termination.from_label(meta.pop("termination"), int(meta.pop("steps")))
-    final_state = np.array([float(v) for v in meta.pop("final_state").split("|")])
-    if "seed" in meta:
-        meta["seed"] = int(meta["seed"])
-    if "targets" in meta:
-        meta["targets"] = [[float(v) for v in t.split("|")] for t in meta["targets"].split(";")]
+    termination = Termination.from_label(meta.pop("termination"), meta.pop("steps"))
+    final_state = np.array(meta.pop("final_state"), dtype=float)
     meta["n_u"], meta["n_missions"] = n_u, n_missions
     return ClosedLoopTrace(records, termination, final_state, meta)
 

@@ -169,6 +169,23 @@ def test_config_hash_covers_the_seed_that_ran(tmp_path):
     assert hashes[0] == hashes[1]
 
 
+@pytest.mark.parametrize(
+    "given, shared",
+    [
+        ({"seeds": [0, 0]}, "custom_seed0.csv"),
+        ({"sweeps": [{"path": "weights.gamma", "values": [0.5, 0.5]}]}, "custom_gamma=0.5_seed0.csv"),
+    ],
+)
+def test_runs_that_share_a_trace_file_exit_before_any_run(tmp_path, capsys, given, shared):
+    out_dir = tmp_path / "out"
+    payload = {"scenario": fast_inline_scenario(), "out_dir": str(out_dir), **given}
+    assert cli.main(["run", write_exp(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: runs 0 (") and ") and 1 (" in err
+    assert err.rstrip().endswith(f"both write {out_dir}/{shared}")
+    assert not out_dir.exists()
+
+
 def test_cli_rejects_bad_override(tmp_path):
     cfg = write_exp(tmp_path, {"scenario": fast_inline_scenario()})
     assert cli.main(["run", cfg, "--override", "controller.bogus=1"]) == 2

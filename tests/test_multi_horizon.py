@@ -77,6 +77,14 @@ def test_branch_view_is_read_only():
         plan.primary[0] = 0.0
 
 
+def test_plan_keeps_a_private_copy():
+    flat = np.ones((3, 2))
+    plan = MultiHorizonInput(3, 0, flat)
+    assert flat.flags.writeable  # the caller's array stays the caller's
+    flat[0] = 5.0
+    assert plan.primary[0].tolist() == [1.0, 1.0] and not plan.flat.flags.writeable
+
+
 def test_branch_view_range_checks():
     plan = random_plan(4, 1)
     for i, p in [(0, 0), (2, 0), (1, 3), (1, -1)]:

@@ -318,6 +318,13 @@ def test_scenario_validation():
         small_scenario(missions=bad)
 
 
+def test_scenario_controller_must_fit_the_model():
+    # a three-input noise covariance for a two-input model
+    scenario = small_scenario()
+    with pytest.raises(ConfigError, match="noise_cov must be 2x2"):
+        replace(scenario, controller=ControllerParams.build(50, 5, n_u=3))
+
+
 def test_scenario_fields_checked_not_coerced():
     for bad in (
         dict(max_steps=10.5),

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -135,13 +136,43 @@ def test_stats_round_trip(tmp_path):
     assert back == rows
 
 
-def test_meta_token_without_equals_names_the_file(tmp_path):
+def test_metadata_line_not_a_json_object_names_the_file(tmp_path):
     path = tmp_path / "t.csv"
     write_trace(make_trace(n_steps=2), str(path))
-    text = path.read_text()
-    path.write_text(text.rstrip("\n") + " stray\n")
-    with pytest.raises(ValueError, match=f"{path}: metadata token 'stray'"):
-        read_trace(str(path))
+    text = path.read_text().rstrip("\n")
+    rows = text.rsplit("\n", 1)[0]
+    for bad in (text + " stray", rows + "\n# 5"):
+        path.write_text(bad + "\n")
+        with pytest.raises(ValueError, match=f"{path}: last line is not # and a JSON"):
+            read_trace(str(path))
+
+
+def test_metadata_line_is_one_json_object(tmp_path):
+    # the last line is "# " and one JSON object, and its floats, finite or
+    # not, read back bit for bit
+    vals = [1 / 3, 5e-324, 1e308, -0.0, 2.0**53 + 1, float("nan"), float("inf")]
+    trace = make_trace(n_steps=2, n_x=7)
+    trace.final_state = np.array(vals)
+    trace.meta["targets"] = [vals, vals[::-1]]
+    path = tmp_path / "t.csv"
+    write_trace(trace, str(path))
+    last = path.read_text().rstrip("\n").rsplit("\n", 1)[1]
+    assert last.startswith("# ")
+    meta = json.loads(last[2:])
+    assert list(meta) == [
+        "termination", "steps", "final_state", "targets", "scenario", "seed", "group",
+        "config_hash",
+    ]
+    assert (meta["termination"], meta["steps"]) == ("completed:0", 2)
+    back = read_trace(str(path))
+    assert back.final_state.tobytes() == trace.final_state.tobytes()
+    for got, want in zip(back.meta["targets"], trace.meta["targets"]):
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert {k: back.meta[k] for k in ("scenario", "seed", "group", "config_hash")} == {
+        "scenario": "uav-free-1", "seed": 3, "group": "g1", "config_hash": "abc123"
+    }
+    assert (back.meta["n_u"], back.meta["n_missions"]) == (2, 3)
+    assert all(type(back.meta[k]) is int for k in ("seed", "n_u", "n_missions"))
 
 
 def test_seventeen_digit_precision(tmp_path):
