@@ -140,9 +140,11 @@ def _cmd_list(_args) -> int:
 def _cmd_defaults(_args) -> int:
     sweeps = [{"path": "controller.samples", "values": [100, 1000]}]
     example = config_mod.experiment_from_dict({"scenario": "uav-free-1", "sweeps": sweeps})
-    keys = ("overrides", "sweeps", "seeds", "out_dir")  # all but sweeps at their defaults
+    keys = config_mod.section_keys(config_mod.ExperimentConfig, "scenario_name")
+    experiment = {key: getattr(example, param) for key, param in keys.items()}
     reference = {
-        "experiment": {"scenario": "uav-free-1", **{k: getattr(example, k) for k in keys}},
+        # all but sweeps at their defaults
+        "experiment": {**experiment, "scenario": "uav-free-1"},
         "scenarios": builtin_scenarios(),
     }
     print(json.dumps(reference, indent=2, sort_keys=True))

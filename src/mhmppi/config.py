@@ -1,45 +1,47 @@
 """Strict experiment/scenario configuration parsing.
 
-Configs are JSON files.  Each scenario section holds the keyword arguments
-of the object it builds: ``model`` of its ``kind``'s class, a mission of
-:meth:`Mission.build`, ``obstacles`` of :class:`ObstacleSet`,
-``controller`` of :meth:`ControllerParams.build` (``samples`` is
-``n_samples``), ``weights`` of :class:`WeightLawParams`, ``abort`` of
-:class:`AbortSpec` and the top-level keys of :class:`Scenario`.  A key left
-out takes the constructor's default; no default is restated here.  Types
-are strict: the constructors check every value and convert none, so an
-integer rejects 20.5, ``true`` and ``"20"``, and a real value rejects
-NaN.  Unknown keys are errors, and every error carries the path of its
-section.
+Configs are JSON files, and the one rule is: a section's keys are the
+constructor parameters of the class it builds, read from its signature,
+spelled ``samples`` for ``n_samples`` and ``weights`` for ``weight_law``.
+A scenario's top level builds :class:`Scenario`, ``model`` the class its
+``kind`` names, each mission :class:`Mission`, ``obstacles``
+:class:`ObstacleSet`, ``controller`` :class:`ControllerParams`,
+``weights`` :class:`WeightLawParams` and ``abort`` :class:`AbortSpec`; an
+experiment file builds :class:`ExperimentConfig`.  A parameter the parser
+passes itself (``name``, ``scenario_name``) is not a key.  A key left out
+takes the constructor's default.  Types are strict: the constructors
+check every value and convert none, so an integer rejects 20.5, ``true``
+and ``"20"``, and a real value rejects NaN.  Every error carries the path
+of its section.
 
-An experiment file's keys are the fields of :class:`ExperimentConfig`,
-except ``scenario``, which is a built-in name or an inline scenario
-object.  The same rules hold there: a key that is left out or ``null``
-takes the field's default, and a value of the wrong type (``"out_dir":
-5``, ``"overrides": []``) is an error at its key, not coerced.  A fully
-resolved per-run config dictionary is hashed (SHA-256 of its canonical
-JSON form) into every output file for provenance.
+An experiment's ``scenario`` is a built-in name or an inline scenario,
+and a ``null`` key there takes the field's default.  A fully resolved
+per-run config dictionary is hashed (SHA-256 of its canonical JSON form)
+into every output file for provenance.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import hashlib
+import inspect
 import itertools
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .controller import ControllerParams
 from .cost import Mission, MissionSet, ObstacleSet
-from .dynamics import DoubleIntegrator, SimpleCar
+from .dynamics import DoubleIntegrator, DynamicsModel, SimpleCar
 from .errors import ConfigError, check_int
 from .scenarios import get_scenario_dict
 from .sim import AbortSpec, Scenario
 from .weights import WeightLawParams
 
 
-def _check_keys(section: dict, allowed: tuple, path: str) -> None:
+def _check_keys(section: dict, allowed, path: str) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"expected an object, got {type(section).__name__}", path=path)
     for key in section:
@@ -61,70 +63,70 @@ def _wrap(path: str):
         raise ConfigError(str(exc), path=path) from None
 
 
-def _build(make, cfg: dict, key: str, keys: tuple, **given):
-    """``make(**given, **section)`` for the section ``cfg[key]``: its keys
-    checked against ``keys``, ``samples`` passed as ``n_samples``, and an
-    error located at ``key``.  An absent or null section is empty."""
-    section = {} if cfg.get(key) is None else cfg[key]
-    _check_keys(section, keys, key)
-    with _wrap(key):
-        return make(**given, **{_PARAMETERS.get(k, k): v for k, v in section.items()})
+_JSON = {"n_samples": "samples", "weight_law": "weights"}  # parameter -> key, where they differ
 
 
-def _model(kind=None, **params):
-    """The model class ``kind`` built from the rest of its section."""
+@functools.cache
+def section_keys(cls, *given: str) -> dict:
+    """JSON key -> parameter, read-only, for each parameter of ``cls``'s
+    constructor but the ``given`` ones, which the caller passes itself.  A
+    model's section also holds the ``kind`` that names its class."""
+    names = {_JSON.get(p, p): p for p in inspect.signature(cls).parameters if p not in given}
+    return MappingProxyType({"kind": "kind", **names} if issubclass(cls, DynamicsModel) else names)
+
+
+def _build(cls, section, path: str, make=None, **given):
+    """Check the config ``section`` of class ``cls`` and build it as
+    ``make(**given, **section)``, each key passed as the parameter of
+    ``cls`` it spells (:func:`section_keys`).  ``make`` is ``cls`` unless
+    given, such as a build method.  An absent or null section is empty,
+    and every error is located at ``path``."""
+    section = {} if section is None else section
+    names = section_keys(cls, *given)
+    _check_keys(section, names, path)
+    with _wrap(path):
+        return (make or cls)(**given, **{names[key]: value for key, value in section.items()})
+
+
+_MODELS = {"double_integrator": DoubleIntegrator, "simple_car": SimpleCar}
+
+
+def _scenario(
+    name, model=None, missions=None, obstacles=None, controller=None, weight_law=None,
+    abort=None, **scalars,
+) -> Scenario:
+    """A Scenario from its checked section, each subsection built by its
+    class."""
+    kind = model.get("kind") if isinstance(model, dict) else None
     if not isinstance(kind, str) or kind not in _MODELS:
         raise ConfigError(
             f"unknown model kind {kind!r} (use {' or '.join(_MODELS)})", path="model.kind"
         )
-    return _MODELS[kind](**params)
-
-
-_MODELS = {"double_integrator": DoubleIntegrator, "simple_car": SimpleCar}
-_PARAMETERS = {"samples": "n_samples"}  # JSON key -> parameter, where they differ
-_MODEL_KEYS = ("kind", "wheelbase", "time_step", "modes")
-_MISSION_KEYS = ("target", "state_weight", "input_weight", "mode")
-_OBSTACLE_KEYS = ("boxes", "penalty")
-_CONTROLLER_KEYS = ("samples", "horizon", "temperature", "noise_cov", "seed")
-_WEIGHT_KEYS = ("gamma", "temperature")
-_ABORT_KEYS = ("step", "new_mode", "policy")
-_SCENARIO_SCALARS = ("x0", "max_steps", "completion_tol", "completion_metric")
-_SCENARIO_KEYS = (
-    "model", "missions", "obstacles", "controller", "weights", "abort", *_SCENARIO_SCALARS
-)
-_EXPERIMENT_KEYS = ("scenario", "overrides", "sweeps", "seeds", "out_dir")
+    model = _build(_MODELS[kind], model, "model", lambda kind, **params: _MODELS[kind](**params))
+    if not isinstance(missions, list) or not missions:
+        raise ConfigError("at least the primary mission is required", path="missions")
+    missions = [
+        _build(Mission, entry, f"missions[{idx}]", Mission.build, n_u=model.n_u)
+        for idx, entry in enumerate(missions)
+    ]
+    return Scenario(
+        name=name,
+        model=model,
+        missions=MissionSet(tuple(missions)),
+        obstacles=_build(ObstacleSet, obstacles, "obstacles"),
+        controller=_build(
+            ControllerParams, controller, "controller", ControllerParams.build, n_u=model.n_u
+        ),
+        weight_law=_build(WeightLawParams, weight_law, "weights"),
+        abort=None if abort is None else _build(AbortSpec, abort, "abort"),
+        **scalars,
+    )
 
 
 def scenario_from_dict(cfg: dict, name: str = "custom") -> Scenario:
     """Validate and build a Scenario from its config dictionary.  Each
     section's entries are the keyword arguments of the object it builds."""
-    _check_keys(cfg, _SCENARIO_KEYS, "scenario")
-    model = _build(_model, cfg, "model", _MODEL_KEYS)
-
-    missions_cfg = cfg.get("missions")
-    if not isinstance(missions_cfg, list) or not missions_cfg:
-        raise ConfigError("at least the primary mission is required", path="missions")
-    missions = []
-    for idx, entry in enumerate(missions_cfg):
-        mpath = f"missions[{idx}]"
-        _check_keys(entry, _MISSION_KEYS, mpath)
-        with _wrap(mpath):
-            missions.append(Mission.build(n_u=model.n_u, **entry))
-
-    abort = None if cfg.get("abort") is None else _build(AbortSpec, cfg, "abort", _ABORT_KEYS)
-    with _wrap("scenario"):
-        return Scenario(
-            name=name,
-            model=model,
-            missions=MissionSet(tuple(missions)),
-            obstacles=_build(ObstacleSet, cfg, "obstacles", _OBSTACLE_KEYS),
-            controller=_build(
-                ControllerParams.build, cfg, "controller", _CONTROLLER_KEYS, n_u=model.n_u
-            ),
-            weight_law=_build(WeightLawParams, cfg, "weights", _WEIGHT_KEYS),
-            abort=abort,
-            **{key: cfg[key] for key in _SCENARIO_SCALARS if key in cfg},
-        )
+    return _build(Scenario, cfg, "scenario", _scenario, name=name)
 
 
 @dataclass(frozen=True)
@@ -238,21 +240,23 @@ def parse_config(path: str) -> ExperimentConfig:
     return experiment_from_dict(raw)
 
 
-def experiment_from_dict(raw: dict) -> ExperimentConfig:
-    """Resolve ``scenario`` (a built-in name or an inline object) and pass
-    every other key to :class:`ExperimentConfig`; a null key is left out."""
-    _check_keys(raw, _EXPERIMENT_KEYS, "experiment")
-    scenario_ref = raw.get("scenario")
-    if scenario_ref is None:
+def _experiment(scenario_name, scenario=None, **fields) -> ExperimentConfig:
+    """An ExperimentConfig from its checked section: ``scenario`` is a
+    built-in name, which also names the runs, or an inline object."""
+    if scenario is None:
         raise ConfigError("scenario is required", path="scenario")
-    if isinstance(scenario_ref, str):
-        name, scenario = scenario_ref, get_scenario_dict(scenario_ref)
-    elif isinstance(scenario_ref, dict):
-        name, scenario = "custom", copy.deepcopy(scenario_ref)
-    else:
+    if isinstance(scenario, str):
+        scenario_name, scenario = scenario, get_scenario_dict(scenario)
+    elif not isinstance(scenario, dict):
         raise ConfigError("scenario must be a name or an object", path="scenario")
-    given = {key: value for key, value in raw.items() if key != "scenario" and value is not None}
-    return ExperimentConfig(scenario_name=name, scenario=scenario, **given)
+    fields = {key: value for key, value in fields.items() if value is not None}
+    return ExperimentConfig(scenario_name=scenario_name, scenario=scenario, **fields)
+
+
+def experiment_from_dict(raw: dict) -> ExperimentConfig:
+    """Build an ExperimentConfig from its config dictionary; a null key is
+    left out, and an inline scenario's runs are named ``custom``."""
+    return _build(ExperimentConfig, raw, "experiment", _experiment, scenario_name="custom")
 
 
 def check_seeds(seeds, path: str) -> list:

@@ -218,19 +218,16 @@ def rollout_primary_batch(
     x0: np.ndarray,
     inputs: np.ndarray,
     scale: np.ndarray,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Simulate (n_u, N, K) input batches from one state; the (n_x, N+1, K)
-    states are written into and returned as ``out`` (a new array by
-    default)."""
-    horizon, n_batch = inputs.shape[1], inputs.shape[2]
-    states = np.empty((model.n_x, horizon + 1, n_batch)) if out is None else out
+    states are written into and returned as ``out``."""
     scaled = buffer("controller.rollout_inputs", inputs.shape)
     np.multiply(scale[:, None, None], inputs, out=scaled)
-    states[:, 0] = x0[:, None]
-    for k in range(horizon):
-        model.update(states[:, k], scaled[:, k], out=states[:, k + 1])
-    return states
+    out[:, 0] = x0[:, None]
+    for k in range(inputs.shape[1]):
+        model.update(out[:, k], scaled[:, k], out=out[:, k + 1])
+    return out
 
 
 def evaluate_plan_batch(

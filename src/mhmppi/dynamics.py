@@ -3,8 +3,7 @@
 Two models are provided:
 
 * :class:`DoubleIntegrator` -- planar point mass, state
-  ``[px, py, vx, vy]``, input ``[ax, ay]``, 0.1 s sample time baked into
-  the transition matrices.
+  ``[px, py, vx, vy]``, input ``[ax, ay]``, 0.1 s sample time.
 * :class:`SimpleCar` -- kinematic car, state ``[px, py, theta]``, input
   ``[v, phi]`` (speed, steering angle).
 
@@ -68,39 +67,17 @@ class DynamicsModel:
 
 
 class DoubleIntegrator(DynamicsModel):
-    """Planar double integrator with 0.1 s sample time.
-
-    ``x_next = A x + B u`` with A adding 0.1*velocity to position and B
-    adding 0.1*acceleration to velocity.
-    """
+    """Planar double integrator with 0.1 s sample time: ``x_next`` adds
+    0.1*velocity to the position and 0.1*acceleration to the velocity."""
 
     n_x = 4
     n_u = 2
     time_step = 0.1
 
-    A = np.array(
-        [
-            [1.0, 0.0, time_step, 0.0],
-            [0.0, 1.0, 0.0, time_step],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    B = np.array(
-        [
-            [0.0, 0.0],
-            [0.0, 0.0],
-            [time_step, 0.0],
-            [0.0, time_step],
-        ]
-    )
-    A.flags.writeable = False
-    B.flags.writeable = False
-
     def update(self, x, u, out=None):
-        # A x + B u, one slab per component: position += dt * velocity,
-        # velocity += dt * acceleration; the positions are written first,
-        # while the old velocity is still in x when out is x
+        # one slab per component: position += dt * velocity, velocity +=
+        # dt * acceleration; the positions are written first, while the
+        # old velocity is still in x when out is x
         self._check_shapes(x, u)
         dt = self.time_step
         if out is None:

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -88,7 +89,10 @@ def read_trace(path: str) -> ClosedLoopTrace:
     Only the serialized payload comes back: step records, termination,
     final state, and in ``meta`` the metadata object's other keys and the
     header's ``n_u`` and ``n_missions``.  A last line that is not ``#`` and
-    a JSON object raises ValueError.  Diagnostics are not in the file.
+    a JSON object raises ValueError naming the file, and so does one that
+    lacks a termination label, the integer count of step rows as
+    ``steps``, or the header's n_x numbers as ``final_state``.
+    Diagnostics are not in the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
@@ -126,10 +130,17 @@ def read_trace(path: str) -> ClosedLoopTrace:
             )
         )
 
-    termination = Termination.from_label(meta.pop("termination"), meta.pop("steps"))
-    final_state = np.array(meta.pop("final_state"), dtype=float)
+    label, steps, state = (meta.pop(k, None) for k in ("termination", "steps", "final_state"))
+    if not (isinstance(label, str) and re.fullmatch(r"[a-z_]+(:[0-9]+)?", label)):
+        raise ValueError(f"{path}: termination must be a kind[:mission] label, got {label!r}")
+    if type(steps) is not int or steps != len(records):
+        raise ValueError(f"{path}: steps must be the {len(records)} step rows, got {steps!r}")
+    numbers = isinstance(state, list) and {type(v) for v in state} <= {int, float}
+    if not (numbers and len(state) == n_x):
+        raise ValueError(f"{path}: final_state must be {n_x} numbers, got {state!r}")
     meta["n_u"], meta["n_missions"] = n_u, n_missions
-    return ClosedLoopTrace(records, termination, final_state, meta)
+    termination = Termination.from_label(label, steps)
+    return ClosedLoopTrace(records, termination, np.array(state, dtype=float), meta)
 
 
 def write_stats(rows: list, path: str) -> None:

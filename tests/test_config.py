@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,9 +15,13 @@ from mhmppi.config import (
     scenario_from_dict,
     set_by_path,
 )
+from mhmppi.controller import ControllerParams
+from mhmppi.cost import Mission, ObstacleSet
 from mhmppi.dynamics import DoubleIntegrator, SimpleCar
 from mhmppi.errors import ConfigError
 from mhmppi.scenarios import builtin_scenarios, get_scenario_dict
+from mhmppi.sim import AbortSpec, Scenario
+from mhmppi.weights import WeightLawParams
 
 
 def write_config(tmp_path, payload):
@@ -73,6 +79,63 @@ def test_unknown_keys_rejected_with_path():
     # the weight law's distance is always the position-plane distance
     with pytest.raises(ConfigError, match="weights: unknown key 'metric'"):
         scenario_from_dict({**get_scenario_dict("uav-free-1"), "weights": {"metric": "full"}})
+
+
+def build_with(scenario: str, dotted: str, value):
+    """Build the built-in ``scenario`` with ``value`` set at ``dotted``, or
+    an experiment of it with the top-level key ``dotted``."""
+    if dotted.startswith("experiment."):
+        return experiment_from_dict({"scenario": scenario, dotted.split(".", 1)[1]: value})
+    cfg = get_scenario_dict(scenario)
+    cfg["abort"] = {"step": 5}
+    set_by_path(cfg, dotted, value)
+    return scenario_from_dict(cfg)
+
+
+@pytest.mark.parametrize(
+    "scenario, section, cls, given",
+    [
+        ("uav-free-1", "experiment", config_mod.ExperimentConfig, {"scenario_name"}),
+        ("uav-free-1", "scenario", Scenario, {"name"}),
+        ("uav-free-1", "model", DoubleIntegrator, set()),
+        ("ugv-obstacles", "model", SimpleCar, set()),
+        ("uav-free-1", "missions[1]", Mission, set()),
+        ("uav-free-1", "obstacles", ObstacleSet, set()),
+        ("uav-free-1", "controller", ControllerParams, set()),
+        ("uav-free-1", "weights", WeightLawParams, set()),
+        ("uav-free-1", "abort", AbortSpec, set()),
+    ],
+)
+def test_section_keys_are_the_constructor_parameters(scenario, section, cls, given):
+    # JSON spells n_samples "samples" and weight_law "weights"; a parameter
+    # the parser passes itself is not a key, and a model's kind names its class
+    spelled = {"n_samples": "samples", "weight_law": "weights"}
+    expected = {spelled.get(p, p) for p in inspect.signature(cls).parameters} - given
+    if section == "model":
+        expected.add("kind")
+    dotted = "bogus" if section == "scenario" else f"{section}.bogus"
+    with pytest.raises(ConfigError, match=f"^{re.escape(section)}: unknown key 'bogus'") as err:
+        build_with(scenario, dotted, 1)
+    allowed = re.search(r"\(allowed: (.*)\)$", str(err.value)).group(1)
+    assert allowed.split(", ") == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "dotted",
+    [
+        "controller.n_samples",
+        "controller.noise_chol",
+        "weight_law",
+        "name",
+        "experiment.scenario_name",
+        "model.wheelbase",  # a double integrator's; it has no such parameter
+        "model.time_step",
+    ],
+)
+def test_python_only_and_other_models_keys_rejected(dotted):
+    key = dotted.rsplit(".", 1)[-1]
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        build_with("uav-free-1", dotted, 1)
 
 
 def test_validation_errors_name_constraint():

@@ -664,8 +664,8 @@ def test_single_step_brute_force_oracle(monkeypatch):
     # N=2, m=1 double-integrator toy, K=2, hand-fixed noise, gamma=0:
     # u_exec must equal the softmax-weighted noise average added to the
     # shifted plan, computed here by an independent step-through
-    A = DoubleIntegrator.A
-    B = DoubleIntegrator.B
+    A = np.eye(4) + np.diag([0.1, 0.1], k=2)  # position += 0.1 s * velocity
+    B = np.vstack([np.zeros((2, 2)), 0.1 * np.eye(2)])  # velocity += 0.1 s * input
     p0 = np.array([1.0, 0.0, 0.0, 0.0])
     p1 = np.array([0.0, 1.0, 0.0, 0.0])
     missions = MissionSet((Mission.build(p0), Mission.build(p1)))
@@ -879,4 +879,34 @@ def test_steady_step_allocates_little(scenario, modes):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 0.5e6
+
+
+def test_step_after_an_abort_reuses_the_larger_step_buffers():
+    # the m=0 steps after an abort fit in the storage of the m=2 steps
+    # before it (mhmppi.buffers): no new buffer name, none grown
+    cfg = get_scenario_dict("uav-free-1")
+    cfg["model"]["modes"] = [[1.0, 1.0], [0.6, 0.6]]  # the abort-handover shape
+    sc = scenario_from_dict(cfg, "uav-free-1")
+    args = (sc.obstacles, sc.controller, sc.weight_law)
+    x = np.asarray(sc.x0, dtype=float)
+    state = ctrl.init_state(x, sc.controller, sc.missions, sc.weight_law)
+    for _ in range(3):
+        u, state, _ = ctrl.control_step(x, state, sc.model, sc.missions, *args)
+        x = step(sc.model, x, u)
+    # the handover of sim.run_closed_loop to backup 1 in mode 1
+    primary = MissionSet((replace(sc.missions[1], mode=1),))
+    warm = MultiHorizonInput(state.inputs.horizon, 0, state.inputs.branch_view(1, 0))
+    state = ctrl.ControllerState(warm, np.ones(1), state.step_index)
+    store = vars(buffers._local)
+    before = dict(store)
+    tracemalloc.start()
+    try:
+        _, _, diag = ctrl.control_step(x, state, sc.model, primary, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag.alpha.shape == (1,)
+    assert store.keys() == before.keys()
+    assert all(store[name] is before[name] for name in before)
     assert peak <= 0.5e6

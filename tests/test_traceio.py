@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,37 @@ def test_metadata_line_not_a_json_object_names_the_file(tmp_path):
         path.write_text(bad + "\n")
         with pytest.raises(ValueError, match=f"{path}: last line is not # and a JSON"):
             read_trace(str(path))
+
+
+def run_fields(**change):
+    """A two-row, four-state trace's metadata object with ``change``."""
+    return {"termination": "completed:0", "steps": 2, "final_state": [0.0, 1, 2, 3], **change}
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        {"steps": 2},
+        run_fields(termination="completed:x"),
+        run_fields(termination=5),
+        run_fields(steps="x"),
+        run_fields(steps=3),
+        run_fields(steps=2.0),
+        run_fields(final_state="abc"),
+        run_fields(final_state=None),
+        run_fields(final_state=[0.0, 1.0, 2.0]),
+        run_fields(final_state=[0.0, 1.0, "2", 3.0]),
+    ],
+)
+def test_metadata_object_is_checked_and_names_the_file(tmp_path, meta):
+    path = tmp_path / "t.csv"
+    write_trace(make_trace(n_steps=2), str(path))
+    rows = path.read_text().rstrip("\n").rsplit("\n", 1)[0]
+    path.write_text(rows + "\n# " + json.dumps(run_fields()) + "\n")
+    assert read_trace(str(path)).final_state.tolist() == [0, 1, 2, 3]
+    path.write_text(rows + "\n# " + json.dumps(meta) + "\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
+        read_trace(str(path))
 
 
 def test_metadata_line_is_one_json_object(tmp_path):
