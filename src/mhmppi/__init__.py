@@ -1,7 +1,7 @@
 """Multi-horizon multi-objective sampling MPC with backup-mission planning."""
 
 from .controller import ControllerParams, ControllerState, StepDiagnostics, control_step
-from .cost import Mission, MissionSet, ObstacleSet
+from .cost import Mission, ObstacleSet
 from .dynamics import DoubleIntegrator, SimpleCar, step
 from .errors import ConfigError, InfeasibleConstraintError
 from .multi_horizon import MultiHorizonInput, dims
@@ -14,7 +14,6 @@ __all__ = [
     "DoubleIntegrator",
     "InfeasibleConstraintError",
     "Mission",
-    "MissionSet",
     "MultiHorizonInput",
     "ObstacleSet",
     "SimpleCar",

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .controller import ControllerParams
-from .cost import Mission, MissionSet, ObstacleSet
+from .cost import Mission, ObstacleSet
 from .dynamics import DoubleIntegrator, DynamicsModel, SimpleCar
 from .errors import ConfigError, check_int
 from .scenarios import get_scenario_dict
@@ -105,14 +105,13 @@ def _scenario(
     model = _build(_MODELS[kind], model, "model", lambda kind, **params: _MODELS[kind](**params))
     if not isinstance(missions, list) or not missions:
         raise ConfigError("at least the primary mission is required", path="missions")
-    missions = [
-        _build(Mission, entry, f"missions[{idx}]", Mission.build, n_u=model.n_u)
-        for idx, entry in enumerate(missions)
-    ]
     return Scenario(
         name=name,
         model=model,
-        missions=MissionSet(tuple(missions)),
+        missions=[
+            _build(Mission, entry, f"missions[{idx}]", Mission.build, n_u=model.n_u)
+            for idx, entry in enumerate(missions)
+        ],
         obstacles=_build(ObstacleSet, obstacles, "obstacles"),
         controller=_build(
             ControllerParams, controller, "controller", ControllerParams.build, n_u=model.n_u

@@ -65,10 +65,11 @@ Plain MPPI is the m=0 case
 With no backup missions the flat plan is the primary horizon and the
 projected weight is exactly ``[1.0]``, so the step is plain single-horizon
 MPPI.  The closed-loop harness runs the post-abort phase this way with the
-same :class:`ControllerParams`: m is the mission set's and the plan's.  With
-the backup-weight gamma at zero the weights stay ``[1, 0, ..., 0]``, and a
-step over m backup missions executes bit-identical inputs to the m=0 step
-on the primary mission alone.
+same :class:`ControllerParams`: the step takes the missions as a tuple,
+primary first, so m is ``len(missions) - 1``, and the plan's m must match.
+With the backup-weight gamma at zero the weights stay ``[1, 0, ..., 0]``,
+and a step over m backup missions executes bit-identical inputs to the m=0
+step on the primary mission alone.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ import numpy as np
 
 from . import cost as cost_mod
 from .buffers import buffer
-from .cost import POSITION_DIMS, MissionSet, ObstacleSet
+from .cost import POSITION_DIMS, Mission, ObstacleSet
 from .dynamics import DynamicsModel
 from .errors import ConfigError, NonFiniteCostError, check_int, check_real, symmetric_matrix
 from .multi_horizon import MultiHorizonInput, branch_rows, dims
@@ -89,10 +90,10 @@ from .weights import WeightLawParams, desired_weights, update_weights
 
 @dataclass(frozen=True)
 class ControllerParams:
-    """The sampling choices; the number m of backup missions is the
-    mission set's.  Every construction (direct, :meth:`build` or
-    :func:`dataclasses.replace`) is validated here and raises
-    :class:`ConfigError`.  ``noise_cov`` is a read-only copy of the
+    """The sampling choices; the number m of backup missions is read from
+    the missions tuple each step is given.  Every construction (direct,
+    :meth:`build` or :func:`dataclasses.replace`) is validated here and
+    raises :class:`ConfigError`.  ``noise_cov`` is a read-only copy of the
     caller's array, and ``noise_chol`` its read-only Cholesky factor."""
 
     n_samples: int
@@ -235,7 +236,7 @@ def evaluate_plan_batch(
     x0: np.ndarray,
     flat_batch: np.ndarray,
     horizon: int,
-    missions: MissionSet,
+    missions: tuple[Mission, ...],
     obstacles: ObstacleSet,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mission cost and tail-cost matrices of a batch of flat plans.
@@ -260,14 +261,14 @@ def evaluate_plan_batch(
     vectors summed into them are new arrays on every call.
     """
     n_batch = flat_batch.shape[2]
-    m = missions.n_alternatives
+    m = len(missions) - 1
     n_inputs = dims(horizon, m)[0]
     if flat_batch.shape[1] != n_inputs:
         raise ValueError(
             f"flat batch has {flat_batch.shape[1]} input rows, expected "
             f"{n_inputs} for horizon {horizon} with {m} alternatives"
         )
-    scales = np.stack([model.mode_scale(mode) for mode in missions.modes])
+    scales = np.stack([model.mode_scale(mission.mode) for mission in missions])
     n_u, n_x = flat_batch.shape[0], model.n_x
     primary_inputs = flat_batch[:, :horizon]
     states = buffer("controller.states", (n_x, horizon + 1, n_batch))
@@ -287,7 +288,7 @@ def evaluate_plan_batch(
     if m == 0:
         return costs, tail_costs
 
-    backups = list(enumerate(missions.missions[1:]))
+    backups = list(enumerate(missions[1:]))
     shared = np.arange(horizon - 1, 0, -1.0)  # branches through primary stage k = 1..N-1
     branch_sum = np.empty((m, n_batch))
     for j, mission in backups:
@@ -333,12 +334,12 @@ def evaluate_plan_batch(
 def init_state(
     x0: np.ndarray,
     params: ControllerParams,
-    missions: MissionSet,
+    missions: tuple[Mission, ...],
     weight_law: WeightLawParams,
 ) -> ControllerState:
-    """Zero initial plan over the backups of ``missions``; weights start
+    """Zero initial plan over the backups ``missions[1:]``; weights start
     at the desired vector for x0."""
-    inputs = MultiHorizonInput.zeros(params.horizon, missions.n_alternatives, params.n_u)
+    inputs = MultiHorizonInput.zeros(params.horizon, len(missions) - 1, params.n_u)
     alpha = desired_weights(np.asarray(x0, dtype=float), missions, weight_law)
     return ControllerState(inputs, alpha, 0)
 
@@ -347,13 +348,13 @@ def control_step(
     x: np.ndarray,
     state: ControllerState,
     model: DynamicsModel,
-    missions: MissionSet,
+    missions: tuple[Mission, ...],
     obstacles: ObstacleSet,
     params: ControllerParams,
     weight_law: WeightLawParams,
 ) -> tuple[np.ndarray, ControllerState, StepDiagnostics]:
-    """One full receding-horizon step; see the module docstring.  m is read
-    from ``missions``, and a plan in ``state`` of another m or horizon
+    """One full receding-horizon step; see the module docstring.  m is
+    ``len(missions) - 1``, and a plan in ``state`` of another m or horizon
     raises ValueError.  ``params`` was validated when it was made."""
     t_start = time.perf_counter()
     x = np.asarray(x, dtype=float)

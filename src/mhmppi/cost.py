@@ -4,7 +4,9 @@ Each mission i has a target state, quadratic stage weights Q (state) and
 R (input), and a dynamics mode for its branch rollouts.  A trajectory's
 cost charges, for k = 1..N, the stage term at the pair (state reached
 after step k, input applied at step k), plus a terminal quadratic at the
-final state.  The known initial state is never charged.
+final state.  The known initial state is never charged.  A problem's
+missions are a plain tuple of :class:`Mission`: entry 0 is the primary
+mission and entries 1..m are the backup missions.
 
 Obstacles are axis-aligned boxes on the position plane; occupancy adds a
 constant penalty to the stage term (soft constraint), which keeps every
@@ -112,32 +114,6 @@ class Mission:
             symmetric_matrix("input_weight", input_weight, n_u),
             **mode,
         )
-
-
-@dataclass(frozen=True)
-class MissionSet:
-    """Primary mission (index 0) plus the backup missions 1..m."""
-
-    missions: tuple
-
-    def __post_init__(self):
-        if not self.missions:
-            raise ConfigError("at least a primary mission is required")
-        object.__setattr__(self, "missions", tuple(self.missions))
-
-    @property
-    def n_alternatives(self) -> int:
-        return len(self.missions) - 1
-
-    @property
-    def modes(self) -> tuple:
-        return tuple(mission.mode for mission in self.missions)
-
-    def __getitem__(self, i: int) -> Mission:
-        return self.missions[i]
-
-    def __len__(self) -> int:
-        return len(self.missions)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,12 @@ when both processes have closed it.  Jobs travel over a one-way pipe, each
 announced by adding 1 to an eventfd counter: a worker sleeping on a pipe
 is woken as if the writer were about to sleep and may be run on the
 writer's CPU, which keeps computing; an eventfd wakeup carries no such
-hint.
+hint.  The worker watches the pipe only for its hang-up, and ends when
+the write end is closed.  The caller's death closes it, however the
+caller dies, so no worker outlives its caller; a process forked from the
+caller holds a copy of the write end and delays the hang-up until it
+exits.  :meth:`NoisePrefetch.close` does not wait for the hang-up: it
+kills the worker and reaps it.
 """
 
 from __future__ import annotations
@@ -73,7 +78,6 @@ from multiprocessing.connection import Connection
 
 import numpy as np
 
-POLL_MS = 1000  # how often the idle worker checks that its parent is alive
 HEADER = 64  # bytes before the batch in the shared file: the two words
 PROGRESS, CLAIM = 0, 1  # int64 word indices in the header
 COUNT = (1 << 32) - 1  # low bits of a word: a flat row count
@@ -115,25 +119,21 @@ def _fill_noise(
 
 def worker_main(jobs_fd: int, bell_fd: int, mem_fd: int) -> None:
     """Worker loop.  Each count on the eventfd ``bell_fd`` announces one
-    message on the pipe ``jobs_fd``: a job ``(seq, shape, seed, step,
-    chol)``, whose batch is drawn into the shared memory file ``mem_fd``
-    until the caller's claim, or ``None``, which ends the loop.  The loop
-    also ends once the parent has gone."""
+    job ``(seq, shape, seed, step, chol)`` on the pipe ``jobs_fd``, whose
+    batch is drawn into the shared memory file ``mem_fd`` until the
+    caller's claim.  The loop ends when the pipe hangs up: when its write
+    end is closed, which the caller's death does too."""
     jobs = Connection(jobs_fd, writable=False)
-    parent = os.getppid()
-    bell = select.poll()
-    bell.register(bell_fd, select.POLLIN)
+    wake = select.poll()
+    wake.register(bell_fd, select.POLLIN)
+    wake.register(jobs_fd, 0)  # no event but a hang-up: jobs ring the bell
     shared = None
     try:
         while True:
-            if not bell.poll(POLL_MS):
-                if os.getppid() != parent:
-                    return
-                continue
+            if any(fd == jobs_fd for fd, _ in wake.poll()):
+                return
             os.eventfd_read(bell_fd)
             msg = jobs.recv()
-            if msg is None:
-                return
             size = HEADER + 8 * math.prod(msg[1])
             if shared is None or len(shared) < size:
                 if shared is not None:
@@ -253,12 +253,6 @@ class NoisePrefetch:
         if os.getpid() != self._owner:
             return
         with self._lock:
-            if self._jobs is not None:
-                try:
-                    self._send(None)
-                    self._proc.wait(timeout=5.0)
-                except (OSError, subprocess.TimeoutExpired):
-                    pass
             self._fail()
             self._key = None
             self._words = None

@@ -1,7 +1,8 @@
 """Closed-loop simulation: mission completion, abort injection, statistics.
 
-A scenario couples a model, a mission set, obstacles, controller and
-weight-law parameters with an initial state and termination settings.
+A scenario couples a model, its missions (a tuple: the primary mission,
+then the backup missions in order), obstacles, controller and weight-law
+parameters with an initial state and termination settings.
 The loop executes the controller's first input through the true dynamics
 in the mode the controller plans the primary in, the primary mission's
 (no plant mismatch), records per-step telemetry, and stops on completion
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import controller as ctrl
-from .cost import MissionSet, ObstacleSet, distance
+from .cost import Mission, ObstacleSet, distance
 from .dynamics import DynamicsModel, step
 from .errors import ConfigError, check_int, check_real, real_array
 from .multi_horizon import MultiHorizonInput
@@ -51,11 +52,13 @@ class AbortSpec:
 class Scenario:
     """One closed-loop experiment.  Every construction (direct or
     :func:`dataclasses.replace`) is validated and raises
-    :class:`ConfigError`; ``x0`` is a read-only copy of the caller's."""
+    :class:`ConfigError`; ``x0`` is a read-only copy of the caller's, and
+    ``missions`` a tuple copy of the caller's tuple or list, primary
+    first."""
 
     name: str
     model: DynamicsModel
-    missions: MissionSet
+    missions: tuple[Mission, ...]
     obstacles: ObstacleSet
     controller: ctrl.ControllerParams
     weight_law: WeightLawParams
@@ -73,8 +76,13 @@ class Scenario:
         check_int("max_steps", self.max_steps, 1)
         check_real("completion_tol", self.completion_tol, above=0.0)
         distance(np.zeros(2), np.zeros(2), self.completion_metric)  # validates the selector
+        if not isinstance(self.missions, (tuple, list)) or not self.missions:
+            raise ConfigError("missions must be a non-empty tuple, the primary mission first")
+        object.__setattr__(self, "missions", tuple(self.missions))
         n_x, n_u = self.model.n_x, self.model.n_u
-        for i, mission in enumerate(self.missions.missions):
+        for i, mission in enumerate(self.missions):
+            if not isinstance(mission, Mission):
+                raise ConfigError(f"missions[{i}] must be a Mission, got {type(mission).__name__}")
             if mission.target.shape != (n_x,) or mission.input_weight.shape != (n_u, n_u):
                 raise ConfigError(
                     f"missions[{i}] must have a target of dim {n_x} and an input_weight of "
@@ -88,7 +96,7 @@ class Scenario:
                 raise ConfigError(
                     f"abort step {self.abort.step} is beyond max_steps {self.max_steps}"
                 )
-            if self.missions.n_alternatives < 1:
+            if len(self.missions) < 2:
                 raise ConfigError("abort injection needs at least one backup mission")
             self.model.mode_scale(self.abort.new_mode)
 
@@ -154,7 +162,7 @@ def _choose_backup(scenario: Scenario, x: np.ndarray, state: ctrl.ControllerStat
     if scenario.abort.policy == "nearest":
         dists = [
             distance(x, mission.target, scenario.completion_metric)
-            for mission in missions.missions[1:]
+            for mission in missions[1:]
         ]
         return 1 + int(np.argmin(dists))
     shifted = state.inputs.shift()
@@ -176,7 +184,7 @@ def run_closed_loop(scenario: Scenario) -> ClosedLoopTrace:
 
     x = scenario.x0.copy()
     goal = 0
-    active = missions  # the mission set the controller plans for
+    active = missions  # the missions the controller plans for
     state = ctrl.init_state(x, scenario.controller, missions, scenario.weight_law)
 
     records: list[StepRecord] = []
@@ -185,7 +193,7 @@ def run_closed_loop(scenario: Scenario) -> ClosedLoopTrace:
     for t in range(scenario.max_steps):
         if scenario.abort is not None and t == scenario.abort.step:
             goal = _choose_backup(scenario, x, state)
-            active = MissionSet((replace(missions[goal], mode=scenario.abort.new_mode),))
+            active = (replace(missions[goal], mode=scenario.abort.new_mode),)
             # The stored branch plan for an abort right after the executed
             # input becomes the primary plan of the one-mission problem.
             # Its row 0 is that executed input, so control_step's shift
@@ -220,7 +228,7 @@ def run_closed_loop(scenario: Scenario) -> ClosedLoopTrace:
         "seed": int(scenario.controller.seed),
         "n_u": model.n_u,
         "n_missions": n_missions,
-        "targets": [mission.target.tolist() for mission in missions.missions],
+        "targets": [mission.target.tolist() for mission in missions],
     }
     return ClosedLoopTrace(records, termination, x, meta, diags)
 

@@ -88,11 +88,12 @@ def read_trace(path: str) -> ClosedLoopTrace:
 
     Only the serialized payload comes back: step records, termination,
     final state, and in ``meta`` the metadata object's other keys and the
-    header's ``n_u`` and ``n_missions``.  A last line that is not ``#`` and
-    a JSON object raises ValueError naming the file, and so does one that
-    lacks a termination label, the integer count of step rows as
-    ``steps``, or the header's n_x numbers as ``final_state``.
-    Diagnostics are not in the file.
+    header's ``n_u`` and ``n_missions``.  A header other than the
+    :func:`trace_columns` of its own counts raises ValueError naming the
+    file.  So does a row of another length, and a last line that is not
+    ``#`` and a JSON object, or one that lacks a termination label, the
+    integer count of step rows as ``steps``, or the header's n_x numbers
+    as ``final_state``.  Diagnostics are not in the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
@@ -102,6 +103,9 @@ def read_trace(path: str) -> ClosedLoopTrace:
     n_x = sum(1 for c in header if c.startswith("x") and c[1:].isdigit())
     n_u = sum(1 for c in header if c.startswith("u") and c[1:].isdigit())
     n_missions = sum(1 for c in header if c.startswith("alpha"))
+    columns = trace_columns(n_x, n_u, n_missions)
+    if header != columns:
+        raise ValueError(f"{path}: header must be {','.join(columns)}, got {lines[0]}")
 
     meta_line = lines[-1]
     try:
@@ -114,9 +118,8 @@ def read_trace(path: str) -> ClosedLoopTrace:
     records = []
     for line in lines[1:-1]:
         parts = line.split(",")
-        expected = 1 + n_x + n_u + n_missions + 3
-        if len(parts) != expected:
-            raise ValueError(f"{path}: row has {len(parts)} fields, expected {expected}")
+        if len(parts) != len(columns):
+            raise ValueError(f"{path}: row has {len(parts)} fields, expected {len(columns)}")
         vals = [float(v) for v in parts[1:]]
         records.append(
             StepRecord(

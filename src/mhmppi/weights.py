@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import MissionSet, distance
+from .cost import Mission, distance
 from .errors import ConfigError, InfeasibleConstraintError, check_real
 
 # Bisection on the halfspace multiplier: residual tolerance (relative to
@@ -45,7 +45,9 @@ class WeightLawParams:
         check_real("temperature", self.temperature, above=0.0)
 
 
-def desired_weights(x: np.ndarray, missions: MissionSet, params: WeightLawParams) -> np.ndarray:
+def desired_weights(
+    x: np.ndarray, missions: tuple[Mission, ...], params: WeightLawParams
+) -> np.ndarray:
     """Distance-driven target weights on the m+1 simplex.
 
     Entry 0 is 1 - gamma + w0*gamma, entry i is wi*gamma, where w is the
@@ -56,8 +58,7 @@ def desired_weights(x: np.ndarray, missions: MissionSet, params: WeightLawParams
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):  # a huge state's distance is inf
         logits = np.array(
-            [-distance(x, mission.target) / params.temperature
-             for mission in missions.missions]
+            [-distance(x, mission.target) / params.temperature for mission in missions]
         )
     if logits.max() == -np.inf:
         logits[:] = 0.0

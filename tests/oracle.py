@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mhmppi.cost import POSITION_DIMS, Mission, MissionSet, ObstacleSet
+from mhmppi.cost import POSITION_DIMS, Mission, ObstacleSet
 from mhmppi.dynamics import DynamicsModel
 from mhmppi.multi_horizon import (
     MultiHorizonInput,
@@ -229,7 +229,7 @@ def mission_cost(
 def cost_vector(
     trajectories: MultiHorizonTrajectory,
     inputs: MultiHorizonInput,
-    missions: MissionSet,
+    missions: tuple[Mission, ...],
     obstacles: ObstacleSet,
 ) -> np.ndarray:
     """The m+1 mission costs of one plan structure.
@@ -257,7 +257,7 @@ def cost_vector(
 def tail_cost_vector(
     trajectories: MultiHorizonTrajectory,
     inputs: MultiHorizonInput,
-    missions: MissionSet,
+    missions: tuple[Mission, ...],
     obstacles: ObstacleSet,
 ) -> np.ndarray:
     """Final stage + terminal terms of every plan, branch-averaged.
@@ -292,8 +292,7 @@ def _check_structure(trajectories, inputs, missions) -> None:
         raise ValueError("trajectory and input horizons differ")
     if trajectories.n_alternatives != inputs.n_alternatives:
         raise ValueError("trajectory and input mission counts differ")
-    if missions.n_alternatives != inputs.n_alternatives:
+    if len(missions) - 1 != inputs.n_alternatives:
         raise ValueError(
-            f"{missions.n_alternatives} backup missions but structure has "
-            f"{inputs.n_alternatives}"
+            f"{len(missions) - 1} backup missions but structure has {inputs.n_alternatives}"
         )

@@ -15,21 +15,20 @@ from hypothesis import strategies as st
 from mhmppi import buffers, noise
 from mhmppi import controller as ctrl
 from mhmppi.config import scenario_from_dict
-from mhmppi.cost import Mission, MissionSet, ObstacleSet
+from mhmppi.cost import Mission, ObstacleSet
 from mhmppi.dynamics import DoubleIntegrator, SimpleCar, step
 from mhmppi.errors import ConfigError, NonFiniteCostError
 from mhmppi.multi_horizon import MultiHorizonInput, dims
 from mhmppi.scenarios import get_scenario_dict
 from mhmppi.weights import WeightLawParams
 from oracle import cost_vector, draw_noise, expand, from_parts, tail_cost_vector
+from quadratic import fit_quadratic, gap, plan_costs
 
 NO_OBS = ObstacleSet()
-UAV_MISSIONS = MissionSet(
-    (
-        Mission.build([10, 10, 0, 0]),
-        Mission.build([2, 6, 0, 0]),
-        Mission.build([8, 6, 0, 0]),
-    )
+UAV_MISSIONS = (
+    Mission.build([10, 10, 0, 0]),
+    Mission.build([2, 6, 0, 0]),
+    Mission.build([8, 6, 0, 0]),
 )
 
 
@@ -399,6 +398,54 @@ def test_prefetching_run_exits_cleanly():
             os.kill(int(pid), 0)
 
 
+def _process_state(pid: int) -> str | None:
+    """The state letter of process ``pid``, None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+def test_orphaned_noise_worker_exits(tmp_path):
+    # a run killed outright never stops its worker: the worker ends when
+    # its job pipe hangs up, also when the caller died while the worker
+    # was still starting.  Its output goes to DEVNULL, as the worker
+    # inherits it and a pipe would block until the worker ended
+    pid_file = tmp_path / "worker.pid"
+    code = (
+        "import os, signal, sys\n"
+        "from mhmppi import config, noise, sim\n"
+        "from mhmppi.scenarios import get_scenario_dict\n"
+        "cfg = get_scenario_dict('uav-free-1')\n"
+        "cfg['controller']['samples'] = 32\n"
+        "cfg['max_steps'] = 3\n"
+        "sim.run_closed_loop(config.scenario_from_dict(cfg))\n"
+        "with open(sys.argv[1], 'w') as fh:\n"
+        "    fh.write(str(noise.process_prefetch().pid))\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(ctrl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(pid_file)],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": src_dir},
+        timeout=120,
+    )
+    assert proc.returncode == -signal.SIGKILL
+    pid = pid_file.read_text()
+    if pid == "None":  # no worker ran (one CPU)
+        return
+    pid = int(pid)
+    deadline = time.monotonic() + 10.0
+    while _process_state(pid) not in (None, "Z"):
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            pytest.fail(f"the orphaned worker {pid} still ran 10 s after its caller died")
+        time.sleep(0.05)
+
+
 # ------------------------------------------------------------------ softmax
 
 
@@ -445,7 +492,7 @@ def _step_with_noise(monkeypatch, sample_noise, n_samples=64, step_index=0):
     """One m=0 control step of the double integrator with ``sample_noise``
     in place of the sampler."""
     params = make_params(n_samples=n_samples, horizon=5)
-    missions = MissionSet((UAV_MISSIONS[0],))
+    missions = (UAV_MISSIONS[0],)
     wl = WeightLawParams(gamma=0.0)
     monkeypatch.setattr(ctrl, "sample_noise", sample_noise)
     x = np.array([1.0, 2.0, 0.5, -0.5])
@@ -527,6 +574,50 @@ def test_mppi_update_degenerate_and_cancellation():
     assert np.allclose(out.flat, 0.0, atol=1e-16)
 
 
+# ---------------------------------------------------------- exact quadratic
+
+
+def _uav_primary():
+    """uav-free-1's model, start state, horizon and primary mission."""
+    sc = scenario_from_dict(get_scenario_dict("uav-free-1"))
+    return sc.model, sc.x0, sc.controller.horizon, sc.missions[0]
+
+
+def test_m0_cost_is_the_fitted_quadratic():
+    # the double integrator without obstacles: the m=0 cost is exactly
+    # quadratic in the plan, so the fit holds on any plan
+    model, x0, horizon, mission = _uav_primary()
+    c, g, hessian = fit_quadratic(model, x0, horizon, mission)
+    plans = 3.0 * np.random.default_rng(0).standard_normal((50, g.size))
+    fitted = c + plans @ g + np.einsum("qi,ij,qj->q", plans, hessian, plans) / 2.0
+    exact = plan_costs(model, x0, horizon, mission, plans)
+    assert np.max(np.abs(fitted - exact) / np.abs(exact)) < 1e-10
+    assert np.all(np.linalg.eigvalsh(hessian) > 0.0)
+
+
+@pytest.mark.parametrize("noise_cov, temperature", [(1.0, 5.0), (0.25, 0.5)])
+def test_mppi_iterations_approach_the_exact_optimum(noise_cov, temperature):
+    # the sampler alone: 30 MPPI iterations of K=1000 at a fixed state,
+    # with no shift, from the zero plan (gap 98).  Seeds 0-3 end at gaps
+    # of 0.05-0.09; the built-in (noise_cov 1, temperature 0.5) stalls at
+    # 2-5.  A flipped softmax sign or unnormalised weights fail both
+    # cases, and noise that ignores the Cholesky factor fails the second
+    model, x0, horizon, mission = _uav_primary()
+    _, g, hessian = fit_quadratic(model, x0, horizon, mission)
+    params = make_params(
+        n_samples=1000, horizon=horizon, noise_cov=noise_cov, temperature=temperature, seed=0
+    )
+    plan = MultiHorizonInput.zeros(horizon, 0, params.n_u)
+    assert gap(plan.flat.ravel(), g, hessian) == pytest.approx(98.0, abs=0.05)
+    for t in range(30):
+        noise = ctrl.sample_noise(params, t, horizon)
+        costs, _ = ctrl.evaluate_plan_batch(
+            model, x0, plan.flat.T[:, :, None] + noise, horizon, (mission,), NO_OBS
+        )
+        plan = ctrl.mppi_update(plan, noise, ctrl.softmax_weights(costs[:, 0], temperature))
+    assert gap(plan.flat.ravel(), g, hessian) < 0.5
+
+
 # -------------------------------------------------------- full control step
 
 
@@ -577,16 +668,14 @@ def _oracle_case(model_cls, horizon, m, seed, dense=False):
     modes = [np.ones(2), np.array([0.6, 0.8]), np.array([1.0, 0.0])]
     model = model_cls(modes=modes)
     rng = np.random.default_rng(seed)
-    missions = MissionSet(
-        tuple(
-            Mission.build(
-                rng.uniform(-2, 2, model.n_x),
-                state_weight=_psd(rng, model.n_x) if dense and i == 1 else 1.0 + i,
-                input_weight=_psd(rng, 2) if dense and i == 1 else 0.5,
-                mode=(3 - i) % 3 if i else 0,
-            )
-            for i in range(m + 1)
+    missions = tuple(
+        Mission.build(
+            rng.uniform(-2, 2, model.n_x),
+            state_weight=_psd(rng, model.n_x) if dense and i == 1 else 1.0 + i,
+            input_weight=_psd(rng, 2) if dense and i == 1 else 0.5,
+            mode=(3 - i) % 3 if i else 0,
         )
+        for i in range(m + 1)
     )
     obstacles = ObstacleSet(
         [((-0.05, -0.3), (0.3, 0.05)), ((0.1, 0.1), (0.6, 0.6))], penalty=5.0
@@ -621,7 +710,7 @@ def test_batch_costs_match_structure_route():
             primary_hits = tail_hits = 0
             for q in range(flat_batch.shape[0]):
                 plan = base.with_flat(flat_batch[q])
-                traj = expand(model, x0, plan, missions.modes)
+                traj = expand(model, x0, plan, [mission.mode for mission in missions])
                 direct = cost_vector(traj, plan, missions, obstacles)
                 direct_tails = tail_cost_vector(traj, plan, missions, obstacles)
                 assert np.allclose(costs[q], direct, rtol=1e-11, atol=0), case
@@ -644,7 +733,7 @@ def test_batch_tail_costs_match_structure_route():
     costs, tails = ctrl.evaluate_plan_batch(
         model, x0, shifted.flat.T[:, :, None], 4, UAV_MISSIONS, NO_OBS
     )
-    traj = expand(model, x0, shifted, UAV_MISSIONS.modes)
+    traj = expand(model, x0, shifted, [mission.mode for mission in UAV_MISSIONS])
     assert np.allclose(costs[0], cost_vector(traj, shifted, UAV_MISSIONS, NO_OBS), rtol=1e-11)
     assert np.allclose(
         tails[0], tail_cost_vector(traj, shifted, UAV_MISSIONS, NO_OBS), rtol=1e-11
@@ -668,7 +757,7 @@ def test_single_step_brute_force_oracle(monkeypatch):
     B = np.vstack([np.zeros((2, 2)), 0.1 * np.eye(2)])  # velocity += 0.1 s * input
     p0 = np.array([1.0, 0.0, 0.0, 0.0])
     p1 = np.array([0.0, 1.0, 0.0, 0.0])
-    missions = MissionSet((Mission.build(p0), Mission.build(p1)))
+    missions = (Mission.build(p0), Mission.build(p1))
     params = make_params(n_samples=2, horizon=2, temperature=0.7)
     wl = WeightLawParams(gamma=0.0)
     model = DoubleIntegrator()
@@ -722,7 +811,7 @@ def _gamma_zero_runs(scenario_name: str, n_steps: int = 40):
     runs = []
     for missions, params in (
         (scenario.missions, scenario.controller),
-        (MissionSet((scenario.missions[0],)), scenario.controller),
+        (scenario.missions[:1], scenario.controller),
     ):
         x = scenario.x0.copy()
         state = ctrl.init_state(x, params, missions, wl)
@@ -781,7 +870,7 @@ def test_each_simulated_state_is_tested_against_the_boxes_once(monkeypatch, hori
 
     monkeypatch.setattr(ObstacleSet, "inside", spy)
     model = DoubleIntegrator()
-    missions = MissionSet(tuple(Mission.build([1.0 + i, 1.0, 0, 0]) for i in range(m + 1)))
+    missions = tuple(Mission.build([1.0 + i, 1.0, 0, 0]) for i in range(m + 1))
     n_batch = 3
     flat_batch = np.random.default_rng(m).standard_normal((2, dims(horizon, m)[0], n_batch))
     box = [((0.0, 0.0), (1.0, 1.0))]
@@ -800,12 +889,10 @@ def _buffer_case():
     """Double integrator over two backups in a degraded mode, with boxes:
     every step buffer, the tail scaling and the occupancy among them."""
     model = DoubleIntegrator(modes=[[1.0, 1.0], [0.6, 0.8]])
-    missions = MissionSet(
-        (
-            Mission.build([1.5, 1.5, 0, 0]),
-            Mission.build([0.0, 1.5, 0, 0], mode=1),
-            Mission.build([1.5, 0.0, 0, 0], state_weight=2.0),
-        )
+    missions = (
+        Mission.build([1.5, 1.5, 0, 0]),
+        Mission.build([0.0, 1.5, 0, 0], mode=1),
+        Mission.build([1.5, 0.0, 0, 0], state_weight=2.0),
     )
     obstacles = ObstacleSet([((0.2, 0.2), (0.8, 0.8))], penalty=50.0)
     params = make_params(n_samples=64, horizon=6, seed=11)
@@ -895,7 +982,7 @@ def test_step_after_an_abort_reuses_the_larger_step_buffers():
         u, state, _ = ctrl.control_step(x, state, sc.model, sc.missions, *args)
         x = step(sc.model, x, u)
     # the handover of sim.run_closed_loop to backup 1 in mode 1
-    primary = MissionSet((replace(sc.missions[1], mode=1),))
+    primary = (replace(sc.missions[1], mode=1),)
     warm = MultiHorizonInput(state.inputs.horizon, 0, state.inputs.branch_view(1, 0))
     state = ctrl.ControllerState(warm, np.ones(1), state.step_index)
     store = vars(buffers._local)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mhmppi.cost import Mission, MissionSet, ObstacleSet, distance, stage_cost_terms
+from mhmppi.cost import Mission, ObstacleSet, distance, stage_cost_terms
 from mhmppi.dynamics import DoubleIntegrator
 from mhmppi.errors import ConfigError
 from mhmppi.multi_horizon import MultiHorizonInput, dims
@@ -21,7 +21,7 @@ NO_OBS = ObstacleSet()
 
 
 def uav_missions(targets):
-    return MissionSet(tuple(Mission.build(t) for t in targets))
+    return tuple(Mission.build(t) for t in targets)
 
 
 def test_stage_cost_minimum_at_target():
@@ -188,11 +188,9 @@ def test_cost_vector_nonnegative_and_scaling():
     plan = MultiHorizonInput(horizon, m, rng.standard_normal((dims(horizon, m)[0], 2)))
     traj = expand(model, rng.standard_normal(4), plan)
     for c in (1.0, 3.5):
-        missions = MissionSet(
-            tuple(
-                Mission.build(t, state_weight=c, input_weight=c)
-                for t in ([10, 10, 0, 0], [2, 6, 0, 0], [8, 6, 0, 0])
-            )
+        missions = tuple(
+            Mission.build(t, state_weight=c, input_weight=c)
+            for t in ([10, 10, 0, 0], [2, 6, 0, 0], [8, 6, 0, 0])
         )
         vec = cost_vector(traj, plan, missions, NO_OBS)
         tail = tail_cost_vector(traj, plan, missions, NO_OBS)

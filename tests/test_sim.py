@@ -6,7 +6,7 @@ import pytest
 from mhmppi import config as config_mod
 from mhmppi import sim as sim_mod
 from mhmppi.controller import ControllerParams, ControllerState
-from mhmppi.cost import Mission, MissionSet, ObstacleSet, distance
+from mhmppi.cost import Mission, ObstacleSet, distance
 from mhmppi.dynamics import DoubleIntegrator, step
 from mhmppi.errors import ConfigError
 from mhmppi.multi_horizon import MultiHorizonInput, dims
@@ -37,12 +37,12 @@ def state_weighted(*targets):
     ``test_abort_switches_mission_and_mode`` and
     ``test_abort_nearest_policy_single_alternative`` complete 25, 20 and 31
     times at state_weight=1, and 32 times each at 10."""
-    return MissionSet(tuple(Mission.build(t, state_weight=10.0) for t in targets))
+    return tuple(Mission.build(t, state_weight=10.0) for t in targets)
 
 
 def small_scenario(seed=0, **kw):
     """Cheap double-integrator scenario for loop mechanics tests."""
-    missions = kw.pop("missions", MissionSet(tuple(Mission.build(t) for t in TARGETS)))
+    missions = kw.pop("missions", tuple(Mission.build(t) for t in TARGETS))
     model = kw.pop("model", DoubleIntegrator())
     defaults = dict(
         name="small",
@@ -132,10 +132,8 @@ def test_abort_switches_mission_and_mode():
 def test_plant_steps_in_the_primary_mission_mode():
     # no plant mismatch: the controller rolls the primary out in the
     # primary mission's mode, so the plant steps in that mode too
-    missions = MissionSet(
-        (Mission.build(TARGETS[0], state_weight=10.0, mode=1),)
-        + state_weighted(*TARGETS[1:]).missions
-    )
+    primary = Mission.build(TARGETS[0], state_weight=10.0, mode=1)
+    missions = (primary, *state_weighted(*TARGETS[1:]))
     model = DoubleIntegrator([np.ones(2), np.array([0.5, 0.5])])
     trace = run_closed_loop(small_scenario(missions=missions, model=model, max_steps=12))
     assert len(trace.records) == 12
@@ -190,8 +188,8 @@ def test_min_cost_abort_picks_cheapest_backup_branch():
         plan = MultiHorizonInput(5, 2, 0.3 * rng.standard_normal((dims(5, 2)[0], 2)))
         state = ControllerState(plan, np.array([0.6, 0.2, 0.2]), 3)
         shifted = plan.shift()
-        costs = cost_vector(expand(model, x, shifted, missions.modes), shifted, missions,
-                            scenario.obstacles)
+        traj = expand(model, x, shifted, [mission.mode for mission in missions])
+        costs = cost_vector(traj, shifted, missions, scenario.obstacles)
         assert abs(costs[1] - costs[2]) > 1.0
         pick = sim_mod._choose_backup(scenario, x, state)
         assert pick == 1 + int(np.argmin(costs[1:]))
@@ -313,9 +311,27 @@ def test_scenario_validation():
         small_scenario(completion_tol=0.0)
     with pytest.raises(ConfigError):
         small_scenario(x0=np.zeros(3))
-    bad = MissionSet((Mission.build([0.0, 0, 0, 0]), Mission.build([1.0, 0, 0])))
+    bad = (Mission.build([0.0, 0, 0, 0]), Mission.build([1.0, 0, 0]))
     with pytest.raises(ConfigError):
         small_scenario(missions=bad)
+
+
+def test_scenario_missions_are_a_tuple_of_missions():
+    missions = [Mission.build(t) for t in TARGETS]
+    scenario = small_scenario(missions=missions)
+    missions.pop()  # the scenario keeps a copy of the caller's list
+    assert type(scenario.missions) is tuple and len(scenario.missions) == len(TARGETS)
+    assert all(kept is given for kept, given in zip(scenario.missions, missions))
+    for bad, match in [
+        ((), "non-empty"),
+        ([], "non-empty"),
+        (missions[0], "non-empty tuple"),
+        ((missions[0], TARGETS[1]), r"missions\[1\] must be a Mission, got list"),
+    ]:
+        with pytest.raises(ConfigError, match=match):
+            small_scenario(missions=bad)
+        with pytest.raises(ConfigError, match=match):
+            replace(scenario, missions=bad)
 
 
 def test_scenario_controller_must_fit_the_model():

@@ -179,6 +179,28 @@ def test_metadata_object_is_checked_and_names_the_file(tmp_path, meta):
         read_trace(str(path))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda cols: cols[:1] + cols[5:7] + cols[1:5] + cols[7:],
+        lambda cols: cols[:-1] + ["seconds"],
+        lambda cols: [col for col in cols if col != "cost_std"],
+        lambda cols: cols + ["extra"],
+    ],
+    ids=["inputs-before-states", "renamed", "missing", "extra"],
+)
+def test_header_must_be_the_trace_columns(tmp_path, edit):
+    # the rows are read by position, so a header in another order or
+    # with other names would relabel or misread them
+    path = tmp_path / "t.csv"
+    write_trace(make_trace(n_steps=2), str(path))
+    header, rows = path.read_text().split("\n", 1)
+    assert header.split(",") == trace_columns(4, 2, 3)
+    path.write_text(",".join(edit(header.split(","))) + "\n" + rows)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: header must be {header}, got")):
+        read_trace(str(path))
+
+
 def test_metadata_line_is_one_json_object(tmp_path):
     # the last line is "# " and one JSON object, and its floats, finite or
     # not, read back bit for bit

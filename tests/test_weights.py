@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mhmppi.config import scenario_from_dict
-from mhmppi.cost import Mission, MissionSet
+from mhmppi.cost import Mission
 from mhmppi.errors import ConfigError, InfeasibleConstraintError
 from mhmppi.scenarios import get_scenario_dict
 from mhmppi.weights import (
@@ -17,7 +17,7 @@ from mhmppi.weights import (
 
 
 def missions_at(targets):
-    return MissionSet(tuple(Mission.build(t) for t in targets))
+    return tuple(Mission.build(t) for t in targets)
 
 
 def missions_with_distances(dists):
