@@ -28,9 +28,12 @@ Noise
 -----
 :func:`sample_noise` takes each step's noise batch from
 :mod:`mhmppi.noise`, whose substream contract fixes every batch by (seed,
-step, Cholesky factor, shape) alone, whichever process draws it.  The
-weighted reduction over samples in :func:`mppi_update` runs in a fixed
-order, so whole runs are bit-reproducible.
+step, Cholesky factor, shape) alone, whichever process draws it: each
+flat row's normals come from the raw words of its own Philox substream,
+by a float32 Box-Muller transform made in whole-array passes over chunks
+of rows.  The weighted reduction over samples in :func:`mppi_update`
+runs in a fixed order, so whole runs are bit-reproducible on one machine
+(and across AVX2 and AVX-512 machines; see :mod:`mhmppi.noise`).
 
 A sample whose cost is not finite gets weight 0; a step on which no
 sample cost is finite, or whose noise-free plan has a non-finite cost or
@@ -149,8 +152,8 @@ class StepDiagnostics:
 
     The per-layer seconds split the step: ``noise_s`` takes the noise
     batch (the copy of the flat rows the worker drew ahead, and the
-    drawing of the other rows, one K-wide slab per row and component; the
-    whole draw when nothing was drawn ahead), ``eval_s`` builds
+    drawing of the other rows, in chunks of rows; the whole draw when
+    nothing was drawn ahead), ``eval_s`` builds
     and evaluates the plan batch, ``project_s`` projects the mission
     weights, and ``update_s`` scalarizes the sample costs and updates the
     plan."""

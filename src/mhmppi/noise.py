@@ -3,19 +3,34 @@ batch, and the worker process that draws the next step's batch ahead.
 
 Noise reproducibility contract
 ------------------------------
-The noise of step t is an (n_u, n_inputs, K) batch, drawn one K-wide slab
-at a time.  Slab (d, c), component c of flat row d, is the dedicated
-counter-block stream ``Philox(key=stream_key(seed, t), counter=(d * n_u +
-c) * 2**192)``, and its first K standard normals are ``z[c, d, :]``.  Row
-d of the batch is ``chol @ z[:, d, :]``, left as z when the Cholesky
-factor ``chol`` is the identity.  :func:`_fill_noise` is the one loop that
-draws rows in this layout.  Three guarantees follow.  The primary rows
-d < N draw the same slabs for every m, so the m=0 step gets bit-identical
-primary noise (the gamma=0 equivalence of :mod:`mhmppi.controller`).  A
-slab's first K draws do not depend on K, so sample q's noise is the same
-in every batch wider than q.  And a batch depends only on (seed, t, chol,
-shape), and the controller's weighted reduction over samples runs in a
-fixed order, so whole runs are bit-reproducible.
+The noise of step t is an (n_u, n_inputs, K) batch of standard normals z,
+made by the Box-Muller transform from raw counter-based Philox words.
+Flat row d is the dedicated counter-block stream ``Philox(key=
+stream_key(seed, t), counter=d * 2**192)``, whose raw 64-bit words are
+w_0, w_1, ....  With P = ceil(n_u / 2), sample q reads the words
+w_{qP} ... w_{qP+P-1}, and word k gives components 2k and 2k+1 of
+``z[:, d, q]``; the 2k+1 output is dropped when 2k+1 = n_u.  Of a word
+w, with a = w & 0xFFFFFFFF and b = w >> 32 and f(h) the float32 whose
+bits are (h >> 9) | 0x3F800000 (in [1, 2)), u = 2 - f(a) lies in (0, 1]
+and v = f(b) - 1 in [0, 1).  r = sqrt(-2 log u) and theta = 2 pi v are
+computed with numpy's float32 ufuncs, and the two components are
+r cos(theta) and r sin(theta), widened to float64.  Row d of the batch is
+``chol @ z[:, d, :]``, summed element-wise over the columns of the
+Cholesky factor ``chol`` in order, and left as z when ``chol`` is the
+identity.  :func:`_fill_noise` is the one loop that draws rows in this
+layout.
+
+Three guarantees follow.  The primary rows d < N draw the same words for
+every m, so the m=0 step gets bit-identical primary noise (the gamma=0
+equivalence of :mod:`mhmppi.controller`).  Sample q reads the same words
+in every batch wider than q, so its noise does not depend on K.  And a
+batch depends only on (seed, t, chol, shape), and the controller's
+weighted reduction over samples runs in a fixed order, so whole runs are
+bit-reproducible.  numpy's float32 ``log``, ``cos`` and ``sin`` give the
+same bits for an element wherever it lies in an array, and the same bits
+under its AVX2 and AVX-512 code paths, so a batch is bit-identical across
+such machines; under numpy's pre-AVX2 baseline (an older CPU, or
+``NPY_DISABLE_CPU_FEATURES``) the same contract gives other bits.
 
 Noise prefetch
 --------------
@@ -30,20 +45,24 @@ child (``cli --workers N`` already keeps N processes busy), outside Linux
 or x86-64, and from the step on which the worker cannot start or is found
 dead.
 
-The two processes share one batch by work stealing, in units of one flat
-row d (the row's n_u K-wide slabs ``[:, d, :]``): the worker draws the
-rows upward from 0, and the caller, once it needs the batch, draws them
-downward from the last until it meets the worker.  The caller never
-waits for the worker, so a step is never slower than drawing it inline,
-however busy the worker's CPU is.  Two words at the start of the shared
-file keep them apart: the worker's progress (rows 0..p-1 are written)
-and the caller's claim (rows c.. are the caller's, so the worker stops
-at c).  Each word carries the job's sequence number in its high 32 bits,
-so a word left over from an older job reads as no progress, or as a
-claim on everything.  A row both draw at the moment they meet has the
-same values either way.  The progress word is stored after the rows it
-counts, and read before them, which x86-64's store and load order keeps
-in that order; other machines draw inline.
+The two processes share one batch by work stealing, in chunks of at most
+CHUNK consecutive flat rows, each drawn in one set of whole-chunk passes:
+the worker draws chunks upward from row 0, and the caller, once it needs
+the batch, draws them downward from the last row until it meets the
+worker.  The caller never waits for the worker, so a step is never slower
+than drawing it inline, however busy the worker's CPU is.  Two words at
+the start of the shared file keep them apart: the worker's progress (rows
+0..p-1 are written) and the caller's claim (rows c.. are the caller's).
+The worker reads the claim before each chunk and stops its chunk there,
+and it stores its progress after each chunk.  The caller claims a chunk
+before it draws it, and a chunk reaches down no further than the
+worker's progress as last read, so the caller stops exactly where the
+worker's rows end and copies exactly those.  Each word carries the job's
+sequence number in its high 32 bits, so a word left over from an older
+job reads as no progress, or as a claim on everything.  Rows both draw at
+the moment they meet have the same values either way.  The progress word
+is stored after the rows it counts, and read before them, which x86-64's
+store and load order keeps in that order; other machines draw inline.
 
 The worker is a fresh interpreter started with ``subprocess``: it imports
 this package and nothing of the parent's ``__main__``, so a script without
@@ -78,9 +97,14 @@ from multiprocessing.connection import Connection
 
 import numpy as np
 
+from .buffers import buffer
+
 HEADER = 64  # bytes before the batch in the shared file: the two words
 PROGRESS, CLAIM = 0, 1  # int64 word indices in the header
 COUNT = (1 << 32) - 1  # low bits of a word: a flat row count
+CHUNK = 16  # flat rows drawn per pass, and the unit of work stealing
+LOW = 0 if sys.byteorder == "little" else 1  # a word's low half among its two float32s
+TWO_PI = np.float32(2 * np.pi)
 
 
 def stream_key(seed: int, step_index: int) -> np.ndarray:
@@ -92,36 +116,90 @@ def _is_identity(chol: np.ndarray) -> bool:
     return bool(np.array_equal(chol, np.eye(chol.shape[0])))
 
 
+def _chunks(n_rows: int):
+    """Flat rows 0..n_rows-1, upward, as ranges of at most CHUNK rows."""
+    return (range(lo, min(lo + CHUNK, n_rows)) for lo in range(0, n_rows, CHUNK))
+
+
 def _fill_noise(
-    out: np.ndarray, seed: int, step_index: int, chol: np.ndarray, rows: Iterable[int]
+    out: np.ndarray, seed: int, step_index: int, chol: np.ndarray, chunks: Iterable[range]
 ) -> None:
-    """Write flat rows ``rows`` of step ``step_index``'s (n_u, n_inputs, K)
-    noise batch into the same rows of ``out``, each row's slabs whole.  One
-    bit generator serves every slab; only its counter is reset between
-    slabs."""
-    bits = np.random.Philox(key=stream_key(seed, step_index))
-    gen = np.random.Generator(bits)
-    state = bits.state  # reused dict; only the counter varies
-    n_u = out.shape[0]
+    """Write the flat rows of ``chunks``, each a range of consecutive rows,
+    of step ``step_index``'s (n_u, n_inputs, K) noise batch into the same
+    rows of ``out``.  One bit generator serves every row; only its counter
+    is reset between rows.  A chunk's normals are made in whole-chunk
+    passes over :mod:`mhmppi.buffers` scratch the size of the chunk."""
+    key = stream_key(seed, step_index)
+    bits = np.random.Philox(key=key)
+    # the generator's state in plain ints, which its setter reads fastest;
+    # only the counter's top word varies
+    counter = [0, 0, 0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key.tolist()},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    n_u, _, n_samples = out.shape
+    n_words = (n_u + 1) // 2  # per sample
     plain = _is_identity(chol)
-    for d in rows:
-        for c in range(n_u):
-            state["state"]["counter"][3] = d * n_u + c  # block offset (d*n_u + c) * 2**192
-            state["buffer_pos"] = 4
+    for rows in chunks:
+        n = len(rows)
+        raw = buffer("noise.raw", (n, n_samples * n_words), np.uint64)
+        for i, d in enumerate(rows):
+            counter[3] = d  # block offset d * 2**192
             bits.state = state
-            gen.standard_normal(out=out[c, d])
-        if not plain:
-            # chol @ z as element-wise products summed over the columns of
-            # chol in order: a matmul may fuse the multiply-adds, and how it
-            # does may depend on K
-            out[:, d] = (chol[:, :, None] * out[None, :, d]).sum(axis=1)
+            raw[i] = bits.random_raw(raw.shape[1])
+        # each 32-bit half h of a word becomes the float32 with bits
+        # (h >> 9) | 0x3F800000, in [1, 2)
+        np.right_shift(raw, 9, out=raw)
+        np.bitwise_and(raw, 0x007FFFFF007FFFFF, out=raw)
+        np.bitwise_or(raw, 0x3F8000003F800000, out=raw)
+        halves = raw.view(np.float32).reshape(n, n_samples, n_words, 2)
+        rows_out = out[:, rows.start : rows.stop]
+        z = rows_out if plain else buffer("noise.z", (n_u, n, n_samples))
+        radius = buffer("noise.radius", (n, n_samples), np.float32)
+        angle = buffer("noise.angle", (n, n_samples), np.float32)
+        cos = buffer("noise.cos", (n, n_samples), np.float32)
+        for k in range(n_words):
+            # u in (0, 1] and v in [0, 1), each copied out of the interleaved
+            # words first: a copy and a contiguous pass take less time than
+            # one pass over the strided halves
+            np.copyto(radius, halves[:, :, k, LOW])
+            np.subtract(2, radius, out=radius)
+            np.log(radius, out=radius)
+            np.multiply(radius, -2, out=radius)
+            np.sqrt(radius, out=radius)
+            np.copyto(angle, halves[:, :, k, 1 - LOW])
+            np.subtract(angle, 1, out=angle)
+            np.multiply(angle, TWO_PI, out=angle)
+            np.cos(angle, out=cos)
+            np.multiply(radius, cos, out=cos)
+            z[2 * k] = cos
+            if 2 * k + 1 < n_u:
+                np.sin(angle, out=angle)
+                np.multiply(radius, angle, out=angle)
+                z[2 * k + 1] = angle
+        if plain:
+            continue
+        # chol @ z as element-wise products summed over the columns of chol
+        # in order: a matmul may fuse the multiply-adds, and how it does may
+        # depend on K
+        term = buffer("noise.term", (n, n_samples))
+        for c in range(n_u):
+            np.multiply(z[0], chol[c, 0], out=rows_out[c])
+            for j in range(1, n_u):
+                np.multiply(z[j], chol[c, j], out=term)
+                np.add(rows_out[c], term, out=rows_out[c])
 
 
 def worker_main(jobs_fd: int, bell_fd: int, mem_fd: int) -> None:
     """Worker loop.  Each count on the eventfd ``bell_fd`` announces one
     job ``(seq, shape, seed, step, chol)`` on the pipe ``jobs_fd``, whose
-    batch is drawn into the shared memory file ``mem_fd`` until the
-    caller's claim.  The loop ends when the pipe hangs up: when its write
+    batch is drawn into the shared memory file ``mem_fd`` chunk by chunk,
+    upward until the caller's claim.  The loop ends when the pipe hangs up: when its write
     end is closed, which the caller's death does too."""
     jobs = Connection(jobs_fd, writable=False)
     wake = select.poll()
@@ -151,14 +229,18 @@ def _run_job(shared: mmap.mmap, seq: int, shape: tuple, seed: int, step_index: i
 
 
 def _upward(words: np.ndarray, seq: int, n_rows: int):
-    """The worker's flat rows: 0, 1, ... below the caller's claim on job
-    ``seq``, each counted in the progress word once written."""
-    for d in range(n_rows):
+    """The worker's chunks of flat rows: upward from 0, each stopped at
+    the caller's claim on job ``seq`` as read before it, and each counted
+    in the progress word once written."""
+    lo = 0
+    while lo < n_rows:
         claim = int(words[CLAIM])
-        if claim >> 32 != seq or d >= claim & COUNT:
+        hi = min(lo + CHUNK, claim & COUNT)
+        if claim >> 32 != seq or hi <= lo:
             return
-        yield d
-        words[PROGRESS] = seq << 32 | (d + 1)
+        yield range(lo, hi)
+        words[PROGRESS] = seq << 32 | hi
+        lo = hi
 
 
 class NoisePrefetch:
@@ -203,7 +285,7 @@ class NoisePrefetch:
                 self._request(out.shape, seed, step_index, chol)
             self._key = None
             if self.failed:
-                _fill_noise(out, seed, step_index, chol, range(out.shape[1]))
+                _fill_noise(out, seed, step_index, chol, _chunks(out.shape[1]))
                 return 0
             _fill_noise(out, seed, step_index, chol, self._downward(out.shape[1]))
             taken = self._taken
@@ -215,16 +297,23 @@ class NoisePrefetch:
         return taken
 
     def _downward(self, n_rows: int):
-        """This process's flat rows: the last, then down while the worker's
-        progress on the current job is below them, each claimed before it
-        is drawn.  Leaves the worker's count in ``_taken``."""
+        """This process's chunks of flat rows: downward from the last while
+        the worker's progress on the current job is below them, each
+        claimed before it is drawn.  A chunk reaches down no further than
+        the progress read before it, so the rows below the last chunk are
+        exactly the worker's.  Leaves their count in ``_taken``."""
         words, seq = self._words, self._seq
         top = n_rows
-        # a progress word of an older job is below seq << 32
-        while top > 0 and int(words[PROGRESS]) < seq << 32 | top:
-            top -= 1
-            words[CLAIM] = seq << 32 | top
-            yield top
+        while top > 0:
+            progress = int(words[PROGRESS])
+            # a progress word of an older job counts no rows
+            done = progress & COUNT if progress >> 32 == seq else 0
+            if done >= top:
+                break
+            lo = max(done, top - CHUNK)
+            words[CLAIM] = seq << 32 | lo
+            yield range(lo, top)
+            top = lo
         self._taken = top
 
     def _request(self, shape: tuple, seed: int, step_index: int, chol: np.ndarray) -> None:

@@ -12,7 +12,7 @@ The tests compare the two routes entry by entry.
 
 It also keeps the reference forms that the package's faster paths must
 reproduce bit for bit: :func:`draw_noise` for the noise substream
-convention, with a fresh generator per slab, :func:`rollout` for one
+convention, with a fresh generator per row, :func:`rollout` for one
 input sequence, and :func:`from_parts` to build a plan from its primary
 and tails.
 """
@@ -32,7 +32,6 @@ from mhmppi.multi_horizon import (
     branch_rows,
     dims,
 )
-from mhmppi.noise import _is_identity
 
 # ------------------------------------------------------------------ noise
 
@@ -40,21 +39,39 @@ from mhmppi.noise import _is_identity
 def draw_noise(key: np.ndarray, shape: tuple, chol: np.ndarray) -> np.ndarray:
     """The (n_u, n_inputs, K) noise batch of stream key ``key``.
 
-    Reference form of the convention: slab (d, c) is a new generator on
-    ``Philox(key, counter=(d * n_u + c) * 2**192)``, whose first K standard
-    normals are ``z[c, d]``; entry (c, d, q) of the batch is the sum of
+    Reference form of the convention, one row at a time: row d is a new
+    generator on ``Philox(key, counter=d * 2**192)``, and w_0, w_1, ... are
+    its raw 64-bit words.  With P = ceil(n_u / 2) words per sample, word k
+    of sample q is w_{qP+k}.  Its halves a = w & 0xFFFFFFFF and b = w >> 32
+    give u = 2 - f(a) in (0, 1] and v = f(b) - 1 in [0, 1), where f(h) is
+    the float32 with bits (h >> 9) | 0x3F800000.  In float32,
+    r = sqrt(-2 log u) and theta = 2 pi v, and components 2k and 2k+1 of
+    z[:, d, q] are r cos(theta) and r sin(theta), the latter dropped when
+    2k+1 = n_u.  Entry (c, d, q) of the batch is the sum of
     ``chol[c, j] * z[j, d, q]`` over j in order.  ``noise._fill_noise``
-    produces the same values while reusing one bit generator.
+    produces the same values in chunks of rows.
     """
     n_u, n_inputs, n_samples = shape
+    n_words = (n_u + 1) // 2
     z = np.empty(shape)
     for d in range(n_inputs):
-        for c in range(n_u):
-            bits = np.random.Philox(key=key, counter=(d * n_u + c) << 192)
-            z[c, d] = np.random.Generator(bits).standard_normal(n_samples)
-    if _is_identity(chol):
-        return z
+        bits = np.random.Philox(key=key, counter=d << 192)
+        words = bits.random_raw(n_samples * n_words).reshape(n_samples, n_words)
+        for k in range(n_words):
+            u = 2 - _unit(words[:, k] & 0xFFFFFFFF)
+            v = _unit(words[:, k] >> 32) - 1
+            r = np.sqrt(np.float32(-2) * np.log(u))
+            theta = np.float32(2 * np.pi) * v
+            z[2 * k, d] = r * np.cos(theta)
+            if 2 * k + 1 < n_u:
+                z[2 * k + 1, d] = r * np.sin(theta)
     return np.stack([sum(chol[c, j] * z[j] for j in range(n_u)) for c in range(n_u)])
+
+
+def _unit(half: np.ndarray) -> np.ndarray:
+    """The float32 in [1, 2) whose bits are ``(half >> 9) | 0x3F800000``,
+    for 32-bit values ``half`` held in uint64."""
+    return ((half >> 9) | 0x3F800000).astype(np.uint32).view(np.float32)
 
 
 # --------------------------------------------------------------- dynamics

@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import subprocess
@@ -136,21 +137,28 @@ def _filled(key, horizon, m, n_samples):
     """A whole noise batch from ``_fill_noise``."""
     seed, step_index, chol = key
     out = np.full((chol.shape[0], dims(horizon, m)[0], n_samples), np.nan)
-    noise._fill_noise(out, seed, step_index, chol, range(out.shape[1]))
+    noise._fill_noise(out, seed, step_index, chol, noise._chunks(out.shape[1]))
     return out
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(noise_keys(), st.integers(2, 6), st.integers(0, 3), st.integers(1, 40), st.data())
-def test_fill_noise_matches_per_slab_oracle(key, horizon, m, n_samples, data):
-    # rows split between an upward and a downward pass, as the worker and
-    # the caller draw them, still give the oracle's batch bit for bit
+def test_fill_noise_matches_per_row_oracle(key, horizon, m, n_samples, data):
+    # rows split at any row between the worker's upward chunks and the
+    # caller's downward ones still give the oracle's batch bit for bit, and
+    # the caller's chunks stop exactly at the worker's progress
     seed, step_index, chol = key
     n_rows = dims(horizon, m)[0]
     meet = data.draw(st.integers(0, n_rows))
     out = np.full((chol.shape[0], n_rows, n_samples), np.nan)
-    noise._fill_noise(out, seed, step_index, chol, range(meet))
-    noise._fill_noise(out, seed, step_index, chol, reversed(range(meet, n_rows)))
+    # job 7, claimed by the caller from row meet; the progress word is
+    # left over from job 6, which had every row
+    words = np.array([6 << 32 | n_rows, 7 << 32 | meet], np.int64)
+    noise._fill_noise(out, seed, step_index, chol, noise._upward(words, 7, n_rows))
+    caller = noise.NoisePrefetch()
+    caller._words, caller._seq = words, 7
+    noise._fill_noise(out, seed, step_index, chol, caller._downward(n_rows))
+    assert caller._taken == meet
     ref = draw_noise(noise.stream_key(seed, step_index), out.shape, chol)
     assert np.array_equal(out, ref)
 
@@ -158,7 +166,7 @@ def test_fill_noise_matches_per_slab_oracle(key, horizon, m, n_samples, data):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(noise_keys(), st.integers(2, 6))
 def test_noise_primary_prefix_shared_across_widths(key, horizon):
-    # the primary rows draw the same slabs whatever the number of backup
+    # the primary rows draw the same words whatever the number of backup
     # missions: the noise side of the gamma=0 equivalence
     primary = _filled(key, horizon, 0, 16)
     for m in (1, 2):
@@ -166,10 +174,10 @@ def test_noise_primary_prefix_shared_across_widths(key, horizon):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(noise_keys(), st.integers(2, 6), st.integers(0, 2))
-def test_noise_samples_do_not_depend_on_batch_size(key, horizon, m):
+@given(noise_keys(), st.integers(2, 6), st.integers(0, 2), st.integers(1, 63))
+def test_noise_samples_do_not_depend_on_batch_size(key, horizon, m, n_samples):
     wide = _filled(key, horizon, m, 64)
-    assert np.array_equal(_filled(key, horizon, m, 32), wide[:, :, :32])
+    assert np.array_equal(_filled(key, horizon, m, n_samples), wide[:, :, :n_samples])
 
 
 def test_sample_noise_statistics():
@@ -191,8 +199,36 @@ def test_sample_noise_applies_covariance():
     assert np.allclose(emp, cov, atol=0.15)
 
 
+def test_sample_noise_is_standard_normal():
+    # 10^6 normals (2 x 100 rows x 5000 samples): the tails and kurtosis of
+    # N(0, 1), and no dependence between the two outputs of one word (as a
+    # shared uniform, or sin swapped for cos, would give), along samples or
+    # between adjacent rows
+    params = make_params(n_samples=5000, horizon=10, seed=3)
+    batch = ctrl.sample_noise(params, 4, n_rows(params, 2))
+    z = batch.ravel()
+    n = z.size
+    for k in (1, 2, 3):
+        exact = math.erfc(k / math.sqrt(2.0))
+        beyond = np.count_nonzero(np.abs(z) > k) / n
+        assert abs(beyond - exact) < 5.0 * math.sqrt(exact * (1.0 - exact) / n), k
+    kurtosis = np.mean(z**4) / np.mean(z**2) ** 2
+    assert abs(kurtosis - 3.0) < 5.0 * math.sqrt(24.0 / n)
+
+    def uncorrelated(a, b):
+        a, b = a.ravel(), b.ravel()
+        return abs(np.corrcoef(a, b)[0, 1]) < 5.0 / math.sqrt(a.size)
+
+    first, second = batch
+    assert uncorrelated(first, second)
+    assert uncorrelated(first**2, second**2)
+    for c in range(2):
+        assert uncorrelated(batch[c, :, 1:], batch[c, :, :-1])
+        assert uncorrelated(batch[c, 1:], batch[c, :-1])
+
+
 def _reference_batch(params, step_index, rows):
-    """The noise batch of :func:`oracle.draw_noise`, one fresh generator per slab."""
+    """The noise batch of :func:`oracle.draw_noise`, one fresh generator per row."""
     key = noise.stream_key(params.seed, step_index)
     return draw_noise(key, (params.n_u, rows, params.n_samples), params.noise_chol)
 
@@ -595,6 +631,24 @@ def test_m0_cost_is_the_fitted_quadratic():
     assert np.all(np.linalg.eigvalsh(hessian) > 0.0)
 
 
+def test_weighted_cost_is_the_fitted_quadratic():
+    # m=2 at N=4: alpha @ J over the whole flat plan, branch tails
+    # included, is exactly quadratic too (n=32, 561 plans in one call)
+    sc = scenario_from_dict(get_scenario_dict("uav-free-1"))
+    mission, *backups = sc.missions
+    horizon, alpha = 4, np.array([0.5, 0.2, 0.3])
+    c, g, hessian = fit_quadratic(sc.model, sc.x0, horizon, mission, backups, alpha)
+    assert g.size == 32
+    plans = 3.0 * np.random.default_rng(1).standard_normal((50, g.size))
+    fitted = c + plans @ g + np.einsum("qi,ij,qj->q", plans, hessian, plans) / 2.0
+    exact = plan_costs(sc.model, sc.x0, horizon, mission, plans, backups, alpha)
+    assert np.max(np.abs(fitted - exact) / np.abs(exact)) < 1e-10
+    assert np.all(np.linalg.eigvalsh(hessian) > 0.0)
+    # the tail rows enter: the primary's cost alone leaves them out
+    primary = plan_costs(sc.model, sc.x0, horizon, mission, plans, backups)
+    assert not np.allclose(primary, exact)
+
+
 @pytest.mark.parametrize("noise_cov, temperature", [(1.0, 5.0), (0.25, 0.5)])
 def test_mppi_iterations_approach_the_exact_optimum(noise_cov, temperature):
     # the sampler alone: 30 MPPI iterations of K=1000 at a fixed state,
@@ -741,12 +795,13 @@ def test_batch_tail_costs_match_structure_route():
 
 
 def test_noise_stream_template_reuse_is_exact():
-    # drawing advances internal state; the next slab must still match a
-    # freshly keyed construction (the template must not alias generator state)
-    out = np.full((1, 4, 7), np.nan)
-    # with one component, slab s is row s; revisits must reproduce identical slabs
-    noise._fill_noise(out, 99, 0, np.eye(1), [3, 0, 3, 2, 0, 1])
-    assert np.array_equal(out, draw_noise(noise.stream_key(99, 0), out.shape, np.eye(1)))
+    # drawing advances the generator; the next row must still match a
+    # freshly keyed one (the state template must not alias the generator's).
+    # Chunks in any order, and rows drawn twice, give the same rows
+    out = np.full((3, 40, 7), np.nan)
+    chunks = [range(20, 36), range(3, 5), range(36, 40), range(0, 4), range(20, 21), range(4, 20)]
+    noise._fill_noise(out, 99, 0, np.eye(3), chunks)
+    assert np.array_equal(out, draw_noise(noise.stream_key(99, 0), out.shape, np.eye(3)))
 
 
 def test_single_step_brute_force_oracle(monkeypatch):
@@ -918,7 +973,9 @@ def test_step_does_not_read_what_earlier_steps_left_in_its_buffers():
         store = vars(buffers._local)
         assert "controller.noise" in store and "controller.tail_states" in store
         for flat in store.values():
-            flat.fill(np.nan)  # True in the boolean occupancy buffers
+            # NaN in the float buffers; every bit set in the others: True in
+            # the boolean occupancy buffers, all ones in the noise's raw words
+            flat.fill(np.nan if flat.dtype.kind == "f" else ~flat.dtype.type(0))
 
     clean, poisoned = _buffer_steps(3), _buffer_steps(3, between=poison)
     for (u, state, diag), (u_p, state_p, diag_p) in zip(clean, poisoned):

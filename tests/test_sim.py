@@ -252,7 +252,11 @@ def test_run_is_deterministic_per_seed():
             assert np.array_equal(ra.alpha, rb.alpha)
             assert ra.cost_mean == rb.cost_mean and ra.cost_std == rb.cost_std
         assert np.array_equal(a.final_state, b.final_state)
-    assert a.termination.kind == "aborted_completed"  # the handover ran
+    # the handover ran: from the abort step on, each step solved a backup's
+    # one-mission problem
+    assert len(a.records) > 5
+    assert all(r.alpha[0] == 0.0 for r in a.records[5:])
+    assert all(d.alpha.shape == (1,) for d in a.diagnostics[5:])
 
 
 # ---------------------------------------------------------------- analyze
