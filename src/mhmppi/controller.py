@@ -151,12 +151,12 @@ class StepDiagnostics:
     largest weight.
 
     The per-layer seconds split the step: ``noise_s`` takes the noise
-    batch (the copy of the flat rows the worker drew ahead, and the
-    drawing of the other rows, in chunks of rows; the whole draw when
-    nothing was drawn ahead), ``eval_s`` builds
-    and evaluates the plan batch, ``project_s`` projects the mission
-    weights, and ``update_s`` scalarizes the sample costs and updates the
-    plan."""
+    batch (the copy of the flat rows the worker finished ahead, the
+    sending of the next step's job, and the drawing of the remaining rows
+    in chunks of rows; the whole draw when the worker drew none of this
+    batch), ``eval_s`` builds and evaluates the plan batch, ``project_s``
+    projects the mission weights, and ``update_s`` scalarizes the sample
+    costs and updates the plan."""
 
     alpha: np.ndarray
     alpha_desired: np.ndarray

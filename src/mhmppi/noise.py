@@ -45,24 +45,27 @@ child (``cli --workers N`` already keeps N processes busy), outside Linux
 or x86-64, and from the step on which the worker cannot start or is found
 dead.
 
-The two processes share one batch by work stealing, in chunks of at most
-CHUNK consecutive flat rows, each drawn in one set of whole-chunk passes:
-the worker draws chunks upward from row 0, and the caller, once it needs
-the batch, draws them downward from the last row until it meets the
-worker.  The caller never waits for the worker, so a step is never slower
-than drawing it inline, however busy the worker's CPU is.  Two words at
-the start of the shared file keep them apart: the worker's progress (rows
-0..p-1 are written) and the caller's claim (rows c.. are the caller's).
-The worker reads the claim before each chunk and stops its chunk there,
-and it stores its progress after each chunk.  The caller claims a chunk
-before it draws it, and a chunk reaches down no further than the
-worker's progress as last read, so the caller stops exactly where the
-worker's rows end and copies exactly those.  Each word carries the job's
-sequence number in its high 32 bits, so a word left over from an older
-job reads as no progress, or as a claim on everything.  Rows both draw at
-the moment they meet have the same values either way.  The progress word
-is stored after the rows it counts, and read before them, which x86-64's
-store and load order keeps in that order; other machines draw inline.
+The worker draws its job's batch upward from row 0, in chunks of at most
+CHUNK consecutive flat rows, each drawn in one set of whole-chunk passes.
+When the caller needs the batch, it takes the batch over: it copies the
+rows the worker has finished, sends the worker the next step's job, and
+draws the remaining rows itself.  The caller never waits for the
+worker, so however busy the worker's CPU is, a step costs at most the
+inline draw and a copy of rows already drawn.  Two words at the start of
+the shared file carry the hand-over.  The job word is the sequence number
+of the caller's pending job, moved on just before each new job is sent.
+The progress word holds a sequence number in its high 32 bits and a row
+count p in its low 32 bits: rows 0..p-1 of that job's batch are written.
+It counts no rows when it names another job than the pending one, so
+rows of an older batch are never copied.  The worker reads the job word
+before each chunk and ends its job when the word names another, so a
+stale job stops within one chunk of its hand-over; it finishes that chunk
+before it takes the next job, whose rows overwrite it.  The caller copies
+before it sends the next job, so the rows it copies stay put.  The
+worker stores the progress word after the rows it counts, and the caller
+reads it before them.  x86-64 keeps stores in program order and loads in
+program order, so every row below a progress word the caller has read is
+complete; other machines draw inline.
 
 The worker is a fresh interpreter started with ``subprocess``: it imports
 this package and nothing of the parent's ``__main__``, so a script without
@@ -100,9 +103,9 @@ import numpy as np
 from .buffers import buffer
 
 HEADER = 64  # bytes before the batch in the shared file: the two words
-PROGRESS, CLAIM = 0, 1  # int64 word indices in the header
-COUNT = (1 << 32) - 1  # low bits of a word: a flat row count
-CHUNK = 16  # flat rows drawn per pass, and the unit of work stealing
+PROGRESS, JOB = 0, 1  # int64 word indices in the header
+COUNT = (1 << 32) - 1  # low bits of the progress word: a flat row count
+CHUNK = 16  # flat rows drawn per pass, and between two reads of the job word
 LOW = 0 if sys.byteorder == "little" else 1  # a word's low half among its two float32s
 TWO_PI = np.float32(2 * np.pi)
 
@@ -116,9 +119,9 @@ def _is_identity(chol: np.ndarray) -> bool:
     return bool(np.array_equal(chol, np.eye(chol.shape[0])))
 
 
-def _chunks(n_rows: int):
-    """Flat rows 0..n_rows-1, upward, as ranges of at most CHUNK rows."""
-    return (range(lo, min(lo + CHUNK, n_rows)) for lo in range(0, n_rows, CHUNK))
+def _chunks(n_rows: int, start: int = 0):
+    """Flat rows start..n_rows-1, upward, as ranges of at most CHUNK rows."""
+    return (range(lo, min(lo + CHUNK, n_rows)) for lo in range(start, n_rows, CHUNK))
 
 
 def _fill_noise(
@@ -199,8 +202,9 @@ def worker_main(jobs_fd: int, bell_fd: int, mem_fd: int) -> None:
     """Worker loop.  Each count on the eventfd ``bell_fd`` announces one
     job ``(seq, shape, seed, step, chol)`` on the pipe ``jobs_fd``, whose
     batch is drawn into the shared memory file ``mem_fd`` chunk by chunk,
-    upward until the caller's claim.  The loop ends when the pipe hangs up: when its write
-    end is closed, which the caller's death does too."""
+    upward until the job word names another job.  The loop ends when the
+    pipe hangs up: when its write end is closed, which the caller's death
+    does too."""
     jobs = Connection(jobs_fd, writable=False)
     wake = select.poll()
     wake.register(bell_fd, select.POLLIN)
@@ -229,18 +233,14 @@ def _run_job(shared: mmap.mmap, seq: int, shape: tuple, seed: int, step_index: i
 
 
 def _upward(words: np.ndarray, seq: int, n_rows: int):
-    """The worker's chunks of flat rows: upward from 0, each stopped at
-    the caller's claim on job ``seq`` as read before it, and each counted
-    in the progress word once written."""
-    lo = 0
-    while lo < n_rows:
-        claim = int(words[CLAIM])
-        hi = min(lo + CHUNK, claim & COUNT)
-        if claim >> 32 != seq or hi <= lo:
+    """The worker's chunks of job ``seq``'s flat rows, upward from row 0,
+    each counted in the progress word once written.  They end before the
+    first chunk at which the job word names another job."""
+    for rows in _chunks(n_rows):
+        if words[JOB] != seq:
             return
-        yield range(lo, hi)
-        words[PROGRESS] = seq << 32 | hi
-        lo = hi
+        yield rows
+        words[PROGRESS] = seq << 32 | rows.stop
 
 
 class NoisePrefetch:
@@ -262,8 +262,7 @@ class NoisePrefetch:
         self._bell = self._mem = None  # eventfd, shared file
         self._shared = self._words = None  # mapping of the file, its header
         self._seq = 0  # sequence number of the last job sent
-        self._key = None  # key of the last job sent, until taken
-        self._taken = 0  # rows the worker drew of the batch last filled
+        self._key = None  # key of the last job sent
 
     @property
     def pid(self) -> int | None:
@@ -272,53 +271,29 @@ class NoisePrefetch:
 
     def fill(self, out: np.ndarray, seed: int, step_index: int, chol: np.ndarray) -> int:
         """Write step ``step_index``'s noise batch into ``out``, and have the
-        worker start on the next step's.  If the worker's last job is not
-        this batch, it is sent this batch first.  This process draws the
-        batch's flat rows downward from the last until it meets the rows
-        the worker has drawn, which are then copied.  Returns the number of
-        rows copied."""
+        worker start on the next step's.  The flat rows the worker has
+        finished of this batch are copied, none when its last job was
+        another batch; the worker is then sent the next step's job, and
+        this process draws the remaining rows.  Returns the number of rows
+        copied."""
         with self._lock:
             if self._proc is not None and self._proc.poll() is not None:
                 self._fail()  # the worker has died
-            key = _key(out.shape, seed, step_index, chol)
-            if self._key != key:
-                self._request(out.shape, seed, step_index, chol)
-            self._key = None
-            if self.failed:
-                _fill_noise(out, seed, step_index, chol, _chunks(out.shape[1]))
-                return 0
-            _fill_noise(out, seed, step_index, chol, self._downward(out.shape[1]))
-            taken = self._taken
-            if taken:
+            done = 0
+            if not self.failed and self._key == _key(out.shape, seed, step_index, chol):
+                progress = int(self._words[PROGRESS])
+                if progress >> 32 == self._seq:  # else it counts an older job's rows
+                    done = progress & COUNT
                 batch = np.ndarray(out.shape, buffer=self._shared, offset=HEADER)
-                out[:, :taken] = batch[:, :taken]
+                out[:, :done] = batch[:, :done]
                 del batch  # the mapping may be replaced on the next request
             self._request(out.shape, seed, step_index + 1, chol)
-        return taken
-
-    def _downward(self, n_rows: int):
-        """This process's chunks of flat rows: downward from the last while
-        the worker's progress on the current job is below them, each
-        claimed before it is drawn.  A chunk reaches down no further than
-        the progress read before it, so the rows below the last chunk are
-        exactly the worker's.  Leaves their count in ``_taken``."""
-        words, seq = self._words, self._seq
-        top = n_rows
-        while top > 0:
-            progress = int(words[PROGRESS])
-            # a progress word of an older job counts no rows
-            done = progress & COUNT if progress >> 32 == seq else 0
-            if done >= top:
-                break
-            lo = max(done, top - CHUNK)
-            words[CLAIM] = seq << 32 | lo
-            yield range(lo, top)
-            top = lo
-        self._taken = top
+            _fill_noise(out, seed, step_index, chol, _chunks(out.shape[1], done))
+        return done
 
     def _request(self, shape: tuple, seed: int, step_index: int, chol: np.ndarray) -> None:
-        """Send the worker the batch of this key as a new job, after a claim
-        word that leaves it every row and stops any older job."""
+        """Send the worker the batch of this key as a new job, after moving
+        the job word on to it, which stops any older job."""
         if self.failed:
             return
         size = HEADER + 8 * math.prod(shape)
@@ -330,7 +305,7 @@ class NoisePrefetch:
                 os.ftruncate(self._mem, size)
                 self._map(size)
             self._seq += 1
-            self._words[CLAIM] = self._seq << 32 | shape[1]
+            self._words[JOB] = self._seq
             self._send((self._seq, tuple(shape), seed, step_index, chol))
         except (OSError, subprocess.SubprocessError):
             self._fail()
@@ -343,7 +318,6 @@ class NoisePrefetch:
             return
         with self._lock:
             self._fail()
-            self._key = None
             self._words = None
             if self._shared is not None:
                 self._shared.close()
