@@ -11,8 +11,9 @@ halfspace: the new weights may not increase the running value estimate
 c = (plan cost) - (last-stage cost) relative to the previous weights.
 The previous weights always satisfy that constraint with equality, so the
 feasible set is never empty.  The projection is solved exactly: simplex
-projection first, and if the halfspace is violated, bisection on its
-Lagrange multiplier (each trial re-projects onto the simplex).
+projection first, and if the halfspace is violated, the two Lagrange
+multipliers (of the sum and of the halfspace) from their 2x2 linear
+system on the projection's support.
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ import numpy as np
 
 from .cost import Mission, distance
 from .errors import ConfigError, InfeasibleConstraintError, check_real
-
-# Bisection on the halfspace multiplier: residual tolerance (relative to
-# max|c|) and step cap.
-_BISECT_TOL = 1e-10
-_BISECT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -52,8 +48,9 @@ def desired_weights(
 
     Entry 0 is 1 - gamma + w0*gamma, entry i is wi*gamma, where w is the
     softmax of -distance/temperature over all missions, the distance being
-    on the position plane (max-shifted, so always finite).  When every distance overflows to inf, no mission is
-    nearer than another and w is uniform.
+    on the position plane (max-shifted, so always finite).  When every
+    distance overflows to inf, no mission is nearer than another and w is
+    uniform.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):  # a huge state's distance is inf
@@ -88,13 +85,29 @@ def project_simplex_halfspace(
 ) -> np.ndarray:
     """Projection of v onto {alpha on the simplex : c.alpha <= b}.
 
-    The multiplier mu >= 0 of the halfspace constraint is found by
-    bisection on the non-increasing continuous map
-    mu -> c . project_simplex(v - mu*c/max|c|); iteration stops once the
-    constraint residual is within ``_BISECT_TOL * max|c|`` or the bracket
-    collapses.  So the iterates, and the result up to rounding, do not
-    change when (c, b) is scaled.  The returned point always satisfies the
-    halfspace constraint.
+    Where the halfspace binds, the projection is max(v - theta - mu*c, 0)
+    for multipliers theta (of the sum) and mu >= 0 (of the halfspace), and
+    on its support S they solve the 2x2 system sum(alpha_S) = 1,
+    c_S.alpha_S = b.  That system is solved on all 2^n - 1 supports at
+    once, with c divided by max|c_S| on each, so that neither a 1e178 entry
+    nor a 1e-182 one overflows or underflows it and the result does not
+    change when (c, b) is scaled.  A support on which c is constant fixes
+    no mu: it gets mu = 0, or none if c_S > b.  The projection's support is
+    the one whose solution breaks alpha_S >= 0 and v - theta - mu*c <= 0
+    off S the least (with exact arithmetic, not at all).  The work grows as
+    2^n, which is small for the few missions of a scenario.
+
+    The returned point is project_simplex(v - mu*c) at that mu, or at the
+    first step below if that is larger.  Rounding can leave c @ alpha a
+    few ulps above b, so mu is then raised in steps that grow fourfold,
+    from an ulp of mu or a step that moves v - mu*c by an ulp, until the
+    float check holds.  That ends: raising mu moves alpha along the
+    projection path, and once mu*(c_i - min(c)) exceeds ptp(v) + 2 for
+    every entry whose c is not the least, alpha is the projection onto the
+    least-c entries, where c.alpha = min(c) <= b exactly.  So only rounding
+    can be left there, and the path is taken from just below min(c): the
+    least-c entries shift with mu too, which moves no projection but, as
+    the steps grow, changes that rounding.
     """
     v = np.asarray(v, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -106,36 +119,45 @@ def project_simplex_halfspace(
             f"no simplex point satisfies c.alpha <= {b} (min attainable {np.min(c)})"
         )
 
-    # c is nonzero here: c = 0 either satisfies c.x <= b or is infeasible
-    c_max = np.max(np.abs(c))
-    direction = c / c_max
-    tol = _BISECT_TOL * c_max
+    # row i of `on` marks the support whose bits spell i + 1
+    on = (np.arange(1, 2**v.size)[:, None] >> np.arange(v.size)) & 1 == 1
+    k = on.sum(1, keepdims=True)
+    scale = np.where(on, np.abs(c), 0.0).max(1, keepdims=True)
+    scale[scale == 0.0] = 1.0  # not 0/0 = nan, which fmax below would hide
 
-    def value(mu: float) -> tuple[float, np.ndarray]:
-        x_mu = project_simplex(v - mu * direction)
-        return float(c @ x_mu), x_mu
+    def on_sum(a):
+        return np.where(on, a, 0.0).sum(1, keepdims=True)
 
-    mu_lo = 0.0
-    mu_hi = 1.0
-    g_hi, x_hi = value(mu_hi)
-    grow = 0
-    while g_hi > b:
-        mu_lo = mu_hi
-        mu_hi *= 2.0
-        g_hi, x_hi = value(mu_hi)
-        grow += 1
-        if grow > 200:  # cannot happen for a feasible instance
-            raise InfeasibleConstraintError("halfspace multiplier bracket diverged")
-    for _ in range(_BISECT_MAX_ITER):
-        if abs(g_hi - b) <= tol or (mu_hi - mu_lo) <= 1e-16 * max(1.0, mu_hi):
-            break
-        mu_mid = 0.5 * (mu_lo + mu_hi)
-        g_mid, x_mid = value(mu_mid)
-        if g_mid > b:
-            mu_lo = mu_mid
-        else:
-            mu_hi, g_hi, x_hi = mu_mid, g_mid, x_mid
-    return x_hi
+    # Off a support the scaled c may overflow: only its sign counts there,
+    # and mu = 0 ignores it.  mu is clipped at 0, where a negative one
+    # leaves the halfspace slack on the support; dividing by dd = 0 (c_S
+    # constant) gives -inf or nan, so 0, or inf if c_S > b, which breaks
+    # the support.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cs = c / scale
+        mean = on_sum(cs) / k
+        a = v - (on_sum(v) - 1.0) / k  # alpha_S at mu = 0
+        d = cs - mean
+        dd = on_sum(d * d)
+        mu = np.fmax((on_sum(d * a) + mean - b / scale) / dd, 0.0)
+        z = a - np.where(mu > 0.0, mu * d, 0.0)  # v - theta - mu*c_scaled
+        r = np.nanargmin(np.where(on, -z, z).max(1))  # the least breach
+        mu = mu[r, 0] / scale[r, 0]
+
+    # Shifts are taken from just below min(c), and capped at ptp(v) + 2
+    # beyond the least one, past which an entry is out of the projection
+    # in any case (the uncapped shift may overflow).  At mu = 0 the path
+    # is project_simplex(v), which failed above.
+    cap = np.ptp(v) + 2.0
+    with np.errstate(over="ignore"):
+        rise = c - np.nextafter(c.min(), -np.inf)
+        step = max(np.spacing(mu), np.spacing(cap) / rise.max())
+        mu = max(mu, step)
+        x = project_simplex(v - np.minimum(mu * rise, mu * rise.min() + cap))
+        while c @ x > b:
+            mu, step = mu + step, 4.0 * step
+            x = project_simplex(v - np.minimum(mu * rise, mu * rise.min() + cap))
+    return x
 
 
 def update_weights(
@@ -148,8 +170,9 @@ def update_weights(
 
     Minimizes ||alpha - alpha_desired||^2 over the simplex subject to
     c.alpha <= c.alpha_prev with c = plan_costs - tail_costs.  alpha_prev
-    is a simplex point, so this never fails; as its sum may round below 1,
-    the bound is at least min(c), the least c.alpha on the simplex.
+    is a simplex point, so this never fails, whatever the scale of c; as
+    its sum may round below 1, the bound is at least min(c), the least
+    c.alpha on the simplex.  The result satisfies the bound in floats.
     """
     c = np.asarray(plan_costs, dtype=float) - np.asarray(tail_costs, dtype=float)
     if not np.all(np.isfinite(c)):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -216,10 +218,10 @@ def test_halfspace_projection_properties(instance):
     assert abs(alpha.sum() - 1.0) <= 1e-12
     assert c @ alpha <= b
     # variational inequality of the projection at every feasible vertex and
-    # at y0.  Bisection stops within 1e-10 * max|c| <= 8e-10 of the
-    # boundary, which leaves a residual of up to mu * 8e-10.  With v in
-    # [-5, 5] and unequal entries of c at least 1/8 apart, the multiplier mu
-    # stays near (10 + 1) * 8 at most, so the residual stays below 1e-7.
+    # at y0.  The multiplier comes from an exact solve, so only rounding
+    # (and the last ulp-sized raises of the multiplier) leave a residual:
+    # with v in [-5, 5] and c on a 1/8 grid it stayed below 5e-14 over
+    # 20000 random instances, well inside 1e-7.
     feasible = [y for y in np.eye(len(v)) if c @ y <= b] + [y0]
     for y in feasible:
         assert (v - alpha) @ (y - alpha) <= 1e-7
@@ -233,6 +235,52 @@ def test_halfspace_projection_does_not_depend_on_constraint_scale(instance, log_
     alpha = project_simplex_halfspace(v, c, b)
     scaled = project_simplex_halfspace(v, scale * c, scale * b)
     assert np.max(np.abs(scaled - alpha)) <= 1e-9
+
+
+# c spans 144 decades; the entry at 2.7e178 must take no weight
+_WIDE_C, _WIDE_B = [9.6e40, 2.7e178, 1.5e34], 5.3e40
+_WIDE_T = (_WIDE_B - _WIDE_C[2]) / (_WIDE_C[0] - _WIDE_C[2])
+_PREV = [0.0, 0.7751158203375134, 0.22488417966248664]
+_CONST_V = [0.14174482133181565, 0.8582551786681845]
+
+
+@pytest.mark.parametrize(
+    "alpha_prev, v, c, b, expected",
+    [
+        pytest.param(
+            None, [0.9, 0.05, 0.05], _WIDE_C, _WIDE_B, [_WIDE_T, 0.0, 1.0 - _WIDE_T],
+            id="c-over-144-decades",
+        ),
+        # through update_weights, whose bound b is then c.alpha_prev; c
+        # spans 357 decades and alpha_prev has an exact zero
+        pytest.param(
+            _PREV,
+            [0.0486830396743221, 0.06499720221450227, 0.8863197581111756],
+            [3.539286131046636e175, 1.037262985545511e-182, 9.106573886699614e-137],
+            None,
+            _PREV,
+            id="update-with-a-zero-weight",
+        ),
+        # c.project_simplex(v) is an ulp above b, though every simplex point
+        # satisfies c.alpha = b exactly
+        pytest.param(None, _CONST_V, [4.875, 4.875], 4.875, _CONST_V, id="constant-c"),
+        # b is min(c), shared by two entries: only rounding is left to fix,
+        # the case where the last step runs longest
+        pytest.param(
+            None, [0.81, 0.19, 0.33], [0.452, 0.452, 1.952], 0.452, [0.81, 0.19, 0.0],
+            id="b-at-a-tied-least-c",
+        ),
+    ],
+)
+def test_halfspace_projection_hard_instances(alpha_prev, v, c, b, expected):
+    c = np.array(c)
+    if alpha_prev is None:
+        alpha = project_simplex_halfspace(v, c, b)
+    else:
+        alpha = update_weights(alpha_prev, v, c, np.zeros(c.size))
+        b = max(c @ np.array(alpha_prev), c.min())
+    assert c @ alpha <= b
+    assert np.max(np.abs(alpha - expected)) <= 1e-12
 
 
 def test_halfspace_projection_small_constraint_vector():
@@ -288,6 +336,38 @@ def test_update_weights_accepts_weights_summing_an_ulp_under_one():
     assert alpha.sum() < 1.0 and np.full(3, 2.0) @ alpha < 2.0
     out = update_weights(alpha, alpha, np.full(3, 2.0), np.zeros(3))
     assert np.array_equal(out, project_simplex(alpha))
+
+
+@st.composite
+def extreme_updates(draw):
+    """(alpha_prev, alpha_desired, c): two simplex points, which may hold
+    exact zeros, and costs sign * mantissa * 10^k with k in [-200, 200]."""
+    n = draw(st.integers(2, 6))
+
+    def vec(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    def simplex_point():
+        w = vec(st.floats(0.0, 1.0))
+        assume(w.sum() > 0.0)
+        return w / w.sum()
+
+    signs = vec(st.sampled_from([-1.0, 1.0]))
+    mantissas = vec(st.floats(1.0, 10.0, exclude_max=True))
+    c = signs * mantissas * 10.0 ** vec(st.integers(-200, 200))
+    return simplex_point(), simplex_point(), c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(extreme_updates())
+def test_update_weights_never_fails_at_extreme_scales(instance):
+    alpha_prev, alpha_desired, c = instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha = update_weights(alpha_prev, alpha_desired, c, np.zeros(c.size))
+    assert np.all(alpha >= 0.0)
+    assert abs(alpha.sum() - 1.0) <= 1e-12
+    assert c @ alpha <= max(c @ alpha_prev, c.min())
 
 
 def test_update_weights_rejects_nonfinite():
