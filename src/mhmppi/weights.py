@@ -11,9 +11,8 @@ halfspace: the new weights may not increase the running value estimate
 c = (plan cost) - (last-stage cost) relative to the previous weights.
 The previous weights always satisfy that constraint with equality, so the
 feasible set is never empty.  The projection is solved exactly: simplex
-projection first, and if the halfspace is violated, the two Lagrange
-multipliers (of the sum and of the halfspace) from their 2x2 linear
-system on the projection's support.
+projection first, and if the halfspace is violated, a walk along the
+projection path in the halfspace's multiplier, whose pieces are linear.
 """
 
 from __future__ import annotations
@@ -78,39 +77,42 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def project_simplex_halfspace(
-    v: np.ndarray,
-    c: np.ndarray,
-    b: float,
-) -> np.ndarray:
+def project_simplex_halfspace(v: np.ndarray, c: np.ndarray, b: float) -> np.ndarray:
     """Projection of v onto {alpha on the simplex : c.alpha <= b}.
 
-    Where the halfspace binds, the projection is max(v - theta - mu*c, 0)
-    for multipliers theta (of the sum) and mu >= 0 (of the halfspace), and
-    on its support S they solve the 2x2 system sum(alpha_S) = 1,
-    c_S.alpha_S = b.  That system is solved on all 2^n - 1 supports at
-    once, with c divided by max|c_S| on each, so that neither a 1e178 entry
-    nor a 1e-182 one overflows or underflows it and the result does not
-    change when (c, b) is scaled.  A support on which c is constant fixes
-    no mu: it gets mu = 0, or none if c_S > b.  The projection's support is
-    the one whose solution breaks alpha_S >= 0 and v - theta - mu*c <= 0
-    off S the least (with exact arithmetic, not at all).  The work grows as
-    2^n, which is small for the few missions of a scenario.
+    Where the halfspace binds, the projection is alpha(mu) =
+    project_simplex(v - mu*c) at the least multiplier mu >= 0 with
+    c.alpha(mu) <= b.  On a support S, alpha_S(mu) = a_S - mu*d_S, where
+    a = v - (sum(v_S) - 1)/|S| and d is c less its mean on S, so c.alpha
+    falls linearly in mu there and its root is exact.  The walk follows
+    that path from mu = 0 one breakpoint at a time, where an entry of S
+    reaches 0 (d > 0) or one off S reaches the threshold (d < 0), and
+    takes the root on the first support whose next breakpoint lies
+    strictly inside the halfspace, or which has none.  Each breakpoint
+    lowers the mean of c on S, so an entry that leaves never returns (the
+    walk holds to that in floats too): each pass moves one entry in for
+    the first time or out for good, so there are at most 2n passes of
+    O(n) work.  On each support, c and b are shifted by the least c there
+    and divided by the spread of c there, so neither a 1e178 entry nor a
+    1e-182 one overflows or underflows a solve, and the result does not
+    change when (c, b) is scaled; an entry off S whose scaled c overflows
+    is only compared.  A breakpoint is judged in the units of the support
+    past it: in those of S, the c of the entries that stay can underflow.
 
-    The returned point is project_simplex(v - mu*c) at that mu, or at the
-    first step below if that is larger.  Rounding can leave c @ alpha a
-    few ulps above b, so mu is then raised in steps that grow fourfold,
-    from an ulp of mu or a step that moves v - mu*c by an ulp, until the
-    float check holds.  That ends: raising mu moves alpha along the
-    projection path, and once mu*(c_i - min(c)) exceeds ptp(v) + 2 for
-    every entry whose c is not the least, alpha is the projection onto the
-    least-c entries, where c.alpha = min(c) <= b exactly.  So only rounding
-    can be left there, and the path is taken from just below min(c): the
-    least-c entries shift with mu too, which moves no projection but, as
-    the steps grow, changes that rounding.
+    The returned point is project_simplex(v - mu*(c - min(c))), with the
+    shifts capped at ptp(v) + 2, past which an entry is out of the
+    projection in any case (uncapped, a shift may overflow).  Rounding can
+    leave c @ alpha a few ulps above b, and a last loop removes it.  Where
+    c is constant and nonzero on alpha's support, only the rounding of its
+    sum is left: alpha is scaled by 1 -+ eps, then 1 -+ 4 eps, and so on,
+    towards the halfspace.  Rounding is monotone, so c @ alpha does not
+    rise on any pass and falls below b as the factor grows.  Elsewhere mu
+    is raised in steps that grow fourfold, from an ulp of mu or a step
+    that moves v - mu*c by an ulp.  Those end too: once mu*(c_i - min(c))
+    >= ptp(v) + 2 for every c_i above the least, alpha lies where c is
+    min(c), so c @ alpha is 0 <= b or the scaling takes over.
     """
-    v = np.asarray(v, dtype=float)
-    c = np.asarray(c, dtype=float)
+    v, c = np.asarray(v, dtype=float), np.asarray(c, dtype=float)
     x = project_simplex(v)
     if c @ x <= b:
         return x
@@ -119,44 +121,43 @@ def project_simplex_halfspace(
             f"no simplex point satisfies c.alpha <= {b} (min attainable {np.min(c)})"
         )
 
-    # row i of `on` marks the support whose bits spell i + 1
-    on = (np.arange(1, 2**v.size)[:, None] >> np.arange(v.size)) & 1 == 1
-    k = on.sum(1, keepdims=True)
-    scale = np.where(on, np.abs(c), 0.0).max(1, keepdims=True)
-    scale[scale == 0.0] = 1.0  # not 0/0 = nan, which fmax below would hide
+    def scaled(on):
+        """c and b less the least c on the support `on`, over the spread of c
+        there (1 where c is constant there), and that spread."""
+        low = c[on].min()
+        spread = c[on].max() - low or 1.0
+        return (c - low) / spread, (b - low) / spread, spread
 
-    def on_sum(a):
-        return np.where(on, a, 0.0).sum(1, keepdims=True)
-
-    # Off a support the scaled c may overflow: only its sign counts there,
-    # and mu = 0 ignores it.  mu is clipped at 0, where a negative one
-    # leaves the halfspace slack on the support; dividing by dd = 0 (c_S
-    # constant) gives -inf or nan, so 0, or inf if c_S > b, which breaks
-    # the support.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cs = c / scale
-        mean = on_sum(cs) / k
-        a = v - (on_sum(v) - 1.0) / k  # alpha_S at mu = 0
-        d = cs - mean
-        dd = on_sum(d * d)
-        mu = np.fmax((on_sum(d * a) + mean - b / scale) / dd, 0.0)
-        z = a - np.where(mu > 0.0, mu * d, 0.0)  # v - theta - mu*c_scaled
-        r = np.nanargmin(np.where(on, -z, z).max(1))  # the least breach
-        mu = mu[r, 0] / scale[r, 0]
-
-    # Shifts are taken from just below min(c), and capped at ptp(v) + 2
-    # beyond the least one, past which an entry is out of the projection
-    # in any case (the uncapped shift may overflow).  At mu = 0 the path
-    # is project_simplex(v), which failed above.
-    cap = np.ptp(v) + 2.0
+    on, gone, mu = x > 0.0, np.zeros(v.size, dtype=bool), 0.0
     with np.errstate(over="ignore"):
-        rise = c - np.nextafter(c.min(), -np.inf)
-        step = max(np.spacing(mu), np.spacing(cap) / rise.max())
-        mu = max(mu, step)
-        x = project_simplex(v - np.minimum(mu * rise, mu * rise.min() + cap))
+        while True:
+            cs, bs, spread = scaled(on)
+            d = cs - cs[on].mean()
+            a = v - (v[on].sum() - 1.0) / on.sum()
+            moves = on & (d > 0.0) | ~on & ~gone & (d < 0.0)
+            when = np.divide(a, d, out=np.full(v.size, np.inf), where=moves)
+            i, t = np.argmin(when), mu * spread  # t: mu in the units of cs
+            if when[i] == np.inf:
+                break
+            nxt = on ^ (np.arange(v.size) == i)
+            (cn, bn, _), k = scaled(nxt), on & nxt
+            if cn[k] @ (a[k] - when[i] * d[k]) < bn:
+                break
+            mu = max(when[i], t) / spread
+            gone[i], on = on[i], nxt
+        dd = d[on] @ d[on] or np.inf  # c constant on S: mu stays
+        mu = max(t + (cs[on] @ (a[on] - t * d[on]) - bs) / dd, t) / spread
+
+        cap, rise = np.ptp(v) + 2.0, c - c.min()
+        step = max(np.spacing(mu), np.spacing(cap) / (rise.max() or 1.0))
+        x, shrink = project_simplex(v - np.minimum(mu * rise, cap)), np.spacing(1.0)
         while c @ x > b:
-            mu, step = mu + step, 4.0 * step
-            x = project_simplex(v - np.minimum(mu * rise, mu * rise.min() + cap))
+            # is c constant, and not 0, on the support of x?
+            if np.ptp(c[x > 0.0]) == 0.0 != c @ x:
+                x, shrink = x * (1.0 - np.sign(c @ x) * shrink), 4.0 * shrink
+            else:
+                mu, step = mu + step, 4.0 * step
+                x = project_simplex(v - np.minimum(mu * rise, cap))
     return x
 
 

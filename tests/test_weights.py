@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +6,7 @@ from hypothesis import strategies as st
 from mhmppi.config import scenario_from_dict
 from mhmppi.cost import Mission
 from mhmppi.errors import ConfigError, InfeasibleConstraintError
+from mhmppi import weights
 from mhmppi.scenarios import get_scenario_dict
 from mhmppi.weights import (
     WeightLawParams,
@@ -220,8 +219,8 @@ def test_halfspace_projection_properties(instance):
     # variational inequality of the projection at every feasible vertex and
     # at y0.  The multiplier comes from an exact solve, so only rounding
     # (and the last ulp-sized raises of the multiplier) leave a residual:
-    # with v in [-5, 5] and c on a 1/8 grid it stayed below 5e-14 over
-    # 20000 random instances, well inside 1e-7.
+    # with v in [-5, 5] and c on a 1/8 grid it stayed below 4e-14 over
+    # 40000 random instances, well inside 1e-7.
     feasible = [y for y in np.eye(len(v)) if c @ y <= b] + [y0]
     for y in feasible:
         assert (v - alpha) @ (y - alpha) <= 1e-7
@@ -242,6 +241,9 @@ _WIDE_C, _WIDE_B = [9.6e40, 2.7e178, 1.5e34], 5.3e40
 _WIDE_T = (_WIDE_B - _WIDE_C[2]) / (_WIDE_C[0] - _WIDE_C[2])
 _PREV = [0.0, 0.7751158203375134, 0.22488417966248664]
 _CONST_V = [0.14174482133181565, 0.8582551786681845]
+_ON_B_V = [-1.0, -0.5, -0.25, 0.25, 0.0]
+_TIE_V = [0.05288575775808571, 0.446615042947557, 0.5004991992943572]
+_TIE_X = (1.0 + _TIE_V[1] - _TIE_V[2]) / 2.0
 
 
 @pytest.mark.parametrize(
@@ -264,15 +266,53 @@ _CONST_V = [0.14174482133181565, 0.8582551786681845]
         # c.project_simplex(v) is an ulp above b, though every simplex point
         # satisfies c.alpha = b exactly
         pytest.param(None, _CONST_V, [4.875, 4.875], 4.875, _CONST_V, id="constant-c"),
-        # b is min(c), shared by two entries: only rounding is left to fix,
-        # the case where the last step runs longest
+        # c is constant on the support of project_simplex(v), which lies on
+        # c.alpha = b but rounds an ulp above it; moving along the path
+        # would bring in an entry of lesser c, far from the answer
+        pytest.param(
+            None, _ON_B_V, [-0.002, -0.002, -0.001, -0.001, -0.001], -0.001,
+            [0.0, 0.0, 1 / 12, 7 / 12, 1 / 3], id="constant-c-on-the-support",
+        ),
+        # b is min(c), shared by two entries: the answer lies where c is
+        # least, and only the rounding of its sum can be left to fix
         pytest.param(
             None, [0.81, 0.19, 0.33], [0.452, 0.452, 1.952], 0.452, [0.81, 0.19, 0.0],
             id="b-at-a-tied-least-c",
         ),
+        # the same with c over 195 decades; the walk's last breakpoint, where
+        # entry 0 leaves, already lies on c.alpha = b
+        pytest.param(
+            None, _TIE_V, [5.029165558508606e148, 8.127485682152954e-47, 8.127485682152954e-47],
+            8.127485682152954e-47, [0.0, _TIE_X, 1.0 - _TIE_X], id="b-at-a-tied-least-c-wide",
+        ),
+        # divided by the spread of all three, c_2 - c_0 underflows to 0:
+        # past the breakpoint where entry 1 leaves, c.alpha must be judged
+        # in the units of entries 0 and 2
+        pytest.param(
+            None,
+            [0.3896297989576036, 0.5743649785730788, 0.03600522246931779],
+            [5.676925910963019e-167, 9.218925841286628e184, 9.769763230132181e-160],
+            5.676925910963019e-167,
+            [1.0, 0.0, 0.0],
+            id="c-below-the-support-scale",
+        ),
+        # the same where the halfspace holds past that breakpoint, which
+        # judged in the units of all three would be missed
+        pytest.param(
+            None,
+            [0.7956282891459369, 0.13335723985365544, 0.07101447100040778],
+            [3.668242282722421e-159, 4.483313117211519e-157, 9.089267506149344e178],
+            2.4918238824277765e-157,
+            [0.8311355246461407, 0.1688644753538593, 0.0],
+            id="c-below-the-support-scale-slack",
+        ),
     ],
 )
-def test_halfspace_projection_hard_instances(alpha_prev, v, c, b, expected):
+def test_halfspace_projection_hard_instances(alpha_prev, v, c, b, expected, monkeypatch):
+    # project_simplex(v), the point at the walk's multiplier, and at most
+    # two raises of it that remove rounding
+    calls = []
+    monkeypatch.setattr(weights, "project_simplex", lambda u: calls.append(u) or project_simplex(u))
     c = np.array(c)
     if alpha_prev is None:
         alpha = project_simplex_halfspace(v, c, b)
@@ -281,6 +321,7 @@ def test_halfspace_projection_hard_instances(alpha_prev, v, c, b, expected):
         b = max(c @ np.array(alpha_prev), c.min())
     assert c @ alpha <= b
     assert np.max(np.abs(alpha - expected)) <= 1e-12
+    assert len(calls) <= 4
 
 
 def test_halfspace_projection_small_constraint_vector():
@@ -358,16 +399,47 @@ def extreme_updates(draw):
     return simplex_point(), simplex_point(), c
 
 
+def feasible_vertices(c, b):
+    """The vertices of {y on the simplex : c.y <= b}: the simplex vertices
+    with c_i <= b, and the points of c.y = b on edges with c_i < b < c_j."""
+    n = len(c)
+    out = [np.eye(n)[i] for i in range(n) if c[i] <= b]
+    for i in range(n):
+        for j in range(n):
+            if c[i] < b < c[j]:
+                t = (c[j] - b) / (c[j] - c[i])
+                out.append(t * np.eye(n)[i] + (1.0 - t) * np.eye(n)[j])
+    return np.array(out)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(extreme_updates())
 def test_update_weights_never_fails_at_extreme_scales(instance):
     alpha_prev, alpha_desired, c = instance
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        alpha = update_weights(alpha_prev, alpha_desired, c, np.zeros(c.size))
+    alpha = update_weights(alpha_prev, alpha_desired, c, np.zeros(c.size))
     assert np.all(alpha >= 0.0)
     assert abs(alpha.sum() - 1.0) <= 1e-12
-    assert c @ alpha <= max(c @ alpha_prev, c.min())
+    b = max(c @ alpha_prev, c.min())
+    assert c @ alpha <= b
+    # the projection: the variational inequality holds at every vertex of
+    # the feasible set, so at all of it.  alpha_desired is on the simplex,
+    # so the terms are at most 2 and the bound is some 1e4 ulps of them.
+    gaps = (feasible_vertices(c, b) - alpha) @ (alpha_desired - alpha)
+    assert gaps.max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_halfspace_projection_many_missions(seed):
+    # the walk's passes grow with the number of entries, not its subsets;
+    # v favours the entries of large c, so the halfspace binds
+    rng = np.random.default_rng(seed)
+    c, y0 = rng.normal(size=60), rng.dirichlet(np.ones(60))
+    v = 2.0 * c + rng.normal(size=60)
+    alpha = project_simplex_halfspace(v, c, c @ y0)
+    assert c @ project_simplex(v) > c @ y0  # the halfspace binds
+    assert np.all(alpha >= 0.0) and abs(alpha.sum() - 1.0) <= 1e-12
+    assert c @ alpha <= c @ y0
+    assert ((feasible_vertices(c, c @ y0) - alpha) @ (v - alpha)).max() <= 1e-12
 
 
 def test_update_weights_rejects_nonfinite():
