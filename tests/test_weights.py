@@ -3,10 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mhmppi import weights
 from mhmppi.config import scenario_from_dict
 from mhmppi.cost import Mission
 from mhmppi.errors import ConfigError, InfeasibleConstraintError
-from mhmppi import weights
 from mhmppi.scenarios import get_scenario_dict
 from mhmppi.weights import (
     WeightLawParams,
@@ -296,8 +296,8 @@ _TIE_X = (1.0 + _TIE_V[1] - _TIE_V[2]) / 2.0
             [1.0, 0.0, 0.0],
             id="c-below-the-support-scale",
         ),
-        # the same where the halfspace holds past that breakpoint, which
-        # judged in the units of all three would be missed
+        # the same where c.alpha is below b past that breakpoint: judged in
+        # the units of all three, the walk would stop before it
         pytest.param(
             None,
             [0.7956282891459369, 0.13335723985365544, 0.07101447100040778],
@@ -312,7 +312,8 @@ def test_halfspace_projection_hard_instances(alpha_prev, v, c, b, expected, monk
     # project_simplex(v), the point at the walk's multiplier, and at most
     # two raises of it that remove rounding
     calls = []
-    monkeypatch.setattr(weights, "project_simplex", lambda u: calls.append(u) or project_simplex(u))
+    counted = lambda u: calls.append(u) or project_simplex(u)
+    monkeypatch.setattr(weights, "project_simplex", counted)
     c = np.array(c)
     if alpha_prev is None:
         alpha = project_simplex_halfspace(v, c, b)
@@ -423,7 +424,7 @@ def test_update_weights_never_fails_at_extreme_scales(instance):
     assert c @ alpha <= b
     # the projection: the variational inequality holds at every vertex of
     # the feasible set, so at all of it.  alpha_desired is on the simplex,
-    # so the terms are at most 2 and the bound is some 1e4 ulps of them.
+    # so each gap is at most 2 and the bound is some 2000 ulps of that.
     gaps = (feasible_vertices(c, b) - alpha) @ (alpha_desired - alpha)
     assert gaps.max() <= 1e-12
 
