@@ -7,22 +7,27 @@ One control step, given the measured state:
 3. take the shifted plan's noise-free cost and tail-cost vectors (row 0
    of the batch evaluated in step 5), and project the desired weights
    onto the descent constraint they define;
-4. sample K noise perturbations of the whole flat plan;
+4. sample K noise perturbations of the whole flat plan, and add the
+   shifted plan to them;
 5. simulate every perturbed plan and evaluate its m+1 mission costs: the
    primary rollout once, then every branch tail in one pass over time,
    each branch starting from the primary state where it splits off;
 6. scalarize with the projected weights;
-7. update the plan with the softmax-weighted average of the noise, and
-   execute the first primary input of the result.
+7. replace the plan by the softmax-weighted mean of the perturbed plans,
+   and execute the first primary input of the result.
 
 Batch layout
 ------------
-The sampled plans are one component-major, sample-last array
-``(n_u, n_inputs, K)``: ``[c, d, q]`` is component c of flat input d of
-sample q, and the batch evaluated in step 5 holds K+1 samples, sample 0
-being the noise-free shifted plan.  Every batched state is ``(n_x, ...,
-K)``.  So each dynamics and cost term is an element-wise operation on
-contiguous K-wide slabs, one per component.
+The plans of a step are one component-major, sample-last array
+``(n_u, n_inputs, K+1)``, the step's only sample array: ``[c, d, q]`` is
+component c of flat input d of plan q.  Sample 0 is the noise-free
+shifted plan; the noise of step 4 is drawn straight into samples 1..K,
+and the shifted plan is then added to it in place.  Every batched state is
+``(n_x, ..., K+1)``.  So each dynamics and cost term is an element-wise
+operation on contiguous K-wide slabs, one per component.  The flat rows
+follow :mod:`mhmppi.multi_horizon`'s layout, in which the inputs of the
+branch tails running at one time are one block of rows, so step 5 reads
+every input where it lies in the batch.
 
 Noise
 -----
@@ -31,11 +36,13 @@ Noise
 step, Cholesky factor, shape) alone, whichever process draws it: each
 flat row's normals come from the raw words of its own Philox substream,
 by a float32 Box-Muller transform made in whole-array passes over chunks
-of rows.  The weighted reduction over samples in :func:`mppi_update`
-runs in a fixed order, so whole runs are bit-reproducible on one machine
-(and across AVX2 and AVX-512 machines; see :mod:`mhmppi.noise`).
+of rows.  The weighted mean of the perturbed plans in :func:`mppi_update`
+sums over the samples in a fixed order, so whole runs are
+bit-reproducible on one machine (and across AVX2 and AVX-512 machines;
+see :mod:`mhmppi.noise`).
 
-A sample whose cost is not finite gets weight 0; a step on which no
+A sample whose cost is not finite gets weight 0, and the floating-point
+overflow that makes such a cost raises no warning; a step on which no
 sample cost is finite, or whose noise-free plan has a non-finite cost or
 tail cost, raises :class:`~mhmppi.errors.NonFiniteCostError` with the
 step index.
@@ -44,10 +51,10 @@ Step buffers
 ------------
 A step allocates none of its slab arrays, those with a K-wide slab per
 component, state, input or time, after the first step of its shape.  The
-noise batch, the plan batch, the primary rollout and its occupancy, the
-branch-tail states and the tail loop's per-time inputs, occupancy and
-stage costs, and the temporaries of the dynamics and cost kernels, are
-per-thread :mod:`mhmppi.buffers` scratch: made on first use (never in
+plan batch, the primary rollout and its occupancy, the branch-tail states
+and the tail loop's scaled inputs, occupancy and stage costs, and the
+temporaries of the dynamics and cost kernels, are per-thread
+:mod:`mhmppi.buffers` scratch: made on first use (never in
 :func:`init_state`), and reused by every later step of the same or a
 smaller shape.  Fresh slab arrays would cost more than their allocation:
 they run to megabytes, and the allocator hands such memory back to the
@@ -55,13 +62,13 @@ system when it is freed, so a step that allocates them pays a page fault
 on every page it writes.  The per-sample cost vectors, each K or K+1
 long, are fresh: about a dozen per call of :func:`evaluate_plan_batch`
 (terminal costs, their sums with the stage costs, the branch sums and
-the cost quotients) and a few more in the update.  Every buffer is written before it
-is read, so the values of a step do not depend on what an earlier step
-left there, and nothing a caller keeps points into them: the cost
-matrices :func:`evaluate_plan_batch` returns, the noise-free costs that
-:class:`StepDiagnostics` keeps (copied out of those matrices, so that a
-kept step holds m+1 costs each, not K+1), the new plan and the executed
-input are arrays of their own.
+the cost quotients) and a few more in the update.  Every buffer is
+written before it is read, so the values of a step do not depend on what
+an earlier step left there, and nothing a caller keeps points into them:
+the cost matrices :func:`evaluate_plan_batch` returns, the noise-free
+costs that :class:`StepDiagnostics` keeps (copied out of those matrices,
+so that a kept step holds m+1 costs each, not K+1), the new plan and the
+executed input are arrays of their own.
 
 Plain MPPI is the m=0 case
 --------------------------
@@ -179,8 +186,9 @@ def sample_noise(
     """The (n_u, n_inputs, K) noise batch for one step of a plan of
     ``n_inputs`` flat rows: ``[c, d, q]`` is component c of sample q's
     perturbation of flat input d.  It is written into and returned as
-    ``out``, an array of that shape; by default a new array, the
-    caller's own.  Part of it may have been drawn by a worker process
+    ``out``, an array or view of that shape (:func:`control_step` passes
+    its plan batch's sample columns); by default a new array, the caller's
+    own.  Part of it may have been drawn by a worker process
     (:mod:`mhmppi.noise`)."""
     # imported on the first step, not with the package: the multiprocessing
     # and subprocess modules it needs add about 6% to the import time
@@ -209,12 +217,13 @@ def softmax_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def mppi_update(
-    inputs: MultiHorizonInput, noise: np.ndarray, weights: np.ndarray
+    inputs: MultiHorizonInput, plans: np.ndarray, weights: np.ndarray
 ) -> MultiHorizonInput:
-    """Plan plus the weighted noise average; ``noise`` is (n_u, n_inputs, K)
-    and each entry's sum over the samples runs in a fixed order."""
-    delta = np.einsum("cdq,q->dc", noise, weights, optimize=False)
-    return inputs.with_flat(inputs.flat + delta)
+    """The weighted mean of the perturbed plans ``plans``, (n_u, n_inputs,
+    K), as a plan of ``inputs``' structure.  The weights sum to 1, so it is
+    the plan plus the weighted noise average up to rounding; each entry's
+    sum over the samples runs in a fixed order."""
+    return inputs.with_flat(np.einsum("cdq,q->dc", plans, weights, optimize=False))
 
 
 def rollout_primary_batch(
@@ -257,11 +266,13 @@ def evaluate_plan_batch(
     weight.  The tails run in one pass over time t = 1..N-1: branch p
     splits off after input p, so at time t the branches p < t are running,
     and one ``model.update`` advances all of them, held as one
-    (n_x, m, N-1, K) state array, in place; each simulated state is tested
-    once against the boxes.  Time N-1 is the final stage of every branch,
-    which gives the tail costs.  The slab arrays are step-buffer scratch
-    (module docstring); the two returned matrices and the per-sample cost
-    vectors summed into them are new arrays on every call.
+    (n_x, m, N-1, K) state array, in place.  Their inputs t are read where
+    they lie: one block of rows from :func:`branch_rows`' ``[t, 0, 0]`` on,
+    viewed as (n_u, m, t, K).  Each simulated state is tested once against
+    the boxes.  Time N-1 is the final stage of every branch, which gives
+    the tail costs.  The slab arrays are step-buffer scratch (module
+    docstring); the two returned matrices and the per-sample cost vectors
+    summed into them are new arrays on every call.
     """
     n_batch = flat_batch.shape[2]
     m = len(missions) - 1
@@ -298,7 +309,7 @@ def evaluate_plan_batch(
         cost_mod.stage_cost_terms(mission, visited, primary_inputs, obstacles, stage, hit=hit)
         branch_sum[j] = shared @ stage[:-1]
 
-    rows = branch_rows(horizon, m).transpose(0, 2, 1)  # [t, i-1, p]
+    rows = branch_rows(horizon, m)
     tail_scales = scales[1:].T[:, :, None, None]  # (n_u, m, 1, 1)
     scaled = not np.all(tail_scales == 1.0)
     # x[:, j, p]: branch (j+1, p)
@@ -307,10 +318,9 @@ def evaluate_plan_batch(
     for t in range(1, horizon):
         x[:, :, t - 1] = states[:, t, None]
         running = x[:, :, :t]
-        # (n_u, m, t, K): input t of the running branches
-        u = buffer("controller.tail_inputs", (n_u, m, t, n_batch))
-        # mode "clip", as "raise" would gather into a temporary and copy
-        np.take(flat_batch, rows[t, :, :t], axis=1, out=u, mode="clip")
+        # (n_u, m, t, K): input t of the running branches, one block of rows
+        first = rows[t, 0, 0]
+        u = flat_batch[:, first : first + m * t].reshape(n_u, m, t, n_batch)
         applied = u
         if scaled:
             applied = np.multiply(tail_scales, u, out=buffer("controller.tail_scaled", u.shape))
@@ -366,19 +376,20 @@ def control_step(
 
     shifted = state.inputs.shift()
     plan = shifted.flat.T[:, :, None]  # (n_u, n_inputs, 1)
-    shape = (params.n_u, shifted.flat.shape[0], params.n_samples)
-    t_noise = time.perf_counter()
-    noise = sample_noise(params, state.step_index, shape[1], out=buffer("controller.noise", shape))
-    t_eval = time.perf_counter()
     # sample 0: the noise-free shifted plan (for the weight update); samples
-    # 1..K: the noise-perturbed plans.  Sample results are independent of
-    # batch composition, so this changes no values, only the call count.
-    flat_all = buffer("controller.flat_all", noise.shape[:2] + (noise.shape[2] + 1,))
-    flat_all[:, :, :1] = plan
-    np.add(plan, noise, out=flat_all[:, :, 1:])
-    costs_all, tails_all = evaluate_plan_batch(
-        model, x, flat_all, params.horizon, missions, obstacles
-    )
+    # 1..K: the perturbed plans, their noise drawn in place
+    batch = buffer("controller.plan_batch", plan.shape[:2] + (params.n_samples + 1,))
+    samples = batch[:, :, 1:]
+    t_noise = time.perf_counter()
+    sample_noise(params, state.step_index, plan.shape[1], out=samples)
+    t_eval = time.perf_counter()
+    batch[:, :, :1] = plan
+    samples += plan
+    # a sample whose cost overflows gets weight 0 (module docstring)
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs_all, tails_all = evaluate_plan_batch(
+            model, x, batch, params.horizon, missions, obstacles
+        )
     plan_costs, tail_costs = costs_all[0].copy(), tails_all[0].copy()
     if not (np.isfinite(plan_costs).all() and np.isfinite(tail_costs).all()):
         raise NonFiniteCostError(
@@ -390,20 +401,22 @@ def control_step(
     alpha = update_weights(state.alpha, alpha_desired, plan_costs, tail_costs)
     t_update = time.perf_counter()
 
-    sample_costs = costs_all[1:] @ alpha
-    try:
-        weights = softmax_weights(sample_costs, params.temperature)
-    except NonFiniteCostError as exc:
-        raise NonFiniteCostError(str(exc), step=state.step_index) from None
-    new_inputs = mppi_update(shifted, noise, weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sample_costs = costs_all[1:] @ alpha
+        cost_mean, cost_std = float(sample_costs.mean()), float(sample_costs.std())
+        try:
+            weights = softmax_weights(sample_costs, params.temperature)
+        except NonFiniteCostError as exc:
+            raise NonFiniteCostError(str(exc), step=state.step_index) from None
+    new_inputs = mppi_update(shifted, samples, weights)
     u_exec = new_inputs.primary[0].copy()
     t_end = time.perf_counter()
 
     diag = StepDiagnostics(
         alpha=alpha,
         alpha_desired=alpha_desired,
-        cost_mean=float(sample_costs.mean()),
-        cost_std=float(sample_costs.std()),
+        cost_mean=cost_mean,
+        cost_std=cost_std,
         seconds=t_end - t_start,
         plan_costs=plan_costs,
         tail_costs=tail_costs,

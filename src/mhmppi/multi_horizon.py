@@ -17,12 +17,16 @@ Flat index convention (the contract shared with the noise sampler and the
 sampling update): row d of :attr:`MultiHorizonInput.flat` is
 
 * ``d in [0, N)``                      -- primary input ``u_d``;
-* ``d >= N``                           -- tail inputs, numbered mission
-  first, then branch step p, then time t.
+* ``d >= N``                           -- tail inputs, numbered time t
+  first, then mission i, then branch step p.
 
-:func:`branch_rows` is that layout as one ``(N, N-1, m)`` table: entry
-``[t, p, i-1]`` is the row holding input t of branch (i, p).  Every other
-view of the flat storage (branch plans, the shift) reads it.
+Tails are stored in the order they are simulated: the branches running at
+time t are those with p < t, and their inputs t are one block of m*t
+consecutive rows, mission by mission, so the batch evaluator reads them
+where they lie.  :func:`branch_rows` is that layout as one ``(N, N-1, m)``
+table: entry ``[t, p, i-1]`` is the row holding input t of branch (i, p).
+Every other view of the flat storage (branch plans, the shift, the
+evaluator's tail blocks) reads it.
 """
 
 from __future__ import annotations
@@ -62,16 +66,18 @@ def branch_rows(horizon: int, n_alternatives: int) -> np.ndarray:
     """Flat row of every branch input: an (N, N-1, m) table.
 
     Entry ``[t, p, i-1]`` is the row holding ``branch_view(i, p)[t]``: the
-    primary row t while t <= p, and tail (i, p)'s entry t-p-1 after it.
+    primary row t while t <= p, and a tail row after it.  Tail rows are
+    numbered time-major: for each t = 1..N-1, the rows ``[t, :t, :]`` of
+    the running branches, read mission by mission and branch step by
+    branch step, are the consecutive rows from ``[t, 0, 0]`` on.
     """
     m = n_alternatives
     t = np.arange(horizon)
-    is_tail = t > t[:-1, None]  # [p, t]
-    tri = int(is_tail.sum())
-    rows = np.empty((m, horizon - 1, horizon), dtype=np.intp)  # [i-1, p, t]
-    rows[:] = t
-    rows[:, is_tail] = np.arange(horizon, horizon + m * tri).reshape(m, tri)
-    rows = np.ascontiguousarray(rows.transpose(2, 1, 0))
+    rows = np.empty((horizon, m, horizon - 1), dtype=np.intp)  # [t, i-1, p]
+    rows[:] = t[:, None, None]
+    is_tail = np.broadcast_to((t[:, None] > t[:-1])[:, None], rows.shape)
+    rows[is_tail] = np.arange(horizon, horizon + int(is_tail.sum()))
+    rows = np.ascontiguousarray(rows.transpose(0, 2, 1))
     rows.flags.writeable = False
     return rows
 

@@ -22,15 +22,18 @@ layout.
 
 Three guarantees follow.  The primary rows d < N draw the same words for
 every m, so the m=0 step gets bit-identical primary noise (the gamma=0
-equivalence of :mod:`mhmppi.controller`).  Sample q reads the same words
-in every batch wider than q, so its noise does not depend on K.  And a
-batch depends only on (seed, t, chol, shape), and the controller's
-weighted reduction over samples runs in a fixed order, so whole runs are
-bit-reproducible.  numpy's float32 ``log``, ``cos`` and ``sin`` give the
-same bits for an element wherever it lies in an array, and the same bits
-under its AVX2 and AVX-512 code paths, so a batch is bit-identical across
-such machines; under numpy's pre-AVX2 baseline (an older CPU, or
-``NPY_DISABLE_CPU_FEATURES``) the same contract gives other bits.
+equivalence of :mod:`mhmppi.controller`); they are the only rows that do,
+as the tails are stored time by time (:mod:`mhmppi.multi_horizon`), so a
+tail input's row, and its noise, depend on m.  Sample q reads the same
+words in every batch wider than q, so its noise does not depend on K.
+And a batch depends only on (seed, t, chol, shape), and the controller's
+weighted mean of the perturbed plans sums over the samples in a fixed
+order, so whole runs are bit-reproducible.  numpy's float32 ``log``,
+``cos`` and ``sin`` give the same bits for an element wherever it lies in
+an array, and the same bits under its AVX2 and AVX-512 code paths, so a
+batch is bit-identical across such machines; under numpy's pre-AVX2
+baseline (an older CPU, or ``NPY_DISABLE_CPU_FEATURES``) the same
+contract gives other bits.
 
 Noise prefetch
 --------------

@@ -128,7 +128,16 @@ class Termination:
         return self.kind in ("completed", "aborted_completed")
 
     @classmethod
-    def from_label(cls, label: str, steps: int) -> "Termination":
+    def from_label(cls, label, steps: int, n_missions: int) -> "Termination":
+        """The termination a label of :meth:`label` names.  The closed loop
+        ends in ``completed:0``, ``aborted_completed:i`` with 1 <= i <
+        n_missions, or ``max_steps``; any other label raises ValueError."""
+        aborted = [f"aborted_completed:{i}" for i in range(1, n_missions)]
+        if label not in ("completed:0", "max_steps", *aborted):
+            raise ValueError(
+                f"termination must be completed:0, aborted_completed:i with "
+                f"0 < i < {n_missions}, or max_steps, got {label!r}"
+            )
         kind, _, mission = label.partition(":")
         return cls(kind, int(mission) if mission else None, steps)
 

@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import os
-import re
 import tempfile
 
 import numpy as np
@@ -134,15 +133,16 @@ def read_trace(path: str) -> ClosedLoopTrace:
         )
 
     label, steps, state = (meta.pop(k, None) for k in ("termination", "steps", "final_state"))
-    if not (isinstance(label, str) and re.fullmatch(r"[a-z_]+(:[0-9]+)?", label)):
-        raise ValueError(f"{path}: termination must be a kind[:mission] label, got {label!r}")
+    try:
+        termination = Termination.from_label(label, len(records), n_missions)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if type(steps) is not int or steps != len(records):
         raise ValueError(f"{path}: steps must be the {len(records)} step rows, got {steps!r}")
     numbers = isinstance(state, list) and {type(v) for v in state} <= {int, float}
     if not (numbers and len(state) == n_x):
         raise ValueError(f"{path}: final_state must be {n_x} numbers, got {state!r}")
     meta["n_u"], meta["n_missions"] = n_u, n_missions
-    termination = Termination.from_label(label, steps)
     return ClosedLoopTrace(records, termination, np.array(state, dtype=float), meta)
 
 

@@ -150,13 +150,15 @@ def _step_with_noise(monkeypatch, sample_noise, n_samples=64, step_index=0):
     x = np.array([1.0, 2.0, 0.5, -0.5])
     state = ctrl.init_state(x, params, missions, wl)
     state = replace(state, step_index=step_index)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ctrl.control_step(x, state, DoubleIntegrator(), missions, NO_OBS, params, wl)
+    return ctrl.control_step(x, state, DoubleIntegrator(), missions, NO_OBS, params, wl)
 
 
 def test_all_non_finite_sample_costs_name_the_step(monkeypatch):
     # every perturbed plan overflows the cost; the noise-free plan stays finite
-    huge = lambda params, _, n_inputs, out: np.full((params.n_u, n_inputs, params.n_samples), 1e300)
+    def huge(params, _, n_inputs, out):
+        out[...] = 1e300
+        return out
+
     with pytest.raises(NonFiniteCostError, match="control step 7: ") as info:
         _step_with_noise(monkeypatch, huge, step_index=7)
     assert info.value.step == 7
@@ -165,7 +167,10 @@ def test_all_non_finite_sample_costs_name_the_step(monkeypatch):
 def test_step_diagnostics_effective_sample_size(monkeypatch):
     n = 64
     # equal sample costs: uniform weights, ESS = K
-    zero = lambda params, _, n_inputs, out: np.zeros((params.n_u, n_inputs, params.n_samples))
+    def zero(params, _, n_inputs, out):
+        out[...] = 0.0
+        return out
+
     u, _, diag = _step_with_noise(monkeypatch, zero, n_samples=n)
     assert diag.ess == n
     assert diag.max_weight == 1.0 / n
@@ -173,9 +178,9 @@ def test_step_diagnostics_effective_sample_size(monkeypatch):
     # one finite sample cost: one-hot weights, ESS = 1, and the masked
     # samples move the plan not at all
     def one_finite(params, _, n_inputs, out):
-        noise = np.full((params.n_u, n_inputs, params.n_samples), 1e300)
-        noise[:, :, 3] = 0.25
-        return noise
+        out[...] = 1e300
+        out[:, :, 3] = 0.25
+        return out
 
     u, _, diag = _step_with_noise(monkeypatch, one_finite, n_samples=n)
     assert diag.ess == 1.0
@@ -212,16 +217,17 @@ def test_step_diagnostics_layer_seconds():
 
 def test_mppi_update_degenerate_and_cancellation():
     plan = MultiHorizonInput.zeros(3, 1, 2)
-    # (n_u, n_inputs, K) batches
-    noise = np.random.default_rng(0).standard_normal((2, 6, 2)).transpose(2, 1, 0)
+    # (n_u, n_inputs, K) batches of perturbed plans, each the zero plan
+    # plus its noise
+    plans = np.random.default_rng(0).standard_normal((2, 6, 2)).transpose(2, 1, 0)
     w = np.array([0.0, 1.0])
-    out = ctrl.mppi_update(plan, noise, w)
-    assert np.allclose(out.flat, noise[:, :, 1].T)
+    out = ctrl.mppi_update(plan, plans, w)
+    assert np.allclose(out.flat, plans[:, :, 1].T)
 
     out = ctrl.mppi_update(plan, np.zeros((2, 6, 4)), np.full(4, 0.25))
     assert np.array_equal(out.flat, plan.flat)
 
-    sym = np.stack([noise[:, :, 0], -noise[:, :, 0]], axis=-1)
+    sym = np.stack([plans[:, :, 0], -plans[:, :, 0]], axis=-1)
     out = ctrl.mppi_update(plan, sym, np.array([0.5, 0.5]))
     assert np.allclose(out.flat, 0.0, atol=1e-16)
 
@@ -280,11 +286,9 @@ def test_mppi_iterations_approach_the_exact_optimum(noise_cov, temperature):
     plan = MultiHorizonInput.zeros(horizon, 0, params.n_u)
     assert gap(plan.flat.ravel(), g, hessian) == pytest.approx(98.0, abs=0.05)
     for t in range(30):
-        noise = ctrl.sample_noise(params, t, horizon)
-        costs, _ = ctrl.evaluate_plan_batch(
-            model, x0, plan.flat.T[:, :, None] + noise, horizon, (mission,), NO_OBS
-        )
-        plan = ctrl.mppi_update(plan, noise, ctrl.softmax_weights(costs[:, 0], temperature))
+        plans = plan.flat.T[:, :, None] + ctrl.sample_noise(params, t, horizon)
+        costs, _ = ctrl.evaluate_plan_batch(model, x0, plans, horizon, (mission,), NO_OBS)
+        plan = ctrl.mppi_update(plan, plans, ctrl.softmax_weights(costs[:, 0], temperature))
     assert gap(plan.flat.ravel(), g, hessian) < 0.5
 
 
@@ -433,7 +437,11 @@ def test_single_step_brute_force_oracle(monkeypatch):
         ]
     )
     # sampled as (n_u, n_inputs, K)
-    monkeypatch.setattr(ctrl, "sample_noise", lambda *_, out: fixed_noise.transpose(2, 1, 0).copy())
+    def fixed(*_, out):
+        out[...] = fixed_noise.transpose(2, 1, 0)
+        return out
+
+    monkeypatch.setattr(ctrl, "sample_noise", fixed)
 
     x0 = np.array([0.2, -0.1, 0.05, 0.0])
     state = ctrl.ControllerState(prev, np.array([1.0, 0.0]), 0)
@@ -498,6 +506,34 @@ def test_gamma_zero_matches_single_mission_step_on_the_car():
 
 
 # ------------------------------------------------------------- step buffers
+
+
+def test_noise_is_drawn_into_the_evaluated_batch(monkeypatch):
+    # the step keeps one sample array: the noise is drawn into the sample
+    # columns 1..K of the batch it evaluates, not into a buffer of its own
+    seen = {}
+    sample_noise, evaluate = ctrl.sample_noise, ctrl.evaluate_plan_batch
+
+    def noise_spy(params, step_index, n_inputs, out):
+        seen["out"] = out
+        return sample_noise(params, step_index, n_inputs, out=out)
+
+    def evaluate_spy(model, x0, flat_batch, *args):
+        seen["flat_batch"] = flat_batch
+        return evaluate(model, x0, flat_batch, *args)
+
+    monkeypatch.setattr(ctrl, "sample_noise", noise_spy)
+    monkeypatch.setattr(ctrl, "evaluate_plan_batch", evaluate_spy)
+    params = make_params(n_samples=16, horizon=5)
+    wl = WeightLawParams(gamma=0.66)
+    x = np.zeros(4)
+    state = ctrl.init_state(x, params, UAV_MISSIONS, wl)
+    ctrl.control_step(x, state, DoubleIntegrator(), UAV_MISSIONS, NO_OBS, params, wl)
+    out, flat_batch = seen["out"], seen["flat_batch"]
+    assert np.shares_memory(out, flat_batch)
+    samples = flat_batch[:, :, 1:]
+    assert out.shape == samples.shape == (2, n_rows(params, 2), 16)
+    assert out.ctypes.data == samples.ctypes.data and out.strides == samples.strides
 
 
 @pytest.mark.parametrize("model_cls", [DoubleIntegrator, SimpleCar])
@@ -577,7 +613,7 @@ def _buffer_steps(n_steps, between=None):
 def test_step_does_not_read_what_earlier_steps_left_in_its_buffers():
     def poison():
         store = vars(buffers._local)
-        assert "controller.noise" in store and "controller.tail_states" in store
+        assert "controller.plan_batch" in store and "controller.tail_states" in store
         for flat in store.values():
             # NaN in the float buffers; every bit set in the others: True in
             # the boolean occupancy buffers, all ones in the noise's raw words

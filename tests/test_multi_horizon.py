@@ -64,7 +64,8 @@ def test_branch_view_boundary_and_prefix_sharing():
         # boundary p = N-2: N-1 primary inputs plus a single tail input
         view = plan.branch_view(1, horizon - 2)
         assert np.array_equal(view[:-1], plan.primary[:-1])
-        last_tail_row = horizon + horizon * (horizon - 1) // 2 - 1  # mission 1's
+        # mission 1's row in the last time block, after its N-2 earlier branches
+        last_tail_row = horizon + m * (horizon - 1) * (horizon - 2) // 2 + horizon - 2
         assert np.array_equal(view[-1], plan.flat[last_tail_row])
 
 
@@ -154,30 +155,30 @@ def test_branch_rows_address_plan_views():
                     assert (rows[t, p, i - 1] >= horizon) == (t > p)
 
 
-def test_flat_layout_is_primary_then_mission_major_tails():
+def test_flat_layout_is_primary_then_time_major_tails():
     plan = random_plan(4, 2, seed=3)
     flat = plan.flat
     assert np.array_equal(flat[:4], plan.primary)
     row = 4
-    for i in (1, 2):
-        for p in range(3):
-            stop = row + tail_length(4, p)
-            assert np.array_equal(flat[row:stop], plan.branch_view(i, p)[p + 1 :])
-            row = stop
+    for t in range(1, 4):
+        for i in (1, 2):
+            for p in range(t):  # the branches running at time t
+                assert np.array_equal(flat[row], plan.branch_view(i, p)[t])
+                row += 1
     assert row == flat.shape[0]
 
 
 def hand_counted_rows(horizon, m):
     """The flat layout counted out row by row: primary rows 0..N-1, then the
-    tails mission by mission, branch step by branch step, in time order."""
+    tails time by time, mission by mission, branch step by branch step."""
     rows = np.full((horizon, horizon - 1, m), -1)
     for i in range(m):
         for p in range(horizon - 1):
             rows[: p + 1, p, i] = np.arange(p + 1)
     row = horizon
-    for i in range(m):
-        for p in range(horizon - 1):
-            for t in range(p + 1, horizon):
+    for t in range(1, horizon):
+        for i in range(m):
+            for p in range(t):
                 rows[t, p, i] = row
                 row += 1
     assert row == dims(horizon, m)[0]
@@ -191,6 +192,10 @@ def test_branch_rows_match_hand_counted_layout():
             rows = branch_rows(horizon, m)
             assert rows.shape == (horizon, horizon - 1, m)
             assert np.array_equal(rows, expected)
+            # the inputs of the branches running at time t, mission by
+            # mission, are one block of consecutive rows
+            for t in range(1, horizon):
+                assert np.all(np.diff(rows[t, :t, :].T.ravel()) == 1)
             # the plan views read the same rows of the flat storage
             plan = random_plan(horizon, m, seed=horizon + m)
             assert np.array_equal(plan.primary, plan.flat[:horizon])

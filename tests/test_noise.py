@@ -277,6 +277,10 @@ def test_prefetch_never_waits_for_a_stopped_worker(own_prefetch):
     ctrl.sample_noise(params, 0, 25)
     _worker_drew(pf, 25)
     ctrl.sample_noise(params, 1, 25)  # asks the worker for step 2
+    # stop the worker idle, with its step-2 rows counted as none drawn: it
+    # may have drawn some of them before the SIGSTOP, and would else read
+    # as having drawn them ahead
+    _worker_drew(pf, 0)
     os.kill(pf.pid, signal.SIGSTOP)
     try:
         batch = _call_within(60, lambda: ctrl.sample_noise(params, 2, 25))

@@ -166,6 +166,14 @@ def run_fields(**change):
         run_fields(final_state=None),
         run_fields(final_state=[0.0, 1.0, 2.0]),
         run_fields(final_state=[0.0, 1.0, "2", 3.0]),
+        # labels the closed loop never writes for three missions
+        run_fields(termination="done"),
+        run_fields(termination="max_steps:2"),
+        run_fields(termination="completed:7"),
+        run_fields(termination="completed"),
+        run_fields(termination="completed:1"),
+        run_fields(termination="aborted_completed:0"),
+        run_fields(termination="aborted_completed:3"),
     ],
 )
 def test_metadata_object_is_checked_and_names_the_file(tmp_path, meta):
@@ -177,6 +185,20 @@ def test_metadata_object_is_checked_and_names_the_file(tmp_path, meta):
     path.write_text(rows + "\n# " + json.dumps(meta) + "\n")
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
         read_trace(str(path))
+
+
+def test_every_termination_the_loop_writes_reads_back(tmp_path):
+    path = tmp_path / "t.csv"
+    for termination in (
+        Termination("completed", 0, 2),
+        Termination("aborted_completed", 1, 2),
+        Termination("aborted_completed", 2, 2),
+        Termination("max_steps", None, 2),
+    ):
+        trace = make_trace(n_steps=2)
+        trace.termination = termination
+        write_trace(trace, str(path))
+        assert read_trace(str(path)).termination == termination
 
 
 @pytest.mark.parametrize(
