@@ -52,8 +52,8 @@ Step buffers
 A step allocates none of its slab arrays, those with a K-wide slab per
 component, state, input or time, after the first step of its shape.  The
 plan batch, the primary rollout and its occupancy, the branch-tail states
-and the tail loop's scaled inputs, occupancy and stage costs, and the
-temporaries of the dynamics and cost kernels, are per-thread
+and the tail loop's occupancy and stage costs, and the temporaries of the
+dynamics and cost kernels, are per-thread
 :mod:`mhmppi.buffers` scratch: made on first use (never in
 :func:`init_state`), and reused by every later step of the same or a
 smaller shape.  Fresh slab arrays would cost more than their allocation:
@@ -226,23 +226,6 @@ def mppi_update(
     return inputs.with_flat(np.einsum("cdq,q->dc", plans, weights, optimize=False))
 
 
-def rollout_primary_batch(
-    model: DynamicsModel,
-    x0: np.ndarray,
-    inputs: np.ndarray,
-    scale: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Simulate (n_u, N, K) input batches from one state; the (n_x, N+1, K)
-    states are written into and returned as ``out``."""
-    scaled = buffer("controller.rollout_inputs", inputs.shape)
-    np.multiply(scale[:, None, None], inputs, out=scaled)
-    out[:, 0] = x0[:, None]
-    for k in range(inputs.shape[1]):
-        model.update(out[:, k], scaled[:, k], out=out[:, k + 1])
-    return out
-
-
 def evaluate_plan_batch(
     model: DynamicsModel,
     x0: np.ndarray,
@@ -260,6 +243,12 @@ def evaluate_plan_batch(
     two (K, m+1) matrices whose rows are each plan's mission costs and
     tail costs (final stage plus terminal term, branch-averaged).
     ``tests/oracle.py`` computes both one plan at a time, as the reference.
+
+    Each rollout runs in its mission's mode: ``model.update`` applies the
+    mode's input scale, mission 0's to the primary inputs and mission i's
+    to the tail inputs of mission i, as it applies the plant's in
+    :func:`~mhmppi.dynamics.step`.  The inputs the cost terms charge are
+    the commanded ones, read unscaled from ``flat_batch``.
 
     Branch (i, p) shares primary stages 1..p+1, so primary stage k < N
     lies on the N-k branches p >= k-1 and enters mission i's sum with that
@@ -286,7 +275,10 @@ def evaluate_plan_batch(
     n_u, n_x = flat_batch.shape[0], model.n_x
     primary_inputs = flat_batch[:, :horizon]
     states = buffer("controller.states", (n_x, horizon + 1, n_batch))
-    rollout_primary_batch(model, x0, primary_inputs, scales[0], states)
+    primary_scale = scales[0][:, None]  # (n_u, 1)
+    states[:, 0] = x0[:, None]
+    for k in range(horizon):
+        model.update(states[:, k], primary_inputs[:, k], out=states[:, k + 1], scale=primary_scale)
     costs = np.empty((n_batch, m + 1))
     tail_costs = np.empty((n_batch, m + 1))
     stage = buffer("controller.terms", (horizon, n_batch))
@@ -311,7 +303,6 @@ def evaluate_plan_batch(
 
     rows = branch_rows(horizon, m)
     tail_scales = scales[1:].T[:, :, None, None]  # (n_u, m, 1, 1)
-    scaled = not np.all(tail_scales == 1.0)
     # x[:, j, p]: branch (j+1, p)
     x = buffer("controller.tail_states", (n_x, m, horizon - 1, n_batch))
     stage = np.empty((m, n_batch))
@@ -321,10 +312,7 @@ def evaluate_plan_batch(
         # (n_u, m, t, K): input t of the running branches, one block of rows
         first = rows[t, 0, 0]
         u = flat_batch[:, first : first + m * t].reshape(n_u, m, t, n_batch)
-        applied = u
-        if scaled:
-            applied = np.multiply(tail_scales, u, out=buffer("controller.tail_scaled", u.shape))
-        model.update(running, applied, out=running)
+        model.update(running, u, out=running, scale=tail_scales)
         hit = [None] * m
         if obstacles.charged:
             hit = buffer("controller.tail_hit", (m, t, n_batch), bool)

@@ -13,6 +13,15 @@ row ``j`` before it enters the nominal update, which is how degraded
 actuation (e.g. a partial engine failure) is represented.  By default the
 model has one mode, the identity.
 
+The scale is applied in one place, inside ``update``: its ``scale``
+argument is broadcast against the inputs, so the plant (:func:`step`), the
+primary rollout and the branch tails of :mod:`mhmppi.controller` all turn
+a commanded input into motion by the same code.  :class:`DoubleIntegrator`
+folds the scale into its time step and computes ``(dt*scale)*u``, one pass
+over the inputs, however many inputs share a scale; :class:`SimpleCar`
+multiplies its inputs by the scale before its trigonometry.  A unit scale
+changes no bit of either update.
+
 All step functions are pure and operate on float64 arrays laid out
 component first: a batch of states is ``(n_x, ...)`` and a batch of inputs
 ``(n_u, ...)``, with any batch axes after the component axis, so each
@@ -44,10 +53,15 @@ class DynamicsModel:
             raise ConfigError("input scale entries must be >= 0")
         self.modes = modes
 
-    def update(self, x: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Nominal transition ``x_next = f(x, u)`` on (n_x, ...)/(n_u, ...)
+    def update(
+        self, x: np.ndarray, u: np.ndarray, out: np.ndarray | None = None, scale=1.0
+    ) -> np.ndarray:
+        """Transition ``x_next = f(x, scale*u)`` on (n_x, ...)/(n_u, ...)
         arrays, written into and returned as ``out`` (a new array by
-        default).  ``out`` may be ``x``, which then advances in place with
+        default).  ``scale`` is the channel-wise input scale of a mode,
+        broadcast against ``u`` (a mode row of n_u entries takes trailing
+        unit axes, e.g. ``(n_u, 1)`` for (n_u, K) inputs) and never beyond
+        its shape.  ``out`` may be ``x``, which then advances in place with
         bit-identical values; any other overlap with ``x`` or ``u`` is not
         allowed.  Raises ValueError when axis 0 of ``x`` is not n_x or that
         of ``u`` is not n_u."""
@@ -74,10 +88,11 @@ class DoubleIntegrator(DynamicsModel):
     n_u = 2
     time_step = 0.1
 
-    def update(self, x, u, out=None):
+    def update(self, x, u, out=None, scale=1.0):
         # one slab per component: position += dt * velocity, velocity +=
-        # dt * acceleration; the positions are written first, while the
-        # old velocity is still in x when out is x
+        # (dt * scale) * acceleration, the scale folded into the time step
+        # so the inputs are read once; the positions are written first,
+        # while the old velocity is still in x when out is x
         self._check_shapes(x, u)
         dt = self.time_step
         if out is None:
@@ -85,7 +100,7 @@ class DoubleIntegrator(DynamicsModel):
         step = buffer("dynamics.step", x[2:].shape)
         np.multiply(dt, x[2:], out=step)
         np.add(x[:2], step, out=out[:2])
-        np.multiply(dt, u, out=step)
+        np.multiply(dt * scale, u, out=step)
         np.add(x[2:], step, out=out[2:])
         return out
 
@@ -107,11 +122,12 @@ class SimpleCar(DynamicsModel):
         self.time_step = float(time_step)
         super().__init__(modes)
 
-    def update(self, x, u, out=None):
+    def update(self, x, u, out=None, scale=1.0):
         # [i, ...] keeps a 0-d view of a single state's component; the
         # heading is written last, after both positions have read it
         self._check_shapes(x, u)
-        theta, v, phi = x[2, ...], u[0, ...], u[1, ...]
+        applied = np.multiply(scale, u, out=buffer("dynamics.car_inputs", u.shape))
+        theta, v, phi = x[2, ...], applied[0, ...], applied[1, ...]
         dt = self.time_step
         if out is None:
             out = np.empty(x.shape)
@@ -133,5 +149,4 @@ def step(model: DynamicsModel, x: np.ndarray, u: np.ndarray, mode: int = 0) -> n
     """One transition under mode-scaled input.  Pure; x, u are not modified."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    model._check_shapes(x, u)  # before the scale, which would broadcast a short u
-    return model.update(x, model.mode_scale(mode) * u)
+    return model.update(x, u, scale=model.mode_scale(mode))

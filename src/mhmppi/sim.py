@@ -25,7 +25,7 @@ import numpy as np
 from . import controller as ctrl
 from .cost import Mission, ObstacleSet, distance
 from .dynamics import DynamicsModel, step
-from .errors import ConfigError, check_int, check_real, real_array
+from .errors import ConfigError, NonFiniteCostError, check_int, check_real, real_array
 from .multi_horizon import MultiHorizonInput
 from .weights import WeightLawParams, desired_weights
 
@@ -166,24 +166,34 @@ def is_completed(
 
 
 def _choose_backup(scenario: Scenario, x: np.ndarray, state: ctrl.ControllerState) -> int:
-    """Backup mission for an abort at the current state."""
+    """Backup mission for an abort at the current state: the least of the
+    finite distances or branch-average costs.  Raises
+    :class:`NonFiniteCostError` with the step index when none is finite."""
     missions = scenario.missions
-    if scenario.abort.policy == "nearest":
-        dists = [
-            distance(x, mission.target, scenario.completion_metric)
-            for mission in missions[1:]
-        ]
-        return 1 + int(np.argmin(dists))
-    shifted = state.inputs.shift()
-    costs, _ = ctrl.evaluate_plan_batch(
-        scenario.model,
-        x,
-        shifted.flat.T[:, :, None],
-        shifted.horizon,
-        missions,
-        scenario.obstacles,
-    )
-    return 1 + int(np.argmin(costs[0, 1:]))
+    # an overflowing distance or cost is skipped, as control_step gives an
+    # overflowing sample cost weight 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scenario.abort.policy == "nearest":
+            metric = scenario.completion_metric
+            scores = np.array([distance(x, mission.target, metric) for mission in missions[1:]])
+        else:
+            shifted = state.inputs.shift()
+            costs, _ = ctrl.evaluate_plan_batch(
+                scenario.model,
+                x,
+                shifted.flat.T[:, :, None],
+                shifted.horizon,
+                missions,
+                scenario.obstacles,
+            )
+            scores = costs[0, 1:]
+    finite = np.isfinite(scores)
+    if not finite.any():
+        raise NonFiniteCostError(
+            f"no backup mission has a finite {scenario.abort.policy} score: {scores.tolist()}",
+            step=state.step_index,
+        )
+    return 1 + int(np.argmin(np.where(finite, scores, np.inf)))
 
 
 def run_closed_loop(scenario: Scenario) -> ClosedLoopTrace:

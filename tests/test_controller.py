@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhmppi import buffers
 from mhmppi import controller as ctrl
@@ -328,6 +330,77 @@ def test_control_step_alpha_on_simplex_and_descent():
         x = step(model, x, u)
 
 
+MAGNITUDES = st.builds(
+    lambda mantissa, k: mantissa * 10.0**k,
+    st.floats(1.0, 10.0, exclude_max=True),
+    st.integers(-150, 150),
+)
+SIGNED = st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), MAGNITUDES)
+
+
+@st.composite
+def extreme_problems(draw):
+    """(model, missions, obstacles, params, weight law, x0): either model,
+    up to three modes whose scales are 0, 1 or up to 10^150, and every
+    target, weight, covariance, temperature, box and state entry a
+    mantissa times 10^k with k in [-150, 150]."""
+
+    def vec(n, elements=SIGNED):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    model_cls = draw(st.sampled_from([DoubleIntegrator, SimpleCar]))
+    n_modes = draw(st.integers(1, 3))
+    modes = [vec(2, st.sampled_from([0.0, 1.0]) | MAGNITUDES) for _ in range(n_modes)]
+    model = model_cls(modes=modes)
+    missions = tuple(
+        Mission.build(
+            vec(model.n_x),
+            state_weight=draw(MAGNITUDES),
+            input_weight=draw(MAGNITUDES),
+            mode=draw(st.integers(0, n_modes - 1)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    corners = [vec(2) for _ in range(draw(st.integers(0, 2)))]
+    obstacles = ObstacleSet(
+        [[corner, corner + vec(2, MAGNITUDES)] for corner in corners],
+        penalty=draw(st.just(0.0) | MAGNITUDES),
+    )
+    params = make_params(
+        n_samples=draw(st.integers(1, 8)),
+        horizon=draw(st.integers(2, 4)),
+        noise_cov=draw(MAGNITUDES),
+        temperature=draw(MAGNITUDES),
+        seed=draw(st.integers(0, 1000)),
+    )
+    wl = WeightLawParams(gamma=draw(st.floats(0.0, 0.99)), temperature=draw(MAGNITUDES))
+    return model, missions, obstacles, params, wl, vec(model.n_x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(extreme_problems())
+def test_control_step_gives_a_finite_plan_or_a_located_error(problem):
+    # three closed-loop steps; each gives a finite input and plan, weights
+    # on the simplex within the descent bound, or an error naming its step
+    model, missions, obstacles, params, wl, x = problem
+    state = ctrl.init_state(x, params, missions, wl)
+    for _ in range(3):
+        try:
+            u, new_state, diag = ctrl.control_step(
+                x, state, model, missions, obstacles, params, wl
+            )
+        except NonFiniteCostError as exc:
+            assert exc.step == state.step_index
+            return
+        assert np.isfinite(u).all() and np.isfinite(new_state.inputs.flat).all()
+        alpha = diag.alpha
+        assert np.all(alpha >= 0.0) and abs(alpha.sum() - 1.0) <= 1e-12
+        c = diag.plan_costs - diag.tail_costs
+        assert c @ alpha <= max(c @ state.alpha, c.min())
+        x = step(model, x, u, missions[0].mode)
+        state = new_state
+
+
 def _psd(rng, n):
     """A random positive definite matrix with nonzero off-diagonal entries."""
     L = rng.standard_normal((n, n))
@@ -469,11 +542,17 @@ def test_single_step_brute_force_oracle(monkeypatch):
     assert np.allclose(u_exec, expected_u, rtol=1e-12)
 
 
-def _gamma_zero_runs(scenario_name: str, n_steps: int = 40):
+def _gamma_zero_runs(scenario_name: str, n_steps: int = 40, degraded: bool = False):
     """Executed inputs of the m=2 step with gamma=0 and of the m=0 step on
-    the primary mission alone, each closing the loop on its own inputs."""
+    the primary mission alone, each closing the loop on its own inputs.
+    ``degraded`` puts the primary and the two backups each in a non-unit
+    mode of its own; the plant steps in the primary's."""
     cfg = get_scenario_dict(scenario_name)
     cfg["controller"].update(samples=50, horizon=10)
+    if degraded:
+        cfg["model"]["modes"] = [[1.0, 1.0], [0.6, 0.5], [0.8, 0.3], [0.4, 0.9]]
+        for i, mission in enumerate(cfg["missions"]):
+            mission["mode"] = i + 1
     scenario = scenario_from_dict(cfg)
     model, obstacles = scenario.model, scenario.obstacles
     wl = WeightLawParams(gamma=0.0)
@@ -488,7 +567,7 @@ def _gamma_zero_runs(scenario_name: str, n_steps: int = 40):
         for _ in range(n_steps):
             u, state, _ = ctrl.control_step(x, state, model, missions, obstacles, params, wl)
             inputs.append(u)
-            x = step(model, x, u)
+            x = step(model, x, u, missions[0].mode)
         runs.append(np.stack(inputs))
     return runs
 
@@ -502,6 +581,13 @@ def test_gamma_zero_matches_single_mission_step():
 
 def test_gamma_zero_matches_single_mission_step_on_the_car():
     multi, single = _gamma_zero_runs("ugv-obstacles")
+    assert multi.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("scenario_name", ["uav-obstacles", "ugv-obstacles"])
+def test_gamma_zero_matches_single_mission_step_in_degraded_modes(scenario_name):
+    # the tails run in their backups' own modes, and still change nothing
+    multi, single = _gamma_zero_runs(scenario_name, degraded=True)
     assert multi.tobytes() == single.tobytes()
 
 

@@ -111,12 +111,14 @@ def test_step_is_pure():
     assert np.array_equal(u, [2, 2])
 
 
-def _plain_update(model, x, u):
-    """The transition as plain expressions, one component at a time."""
+def _plain_update(model, x, u, s=1.0):
+    """The transition under input scale s as plain expressions, one
+    component at a time: the double integrator folds s into its time step,
+    the car scales its inputs first."""
     dt = model.time_step
     if isinstance(model, DoubleIntegrator):
-        return np.concatenate([x[:2] + dt * x[2:], x[2:] + dt * u])
-    theta, v, phi = x[2], u[0], u[1]
+        return np.concatenate([x[:2] + dt * x[2:], x[2:] + (dt * s) * u])
+    theta, (v, phi) = x[2], s * u
     return np.stack(
         [
             x[0] + v * np.cos(theta) * dt,
@@ -126,22 +128,31 @@ def _plain_update(model, x, u):
     )
 
 
+MODES = [[1, 1], [0.6, 0.7]]
+
+
 @pytest.mark.parametrize(
-    "model", [DoubleIntegrator([[1, 1], [0.6, 0.7]]), SimpleCar(modes=[[1, 1], [0.6, 0.7]])]
+    "model, mode",
+    [
+        pytest.param(model, mode, id=f"model{i}" + ("" if mode is None else "-mode_scale(1)"))
+        for mode in (None, 1)
+        for i, model in enumerate([DoubleIntegrator(MODES), SimpleCar(modes=MODES)])
+    ],
 )
 @pytest.mark.parametrize("batch", [(), (3, 5)])
-def test_update_in_place_is_bit_identical(model, batch):
+def test_update_in_place_is_bit_identical(model, mode, batch):
     rng = np.random.default_rng(len(batch))
     x = rng.standard_normal((model.n_x, *batch))
-    u = model.mode_scale(1).reshape((-1,) + (1,) * len(batch)) * rng.standard_normal(
-        (model.n_u, *batch)
-    )
-    expected = _plain_update(model, x, u)
-    assert model.update(x, u).tobytes() == expected.tobytes()
+    u = rng.standard_normal((model.n_u, *batch))
+    scale = 1.0
+    if mode is not None:
+        scale = model.mode_scale(mode).reshape((-1,) + (1,) * len(batch))
+    expected = _plain_update(model, x, u, scale)
+    assert model.update(x, u, scale=scale).tobytes() == expected.tobytes()
     into = np.empty_like(x)
-    assert model.update(x, u, out=into) is into
+    assert model.update(x, u, out=into, scale=scale) is into
     assert into.tobytes() == expected.tobytes()
-    assert model.update(x, u, out=x) is x
+    assert model.update(x, u, out=x, scale=scale) is x
     assert x.tobytes() == expected.tobytes()
 
 

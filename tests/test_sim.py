@@ -8,8 +8,8 @@ from mhmppi import sim as sim_mod
 from mhmppi.controller import ControllerParams, ControllerState
 from mhmppi.cost import Mission, ObstacleSet, distance
 from mhmppi.dynamics import DoubleIntegrator, step
-from mhmppi.errors import ConfigError
-from mhmppi.multi_horizon import MultiHorizonInput, dims
+from mhmppi.errors import ConfigError, NonFiniteCostError
+from mhmppi.multi_horizon import MultiHorizonInput, branch_rows, dims
 from mhmppi.sim import (
     AbortSpec,
     ClosedLoopTrace,
@@ -195,6 +195,55 @@ def test_min_cost_abort_picks_cheapest_backup_branch():
         assert pick == 1 + int(np.argmin(costs[1:]))
         chosen.add(pick)
     assert chosen == {1, 2}
+
+
+def _overflowing_backups(overflowing, plan_rows=None):
+    """An abort scenario whose backups ``overflowing`` run in a mode of
+    scale 1e300, and an abort state at step 7 holding ``plan_rows`` (all
+    ones by default)."""
+    missions = tuple(
+        Mission.build(t, mode=int(i in overflowing)) for i, t in enumerate(TARGETS)
+    )
+    scenario = small_scenario(
+        missions=missions,
+        model=DoubleIntegrator([[1.0, 1.0], [1e300, 1e300]]),
+        abort=AbortSpec(step=7, policy="min_cost"),
+    )
+    if plan_rows is None:
+        plan_rows = np.ones((dims(5, 2)[0], 2))
+    plan = MultiHorizonInput(5, 2, plan_rows)
+    return scenario, ControllerState(plan, np.full(3, 1 / 3), 7)
+
+
+def _alternating_tails(value):
+    """Plan rows whose branch-tail inputs flip sign at every time step, so a
+    tail velocity that overflows to inf meets -inf and turns NaN."""
+    rows = branch_rows(5, 2)
+    flat = np.ones((dims(5, 2)[0], 2))
+    for t in range(1, 5):
+        flat[rows[t, :t]] = (-1.0) ** t * value
+    return flat
+
+
+@pytest.mark.parametrize(
+    "overflowing, plan_rows, expected",
+    [
+        ((2,), None, 1),  # backup 2 costs inf
+        ((1,), _alternating_tails(1e10), 2),  # backup 1 costs NaN
+    ],
+)
+def test_min_cost_abort_skips_non_finite_backup_costs(overflowing, plan_rows, expected):
+    # the choice runs under the step's overflow scope (no RuntimeWarning,
+    # which pytest raises) and takes the least of the finite costs only
+    scenario, state = _overflowing_backups(overflowing, plan_rows)
+    assert sim_mod._choose_backup(scenario, np.zeros(4), state) == expected
+
+
+def test_abort_with_no_finite_backup_cost_names_the_step():
+    scenario, state = _overflowing_backups((1, 2))
+    with pytest.raises(NonFiniteCostError, match="control step 7") as info:
+        sim_mod._choose_backup(scenario, np.zeros(4), state)
+    assert info.value.step == 7
 
 
 def test_abort_nearest_policy_single_alternative():
