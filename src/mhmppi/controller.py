@@ -18,34 +18,58 @@ One control step, given the measured state:
 
 Batch layout
 ------------
-The plans of a step are one component-major, sample-last array
+The plans of a step are one component-major, sample-last float32 array
 ``(n_u, n_inputs, K+1)``, the step's only sample array: ``[c, d, q]`` is
 component c of flat input d of plan q.  Sample 0 is the noise-free
-shifted plan; the noise of step 4 is drawn straight into samples 1..K,
-and the shifted plan is then added to it in place.  Every batched state is
-``(n_x, ..., K+1)``.  So each dynamics and cost term is an element-wise
-operation on contiguous K-wide slabs, one per component.  The flat rows
-follow :mod:`mhmppi.multi_horizon`'s layout, in which the inputs of the
-branch tails running at one time are one block of rows, so step 5 reads
-every input where it lies in the batch.
+shifted plan, rounded to float32; the noise of step 4 is drawn straight
+into samples 1..K, and sample 0 is then added to it in place.  Every
+batched state is ``(n_x, ..., K+1)``.  So each dynamics and cost term is
+an element-wise operation on contiguous K-wide slabs, one per component.
+The flat rows follow :mod:`mhmppi.multi_horizon`'s layout, in which the
+inputs of the branch tails running at one time are one block of rows, so
+step 5 reads every input where it lies in the batch.
+
+float32 and float64
+-------------------
+Evaluating the batch is element-wise work over memory-bound slabs, most
+of a multi-horizon step, and float32 halves its bytes; the car's
+``cos``, ``sin`` and ``tan`` are many times faster in float32 than in
+float64.  So the batch, its rollouts, the branch tails and the cost terms
+are float32 (:func:`evaluate_plan_batch`).  What is summed or decided
+stays float64: each sample's cost, summed from its float32 terms, and
+the cost matrices; the weight projection, the softmax and the update,
+which accumulates the weighted mean of the float32 plans in float64 in a
+fixed sample order; the stored plan and the executed input; and the plant
+(:func:`~mhmppi.dynamics.step`).  So the plan a step stores is a float64
+average of float32 plans, and the controller evaluates a plan up to
+float32 rounding: the cost of a state within float32 rounding of a box
+face may count the box or not.
 
 Noise
 -----
 :func:`sample_noise` takes each step's noise batch from
 :mod:`mhmppi.noise`, whose substream contract fixes every batch by (seed,
-step, Cholesky factor, shape) alone, whichever process draws it: each
-flat row's normals come from the raw words of its own Philox substream,
-by a float32 Box-Muller transform made in whole-array passes over chunks
-of rows.  The weighted mean of the perturbed plans in :func:`mppi_update`
-sums over the samples in a fixed order, so whole runs are
-bit-reproducible on one machine (and across AVX2 and AVX-512 machines;
-see :mod:`mhmppi.noise`).
+step, Cholesky factor, shape, dtype) alone, whichever process draws it:
+each flat row's normals come from the raw words of its own Philox
+substream, by a float32 Box-Muller transform made in whole-array passes
+over chunks of rows.  The step draws it as float32, into its batch, so
+with an identity Cholesky factor the normals are written as computed.
+The weighted mean of the perturbed plans in :func:`mppi_update` sums over
+the samples in a fixed order, so whole runs are bit-reproducible on one
+machine with one numpy build.  They are not across AVX2 and AVX-512
+machines: the noise batches agree there (:mod:`mhmppi.noise`), but
+numpy's float64 ``exp`` in the softmax and its float32 ``tan`` in the
+car's rollouts give other bits under its AVX-512 code paths than under
+its AVX2 ones.
 
 A sample whose cost is not finite gets weight 0, and the floating-point
 overflow that makes such a cost raises no warning; a step on which no
 sample cost is finite, or whose noise-free plan has a non-finite cost or
 tail cost, raises :class:`~mhmppi.errors.NonFiniteCostError` with the
-step index.
+step index.  float32's range ends near 3.4e38, so a plan entry, state,
+target, mode scale or noise value beyond it rounds to inf in the batch,
+silently too, and takes the same path; so does a cost term whose float32
+value overflows, as the square of an entry beyond about 1.8e19 does.
 
 Step buffers
 ------------
@@ -61,8 +85,8 @@ they run to megabytes, and the allocator hands such memory back to the
 system when it is freed, so a step that allocates them pays a page fault
 on every page it writes.  The per-sample cost vectors, each K or K+1
 long, are fresh: about a dozen per call of :func:`evaluate_plan_batch`
-(terminal costs, their sums with the stage costs, the branch sums and
-the cost quotients) and a few more in the update.  Every buffer is
+(terminal costs, their float64 sums with the stage costs, the branch sums
+and the cost quotients) and a few more in the update.  Every buffer is
 written before it is read, so the values of a step do not depend on what
 an earlier step left there, and nothing a caller keeps points into them:
 the cost matrices :func:`evaluate_plan_batch` returns, the noise-free
@@ -186,10 +210,10 @@ def sample_noise(
     """The (n_u, n_inputs, K) noise batch for one step of a plan of
     ``n_inputs`` flat rows: ``[c, d, q]`` is component c of sample q's
     perturbation of flat input d.  It is written into and returned as
-    ``out``, an array or view of that shape (:func:`control_step` passes
-    its plan batch's sample columns); by default a new array, the caller's
-    own.  Part of it may have been drawn by a worker process
-    (:mod:`mhmppi.noise`)."""
+    ``out``, an array or view of that shape, in ``out``'s dtype
+    (:func:`control_step` passes its float32 plan batch's sample columns);
+    by default a new float64 array, the caller's own.  Part of it may have
+    been drawn by a worker process (:mod:`mhmppi.noise`)."""
     # imported on the first step, not with the package: the multiprocessing
     # and subprocess modules it needs add about 6% to the import time
     from .noise import process_prefetch
@@ -222,7 +246,8 @@ def mppi_update(
     """The weighted mean of the perturbed plans ``plans``, (n_u, n_inputs,
     K), as a plan of ``inputs``' structure.  The weights sum to 1, so it is
     the plan plus the weighted noise average up to rounding; each entry's
-    sum over the samples runs in a fixed order."""
+    sum over the samples runs in float64, whatever the dtype of ``plans``,
+    in a fixed order."""
     return inputs.with_flat(np.einsum("cdq,q->dc", plans, weights, optimize=False))
 
 
@@ -262,6 +287,17 @@ def evaluate_plan_batch(
     the tail costs.  The slab arrays are step-buffer scratch (module
     docstring); the two returned matrices and the per-sample cost vectors
     summed into them are new arrays on every call.
+
+    The batch's dtype is the arithmetic's.  :func:`control_step` and the
+    abort's backup choice pass float32 batches: x0 and the mode scales are
+    rounded to float32, every state, input and cost-term slab is float32,
+    and the cost kernels apply their constants in float32 (see
+    :mod:`mhmppi.cost`).  Every sum of terms into a per-sample cost, over
+    stages, branches and the terminal term, accumulates in float64, and
+    the returned matrices are float64.  An x0 or mode scale beyond
+    float32's range rounds to inf, which gives a non-finite cost; the
+    caller scopes that overflow (:func:`control_step`).  The tests' oracle
+    comparisons pass float64 batches to the same code.
     """
     n_batch = flat_batch.shape[2]
     m = len(missions) - 1
@@ -271,17 +307,19 @@ def evaluate_plan_batch(
             f"flat batch has {flat_batch.shape[1]} input rows, expected "
             f"{n_inputs} for horizon {horizon} with {m} alternatives"
         )
-    scales = np.stack([model.mode_scale(mission.mode) for mission in missions])
+    dtype = flat_batch.dtype
+    # in the batch's dtype: a float64 scale would promote every update
+    scales = np.stack([model.mode_scale(mission.mode) for mission in missions]).astype(dtype)
     n_u, n_x = flat_batch.shape[0], model.n_x
     primary_inputs = flat_batch[:, :horizon]
-    states = buffer("controller.states", (n_x, horizon + 1, n_batch))
+    states = buffer("controller.states", (n_x, horizon + 1, n_batch), dtype)
     primary_scale = scales[0][:, None]  # (n_u, 1)
     states[:, 0] = x0[:, None]
     for k in range(horizon):
         model.update(states[:, k], primary_inputs[:, k], out=states[:, k + 1], scale=primary_scale)
     costs = np.empty((n_batch, m + 1))
     tail_costs = np.empty((n_batch, m + 1))
-    stage = buffer("controller.terms", (horizon, n_batch))
+    stage = buffer("controller.terms", (horizon, n_batch), dtype)
     visited = states[:, 1:]  # the states charged a stage term
     hit = None
     if obstacles.charged:
@@ -289,8 +327,8 @@ def evaluate_plan_batch(
         obstacles.inside(visited[:POSITION_DIMS], hit)
     cost_mod.stage_cost_terms(missions[0], visited, primary_inputs, obstacles, stage, hit=hit)
     terminal = cost_mod.terminal_cost_terms(missions[0], states[:, -1])
-    costs[:, 0] = stage.sum(axis=0) + terminal
-    tail_costs[:, 0] = stage[-1] + terminal
+    costs[:, 0] = np.add.reduce(stage, axis=0, dtype=float) + terminal
+    tail_costs[:, 0] = np.add(stage[-1], terminal, dtype=float)
     if m == 0:
         return costs, tail_costs
 
@@ -299,12 +337,12 @@ def evaluate_plan_batch(
     branch_sum = np.empty((m, n_batch))
     for j, mission in backups:
         cost_mod.stage_cost_terms(mission, visited, primary_inputs, obstacles, stage, hit=hit)
-        branch_sum[j] = shared @ stage[:-1]
+        np.einsum("k,kq->q", shared, stage[:-1], out=branch_sum[j])
 
     rows = branch_rows(horizon, m)
     tail_scales = scales[1:].T[:, :, None, None]  # (n_u, m, 1, 1)
     # x[:, j, p]: branch (j+1, p)
-    x = buffer("controller.tail_states", (n_x, m, horizon - 1, n_batch))
+    x = buffer("controller.tail_states", (n_x, m, horizon - 1, n_batch), dtype)
     stage = np.empty((m, n_batch))
     for t in range(1, horizon):
         x[:, :, t - 1] = states[:, t, None]
@@ -317,16 +355,17 @@ def evaluate_plan_batch(
         if obstacles.charged:
             hit = buffer("controller.tail_hit", (m, t, n_batch), bool)
             obstacles.inside(running[:POSITION_DIMS], hit)
-        terms = buffer("controller.terms", (t, n_batch))
+        terms = buffer("controller.terms", (t, n_batch), dtype)
         for j, mission in backups:
             cost_mod.stage_cost_terms(
                 mission, running[:, j], u[:, j], obstacles, terms, hit=hit[j]
             )
-            terms.sum(axis=0, out=stage[j])
+            np.add.reduce(terms, axis=0, dtype=float, out=stage[j])
         branch_sum += stage
-    terms = buffer("controller.terms", (horizon - 1, n_batch))
+    terms = buffer("controller.terms", (horizon - 1, n_batch), dtype)
     for j, mission in backups:
-        terminal = cost_mod.terminal_cost_terms(mission, x[:, j], terms).sum(axis=0)
+        terminal = cost_mod.terminal_cost_terms(mission, x[:, j], terms)
+        terminal = np.add.reduce(terminal, axis=0, dtype=float)
         costs[:, j + 1] = (branch_sum[j] + terminal) / (horizon - 1)
         tail_costs[:, j + 1] = (stage[j] + terminal) / (horizon - 1)
     return costs, tail_costs
@@ -366,15 +405,16 @@ def control_step(
     plan = shifted.flat.T[:, :, None]  # (n_u, n_inputs, 1)
     # sample 0: the noise-free shifted plan (for the weight update); samples
     # 1..K: the perturbed plans, their noise drawn in place
-    batch = buffer("controller.plan_batch", plan.shape[:2] + (params.n_samples + 1,))
+    batch = buffer("controller.plan_batch", plan.shape[:2] + (params.n_samples + 1,), np.float32)
     samples = batch[:, :, 1:]
-    t_noise = time.perf_counter()
-    sample_noise(params, state.step_index, plan.shape[1], out=samples)
-    t_eval = time.perf_counter()
-    batch[:, :, :1] = plan
-    samples += plan
-    # a sample whose cost overflows gets weight 0 (module docstring)
+    # a noise or plan entry beyond float32's range rounds to inf, and a
+    # sample whose cost overflows gets weight 0 (module docstring)
     with np.errstate(over="ignore", invalid="ignore"):
+        t_noise = time.perf_counter()
+        sample_noise(params, state.step_index, plan.shape[1], out=samples)
+        t_eval = time.perf_counter()
+        batch[:, :, :1] = plan
+        samples += batch[:, :, :1]
         costs_all, tails_all = evaluate_plan_batch(
             model, x, batch, params.horizon, missions, obstacles
         )

@@ -19,9 +19,14 @@ its N-1 branch plans.
 
 :func:`stage_cost_terms` and :func:`terminal_cost_terms` are the batched
 kernels: they take component-first ``(n_x, ...)``/``(n_u, ...)`` arrays,
-and write into ``out`` when given one.  Their temporaries are
-:mod:`mhmppi.buffers` scratch.  ``controller.evaluate_plan_batch`` sums
-them into the cost vectors of a whole batch of plans.
+and write into ``out`` when given one.  They compute in the dtype of
+their state array: float32 in ``controller.evaluate_plan_batch``, which
+sums them into the cost vectors of a whole batch of plans.  Their
+temporaries are :mod:`mhmppi.buffers` scratch of that dtype.  The
+constants they apply, target entries, weights and box corners, are
+Python floats, which under numpy's promotion rules take the array's
+dtype, and the penalty is made a scalar of that dtype: an ``np.float64``
+scalar would promote a float32 kernel to float64.
 """
 
 from __future__ import annotations
@@ -78,8 +83,8 @@ class Mission:
     :func:`dataclasses.replace`) is validated and raises
     :class:`ConfigError`; the arrays are read-only copies of the caller's.
     ``state_support`` and ``input_support`` are the weights' nonzero
-    upper-triangle entries as ``(i, j, weight)`` triples (see
-    :func:`_quad`)."""
+    upper-triangle entries as ``(i, j, weight)`` triples, and ``center``
+    the target's entries, all Python floats (see :func:`_quad`)."""
 
     target: np.ndarray  # (n_x,)
     state_weight: np.ndarray  # Q, n_x x n_x PSD
@@ -87,6 +92,7 @@ class Mission:
     mode: int = 0
     state_support: tuple = field(init=False)
     input_support: tuple = field(init=False)
+    center: tuple = field(init=False)
 
     def __post_init__(self):
         target = real_array("target", self.target)
@@ -102,6 +108,7 @@ class Mission:
         object.__setattr__(self, "input_weight", input_weight)
         object.__setattr__(self, "state_support", _support(state_weight))
         object.__setattr__(self, "input_support", _support(input_weight))
+        object.__setattr__(self, "center", tuple(target.tolist()))
 
     @classmethod
     def build(cls, target, state_weight=1.0, input_weight=1.0, n_u: int = 2, **mode) -> "Mission":
@@ -156,7 +163,8 @@ class ObstacleSet:
         x, y = positions[0, ...], positions[1, ...]
         scratch = buffer("cost.box", (2,) + out.shape, bool)
         box, test = scratch[0, ...], scratch[1, ...]
-        for (lx, ly), (hx, hy) in self.boxes:
+        # corners as Python floats: compared in the positions' dtype
+        for (lx, ly), (hx, hy) in self.boxes.tolist():
             np.greater_equal(x, lx, out=box)
             box &= np.less_equal(x, hx, out=test)
             box &= np.greater_equal(y, ly, out=test)
@@ -167,14 +175,16 @@ class ObstacleSet:
 
 def _quad(x: np.ndarray, support: tuple, center=None, out=None) -> np.ndarray:
     """``d^T M d`` with ``d = x - center`` over the component axis 0 of
-    ``x``, written into and returned as ``out`` (a new array by default).
-    M is given as its ``support`` (see :class:`Mission`): the sum runs one
-    component slab at a time over M's nonzero entries, so a diagonal M is
-    a weighted sum of squares."""
+    ``x``, written into and returned as ``out`` (a new array of ``x``'s
+    dtype by default).  M is given as its ``support`` (see
+    :class:`Mission`): the sum runs one component slab at a time over M's
+    nonzero entries, so a diagonal M is a weighted sum of squares.  The
+    weights and ``center`` are Python floats, so the sum runs in the
+    dtype of ``x``."""
     if out is None:
-        out = np.empty(x.shape[1:])
+        out = np.empty(x.shape[1:], x.dtype)
     out[...] = 0.0
-    d = buffer("cost.quad", out.shape)
+    d = buffer("cost.quad", out.shape, out.dtype)
     for i, j, w in support:
         if center is None:
             np.multiply(x[i], x[j], out=d)
@@ -183,7 +193,7 @@ def _quad(x: np.ndarray, support: tuple, center=None, out=None) -> np.ndarray:
             if i == j:
                 d *= d
             else:
-                d *= np.subtract(x[j], center[j], out=buffer("cost.quad_j", out.shape))
+                d *= np.subtract(x[j], center[j], out=buffer("cost.quad_j", out.shape, d.dtype))
         if w != 1.0:
             d *= w
         out += d
@@ -203,10 +213,15 @@ def stage_cost_terms(
     written into and returned as ``out`` (a new array by default).
     The penalty is added where ``hit``, the caller's ``obstacles.inside``
     of the states' positions, is true; None adds none."""
-    cost = _quad(states, mission.state_support, mission.target, out)
-    cost += _quad(inputs, mission.input_support, out=buffer("cost.input", cost.shape))
+    cost = _quad(states, mission.state_support, mission.center, out)
+    cost += _quad(inputs, mission.input_support, out=buffer("cost.input", cost.shape, cost.dtype))
     if hit is not None:
-        np.add(cost, obstacles.penalty, out=cost, where=hit)
+        # hit * penalty, then one add: a masked add (where=hit) takes about
+        # six times as long, and adding 0.0 outside the boxes changes no
+        # bit.  A penalty beyond float32's range is charged as its largest
+        # value, as an inf one would charge inf * 0 = NaN outside the boxes
+        penalty = cost.dtype.type(min(obstacles.penalty, float(np.finfo(cost.dtype).max)))
+        cost += np.multiply(hit, penalty, out=buffer("cost.charge", cost.shape, cost.dtype))
     return cost
 
 
@@ -215,4 +230,4 @@ def terminal_cost_terms(
 ) -> np.ndarray:
     """Terminal quadratic for (n_x, ...) states, written into and returned
     as ``out`` (a new array by default)."""
-    return _quad(states, mission.state_support, mission.target, out)
+    return _quad(states, mission.state_support, mission.center, out)

@@ -22,13 +22,21 @@ over the inputs, however many inputs share a scale; :class:`SimpleCar`
 multiplies its inputs by the scale before its trigonometry.  A unit scale
 changes no bit of either update.
 
-All step functions are pure and operate on float64 arrays laid out
-component first: a batch of states is ``(n_x, ...)`` and a batch of inputs
+All step functions are pure and operate on arrays laid out component
+first: a batch of states is ``(n_x, ...)`` and a batch of inputs
 ``(n_u, ...)``, with any batch axes after the component axis, so each
 component is one contiguous slab.  A single state or input is 1-D and
 reads the same in either layout.  ``update`` writes its result into
 ``out`` when given one, which may be ``x`` itself; its temporaries are
 :mod:`mhmppi.buffers` scratch, so a batched update allocates nothing.
+
+``update`` computes in the dtype of its arrays, which match: the plant
+(:func:`step`) steps one float64 state, so the executed trajectory is
+float64, and the controller's rollouts advance float32 slabs, whose
+trigonometry on the car is many times faster.  The model's constants
+(time step, wheelbase) are Python floats, which take the arrays' dtype,
+and the controller passes its mode scales in the batch's dtype; an
+``np.float64`` scale would promote a float32 update to float64.
 """
 
 from __future__ import annotations
@@ -96,8 +104,8 @@ class DoubleIntegrator(DynamicsModel):
         self._check_shapes(x, u)
         dt = self.time_step
         if out is None:
-            out = np.empty(x.shape)
-        step = buffer("dynamics.step", x[2:].shape)
+            out = np.empty(x.shape, x.dtype)
+        step = buffer("dynamics.step", x[2:].shape, x.dtype)
         np.multiply(dt, x[2:], out=step)
         np.add(x[:2], step, out=out[:2])
         np.multiply(dt * scale, u, out=step)
@@ -126,12 +134,12 @@ class SimpleCar(DynamicsModel):
         # [i, ...] keeps a 0-d view of a single state's component; the
         # heading is written last, after both positions have read it
         self._check_shapes(x, u)
-        applied = np.multiply(scale, u, out=buffer("dynamics.car_inputs", u.shape))
+        applied = np.multiply(scale, u, out=buffer("dynamics.car_inputs", u.shape, u.dtype))
         theta, v, phi = x[2, ...], applied[0, ...], applied[1, ...]
         dt = self.time_step
         if out is None:
-            out = np.empty(x.shape)
-        scratch = buffer("dynamics.car", (2,) + theta.shape)
+            out = np.empty(x.shape, x.dtype)
+        scratch = buffer("dynamics.car", (2,) + theta.shape, x.dtype)
         a, b = scratch[0, ...], scratch[1, ...]
         for i, turn in ((0, np.cos), (1, np.sin)):
             turn(theta, out=a)

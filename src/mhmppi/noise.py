@@ -14,11 +14,17 @@ w, with a = w & 0xFFFFFFFF and b = w >> 32 and f(h) the float32 whose
 bits are (h >> 9) | 0x3F800000 (in [1, 2)), u = 2 - f(a) lies in (0, 1]
 and v = f(b) - 1 in [0, 1).  r = sqrt(-2 log u) and theta = 2 pi v are
 computed with numpy's float32 ufuncs, and the two components are
-r cos(theta) and r sin(theta), widened to float64.  Row d of the batch is
-``chol @ z[:, d, :]``, summed element-wise over the columns of the
-Cholesky factor ``chol`` in order, and left as z when ``chol`` is the
-identity.  :func:`_fill_noise` is the one loop that draws rows in this
-layout.
+r cos(theta) and r sin(theta).  Row d of the batch is ``chol @ z[:, d,
+:]``, summed element-wise in float64 over the columns of the Cholesky
+factor ``chol`` in order and rounded once to the batch's dtype, and left
+as z when ``chol`` is the identity.  The batch's dtype is that of the
+array it is drawn into: float32 for the control step's plan batch, which
+thus holds the float32 normals as computed (for the identity), and
+float64 for a batch of the caller's own, which holds them widened.  A
+mixed value beyond float32's range rounds to inf in a float32 batch,
+with no warning in the worker; the control step scopes that overflow in
+its own process.  :func:`_fill_noise` is the one loop that draws rows in
+this layout.
 
 Three guarantees follow.  The primary rows d < N draw the same words for
 every m, so the m=0 step gets bit-identical primary noise (the gamma=0
@@ -26,9 +32,9 @@ equivalence of :mod:`mhmppi.controller`); they are the only rows that do,
 as the tails are stored time by time (:mod:`mhmppi.multi_horizon`), so a
 tail input's row, and its noise, depend on m.  Sample q reads the same
 words in every batch wider than q, so its noise does not depend on K.
-And a batch depends only on (seed, t, chol, shape), and the controller's
-weighted mean of the perturbed plans sums over the samples in a fixed
-order, so whole runs are bit-reproducible.  numpy's float32 ``log``,
+And a batch depends only on (seed, t, chol, shape, dtype), and the
+controller's weighted mean of the perturbed plans sums over the samples
+in a fixed order, so whole runs are bit-reproducible.  numpy's float32 ``log``,
 ``cos`` and ``sin`` give the same bits for an element wherever it lies in
 an array, and the same bits under its AVX2 and AVX-512 code paths, so a
 batch is bit-identical across such machines; under numpy's pre-AVX2
@@ -38,8 +44,8 @@ contract gives other bits.
 Noise prefetch
 --------------
 Step t+1's batch depends only on its key (seed, t+1, Cholesky factor,
-batch shape), not on the state, so a worker process draws it while the
-controller evaluates step t.  Both processes run :func:`_fill_noise`, and
+batch shape and dtype), not on the state, so a worker process draws it
+while the controller evaluates step t.  Both processes run :func:`_fill_noise`, and
 row d's values depend only on the key and d, so every batch is
 bit-identical whichever process drew which of its rows, and the contract
 above holds unchanged.  The noise is drawn inline, with no worker, when
@@ -190,20 +196,22 @@ def _fill_noise(
                 z[2 * k + 1] = angle
         if plain:
             continue
-        # chol @ z as element-wise products summed over the columns of chol
-        # in order: a matmul may fuse the multiply-adds, and how it does may
-        # depend on K
+        # chol @ z in float64 as element-wise products summed over the
+        # columns of chol in order (a matmul may fuse the multiply-adds, and
+        # how it does may depend on K), then rounded once to out's dtype
+        mix = buffer("noise.mix", (n, n_samples))
         term = buffer("noise.term", (n, n_samples))
         for c in range(n_u):
-            np.multiply(z[0], chol[c, 0], out=rows_out[c])
+            np.multiply(z[0], chol[c, 0], out=mix)
             for j in range(1, n_u):
                 np.multiply(z[j], chol[c, j], out=term)
-                np.add(rows_out[c], term, out=rows_out[c])
+                mix += term
+            rows_out[c] = mix
 
 
 def worker_main(jobs_fd: int, bell_fd: int, mem_fd: int) -> None:
     """Worker loop.  Each count on the eventfd ``bell_fd`` announces one
-    job ``(seq, shape, seed, step, chol)`` on the pipe ``jobs_fd``, whose
+    job ``(seq, shape, dtype, seed, step, chol)`` on the pipe ``jobs_fd``, whose
     batch is drawn into the shared memory file ``mem_fd`` chunk by chunk,
     upward until the job word names another job.  The loop ends when the
     pipe hangs up: when its write end is closed, which the caller's death
@@ -219,7 +227,7 @@ def worker_main(jobs_fd: int, bell_fd: int, mem_fd: int) -> None:
                 return
             os.eventfd_read(bell_fd)
             msg = jobs.recv()
-            size = HEADER + 8 * math.prod(msg[1])
+            size = HEADER + np.dtype(msg[2]).itemsize * math.prod(msg[1])
             if shared is None or len(shared) < size:
                 if shared is not None:
                     shared.close()
@@ -229,10 +237,15 @@ def worker_main(jobs_fd: int, bell_fd: int, mem_fd: int) -> None:
         pass  # the parent has gone, or the user interrupted both
 
 
-def _run_job(shared: mmap.mmap, seq: int, shape: tuple, seed: int, step_index: int, chol):
+def _run_job(
+    shared: mmap.mmap, seq: int, shape: tuple, dtype: str, seed: int, step_index: int, chol
+):
     words = np.ndarray(2, np.int64, buffer=shared)
-    batch = np.ndarray(shape, buffer=shared, offset=HEADER)
-    _fill_noise(batch, seed, step_index, chol, _upward(words, seq, shape[1]))
+    batch = np.ndarray(shape, dtype, buffer=shared, offset=HEADER)
+    # a Cholesky mix beyond float32's range rounds to inf, as in the caller,
+    # where the control step scopes the same overflow
+    with np.errstate(over="ignore"):
+        _fill_noise(batch, seed, step_index, chol, _upward(words, seq, shape[1]))
 
 
 def _upward(words: np.ndarray, seq: int, n_rows: int):
@@ -250,7 +263,8 @@ class NoisePrefetch:
     """One worker process that draws noise batches ahead, into shared
     memory, for :meth:`fill`.
 
-    A batch is known by its key (shape, seed, step, Cholesky factor).  The
+    A batch is known by its key (shape, dtype, seed, step, Cholesky
+    factor).  The
     worker starts on the first call.  Once it has failed (it could not
     start, or died, or may not run in this process at all), :meth:`fill`
     draws every row itself.
@@ -283,23 +297,24 @@ class NoisePrefetch:
             if self._proc is not None and self._proc.poll() is not None:
                 self._fail()  # the worker has died
             done = 0
-            if not self.failed and self._key == _key(out.shape, seed, step_index, chol):
+            if not self.failed and self._key == _key(out, seed, step_index, chol):
                 progress = int(self._words[PROGRESS])
                 if progress >> 32 == self._seq:  # else it counts an older job's rows
                     done = progress & COUNT
-                batch = np.ndarray(out.shape, buffer=self._shared, offset=HEADER)
+                batch = np.ndarray(out.shape, out.dtype, buffer=self._shared, offset=HEADER)
                 out[:, :done] = batch[:, :done]
                 del batch  # the mapping may be replaced on the next request
-            self._request(out.shape, seed, step_index + 1, chol)
+            self._request(out, seed, step_index + 1, chol)
             _fill_noise(out, seed, step_index, chol, _chunks(out.shape[1], done))
         return done
 
-    def _request(self, shape: tuple, seed: int, step_index: int, chol: np.ndarray) -> None:
-        """Send the worker the batch of this key as a new job, after moving
-        the job word on to it, which stops any older job."""
+    def _request(self, out: np.ndarray, seed: int, step_index: int, chol: np.ndarray) -> None:
+        """Send the worker the batch of this key, in ``out``'s shape and
+        dtype, as a new job, after moving the job word on to it, which
+        stops any older job."""
         if self.failed:
             return
-        size = HEADER + 8 * math.prod(shape)
+        size = HEADER + out.nbytes
         try:
             if self._proc is None:
                 self._start(size)
@@ -309,11 +324,11 @@ class NoisePrefetch:
                 self._map(size)
             self._seq += 1
             self._words[JOB] = self._seq
-            self._send((self._seq, tuple(shape), seed, step_index, chol))
+            self._send((self._seq, out.shape, out.dtype.str, seed, step_index, chol))
         except (OSError, subprocess.SubprocessError):
             self._fail()
             return
-        self._key = _key(shape, seed, step_index, chol)
+        self._key = _key(out, seed, step_index, chol)
 
     def close(self) -> None:
         """Stop the worker and free the shared memory."""
@@ -371,8 +386,8 @@ class NoisePrefetch:
             self._jobs = None
 
 
-def _key(shape: tuple, seed: int, step_index: int, chol: np.ndarray) -> tuple:
-    return (tuple(shape), int(seed), int(step_index), chol.tobytes())
+def _key(out: np.ndarray, seed: int, step_index: int, chol: np.ndarray) -> tuple:
+    return (out.shape, out.dtype, int(seed), int(step_index), chol.tobytes())
 
 
 # pid -> that process's NoisePrefetch; keyed by pid so that a forked child

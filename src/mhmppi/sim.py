@@ -167,11 +167,14 @@ def is_completed(
 
 def _choose_backup(scenario: Scenario, x: np.ndarray, state: ctrl.ControllerState) -> int:
     """Backup mission for an abort at the current state: the least of the
-    finite distances or branch-average costs.  Raises
+    finite distances or branch-average costs, the latter those of the
+    shifted plan evaluated as a float32 batch, as in
+    :func:`~mhmppi.controller.control_step`.  Raises
     :class:`NonFiniteCostError` with the step index when none is finite."""
     missions = scenario.missions
     # an overflowing distance or cost is skipped, as control_step gives an
-    # overflowing sample cost weight 0
+    # overflowing sample cost weight 0; a plan entry or state beyond
+    # float32's range rounds to inf there
     with np.errstate(over="ignore", invalid="ignore"):
         if scenario.abort.policy == "nearest":
             metric = scenario.completion_metric
@@ -181,7 +184,7 @@ def _choose_backup(scenario: Scenario, x: np.ndarray, state: ctrl.ControllerStat
             costs, _ = ctrl.evaluate_plan_batch(
                 scenario.model,
                 x,
-                shifted.flat.T[:, :, None],
+                shifted.flat.T[:, :, None].astype(np.float32),  # as control_step's batch
                 shifted.horizon,
                 missions,
                 scenario.obstacles,

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -158,7 +159,7 @@ def _step_with_noise(monkeypatch, sample_noise, n_samples=64, step_index=0):
 def test_all_non_finite_sample_costs_name_the_step(monkeypatch):
     # every perturbed plan overflows the cost; the noise-free plan stays finite
     def huge(params, _, n_inputs, out):
-        out[...] = 1e300
+        out[...] = 1e30  # finite in the float32 batch; its square is not
         return out
 
     with pytest.raises(NonFiniteCostError, match="control step 7: ") as info:
@@ -180,7 +181,7 @@ def test_step_diagnostics_effective_sample_size(monkeypatch):
     # one finite sample cost: one-hot weights, ESS = 1, and the masked
     # samples move the plan not at all
     def one_finite(params, _, n_inputs, out):
-        out[...] = 1e300
+        out[...] = 1e30
         out[:, :, 3] = 0.25
         return out
 
@@ -471,6 +472,80 @@ def test_batch_costs_match_structure_route():
             assert primary_hits and tail_hits, f"{case}: the plans enter no box"
 
 
+def test_float32_batch_costs_match_float64_route():
+    # the control step evaluates float32 batches; the same code on the same
+    # plans widened to float64 (checked against the oracle above) bounds
+    # the float32 arithmetic.  The double integrator's states carry a few
+    # float32 roundings each, so 8 epsilons bound its costs.  The car
+    # integrates tan(phi) and cos/sin of the heading, and these plans steer
+    # to |phi| near 4, past the poles of tan, which amplify the rounding of
+    # phi by about 1 / |sin(2 phi)|: 1024 epsilons.  A state within float32
+    # rounding of a box face may count the box in one route only, so the
+    # hits are compared first: doubling the penalty adds one penalty share
+    # per hit, and the routes must add the same number
+    eps = float(np.finfo(np.float32).eps)
+    for model_cls, rtol in ((DoubleIntegrator, 8 * eps), (SimpleCar, 1024 * eps)):
+        for horizon, m, dense in [
+            (2, 1, False), (3, 3, False), (5, 2, False), (7, 3, False), (5, 2, True)
+        ]:
+            case = f"{model_cls.__name__} N={horizon} m={m} dense={dense}"
+            model, missions, obstacles, _, flat_batch = _oracle_case(
+                model_cls, horizon, m, seed=10 * horizon + m, dense=dense
+            )
+            doubled = replace(obstacles, penalty=2 * obstacles.penalty)
+            batch = flat_batch.transpose(2, 1, 0).astype(np.float32)
+            x0 = np.zeros(model.n_x)
+            routes = []
+            for plans in (batch, batch.astype(float)):
+                costs, tails = ctrl.evaluate_plan_batch(
+                    model, x0, plans, horizon, missions, obstacles
+                )
+                more, _ = ctrl.evaluate_plan_batch(model, x0, plans, horizon, missions, doubled)
+                # hits, each branch-averaged backup hit counted N-1 times
+                hits = np.rint((more - costs) * (horizon - 1) / obstacles.penalty)
+                routes.append((costs, tails, hits))
+            (costs, tails, hits), (costs64, tails64, hits64) = routes
+            assert hits.any() and np.array_equal(hits, hits64), case
+            assert costs.dtype == tails.dtype == np.float64, case
+            assert np.allclose(costs, costs64, rtol=rtol, atol=0), case
+            assert np.allclose(tails, tails64, rtol=rtol, atol=0), case
+
+
+def test_float32_penalty_beyond_range_charges_only_the_boxes():
+    # a 1e39 penalty is beyond float32's range: a plan that enters a box
+    # costs at least float32's largest value, finite as in float64, and
+    # every other plan what it costs with no boxes at all
+    model, missions, obstacles, _, flat_batch = _oracle_case(DoubleIntegrator, 5, 2, seed=52)
+    boxes = replace(obstacles, penalty=1e39)
+    batch = flat_batch.transpose(2, 1, 0).astype(np.float32)
+    x0 = np.zeros(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        costs, _ = ctrl.evaluate_plan_batch(model, x0, batch, 5, missions, boxes)
+    free, _ = ctrl.evaluate_plan_batch(model, x0, batch, 5, missions, NO_OBS)
+    hit = costs >= np.finfo(np.float32).max / (5 - 1)
+    assert hit.any() and np.isfinite(costs).all()
+    assert np.array_equal(costs[~hit], free[~hit])
+
+
+def test_plan_beyond_float32_range_names_the_step():
+    # 1e39 is finite in the stored float64 plan and inf in the float32
+    # batch: the noise-free plan's cost is not finite, a located error,
+    # with no warning on the way
+    params = make_params(n_samples=16, horizon=5)
+    model, wl = DoubleIntegrator(), WeightLawParams(gamma=0.66)
+    x = np.zeros(4)
+    state = ctrl.init_state(x, params, UAV_MISSIONS, wl)
+    flat = state.inputs.flat.copy()
+    flat[1, 0] = 1e39  # the shifted plan's first input
+    state = replace(state, inputs=state.inputs.with_flat(flat), step_index=12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteCostError, match="control step 12: noise-free") as info:
+            ctrl.control_step(x, state, model, UAV_MISSIONS, NO_OBS, params, wl)
+    assert info.value.step == 12
+
+
 def test_batch_tail_costs_match_structure_route():
     model = DoubleIntegrator()
     rng = np.random.default_rng(31)
@@ -539,7 +614,12 @@ def test_single_step_brute_force_oracle(monkeypatch):
     expected_u = shifted[0] + w[0] * fixed_noise[0, 0] + w[1] * fixed_noise[1, 0]
 
     assert np.array_equal(new_state.alpha, [1.0, 0.0])  # gamma=0 keeps primary-only
-    assert np.allclose(u_exec, expected_u, rtol=1e-12)
+    # the controller evaluates and averages the float32 plan batch: each
+    # perturbed input is rounded twice (the plan, then plan plus noise),
+    # and the costs behind the weights are float32 sums of ten terms of
+    # order 1 at temperature 0.7, so u_exec is the float64 result up to a
+    # few float32 epsilons; 32 of them bound it
+    assert np.allclose(u_exec, expected_u, rtol=32 * np.finfo(np.float32).eps, atol=0)
 
 
 def _gamma_zero_runs(scenario_name: str, n_steps: int = 40, degraded: bool = False):
@@ -699,7 +779,8 @@ def _buffer_steps(n_steps, between=None):
 def test_step_does_not_read_what_earlier_steps_left_in_its_buffers():
     def poison():
         store = vars(buffers._local)
-        assert "controller.plan_batch" in store and "controller.tail_states" in store
+        names = {name for name, _ in store}  # keyed by name and dtype
+        assert "controller.plan_batch" in names and "controller.tail_states" in names
         for flat in store.values():
             # NaN in the float buffers; every bit set in the others: True in
             # the boolean occupancy buffers, all ones in the noise's raw words

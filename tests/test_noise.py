@@ -1,4 +1,5 @@
 import math
+import mmap
 import multiprocessing
 import os
 import signal
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -244,6 +246,49 @@ def test_prefetched_noise_matches_draw_noise(own_prefetch):
         assert np.array_equal(batch, _reference_batch(params, t, rows)), t
     assert ahead[1:] == [25, 1, 0, 4, 5]
     assert not pf.failed
+
+
+def test_prefetched_float32_noise_is_the_reference_rounded_once(own_prefetch):
+    # the control step's batch is float32: the worker draws and shares it
+    # as float32, each entry the float64 Cholesky mix rounded once, and a
+    # float64 batch of the same shape and step is another key, drawn anew
+    pf, ahead = own_prefetch
+    cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+    params = make_params(n_samples=16, horizon=5, noise_cov=cov, seed=8)
+    for t in range(3):
+        if t:
+            _worker_drew(pf, 25)
+        out = np.full((2, 25, 16), np.nan, np.float32)
+        _call_within(60, lambda: ctrl.sample_noise(params, t, 25, out=out))
+        assert np.array_equal(out, _reference_batch(params, t, 25).astype(np.float32)), t
+    assert ahead[1:] == [25, 25]
+    _worker_drew(pf, 25)
+    batch = _call_within(60, lambda: ctrl.sample_noise(params, 3, 25))
+    assert batch.dtype == np.float64 and np.array_equal(batch, _reference_batch(params, 3, 25))
+    assert ahead[-1] == 0 and not pf.failed
+
+
+def test_worker_rounds_a_mix_beyond_float32_range_to_inf_silently():
+    # a worker's float32 job under a Cholesky factor of 3e38: mixed values
+    # beyond float32's range are inf, samples of weight 0 in the control
+    # step, and the worker raises no overflow warning
+    shape = (2, 5, 8)
+    chol = np.array([[3e38, 0.0], [3e38, 3e38]])
+    shared = mmap.mmap(-1, noise.HEADER + 4 * math.prod(shape))
+    try:
+        words = np.ndarray(2, np.int64, buffer=shared)
+        words[noise.JOB] = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            noise._run_job(shared, 1, shape, np.dtype(np.float32).str, 3, 4, chol)
+        batch = np.ndarray(shape, np.float32, buffer=shared, offset=noise.HEADER).copy()
+        del words
+    finally:
+        shared.close()
+    with np.errstate(over="ignore"):
+        expected = draw_noise(noise.stream_key(3, 4), shape, chol).astype(np.float32)
+    assert np.isinf(expected).any() and np.isfinite(expected).any()
+    assert np.array_equal(batch, expected)
 
 
 def test_prefetch_grows_its_shared_batch(own_prefetch):
