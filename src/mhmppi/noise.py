@@ -34,10 +34,10 @@ tail input's row, and its noise, depend on m.  Sample q reads the same
 words in every batch wider than q, so its noise does not depend on K.
 And a batch depends only on (seed, t, chol, shape, dtype), and the
 controller's weighted mean of the perturbed plans sums over the samples
-in a fixed order, so whole runs are bit-reproducible.  numpy's float32 ``log``,
-``cos`` and ``sin`` give the same bits for an element wherever it lies in
-an array, and the same bits under its AVX2 and AVX-512 code paths, so a
-batch is bit-identical across such machines; under numpy's pre-AVX2
+in a fixed order, so whole runs are bit-reproducible on one machine.
+numpy's float32 ``log``, ``cos`` and ``sin`` give the same bits for an
+element wherever it lies in an array, and the same bits under its AVX2
+and AVX-512 code paths, so a batch is bit-identical across such machines; under numpy's pre-AVX2
 baseline (an older CPU, or ``NPY_DISABLE_CPU_FEATURES``) the same
 contract gives other bits.
 
@@ -45,10 +45,10 @@ Noise prefetch
 --------------
 Step t+1's batch depends only on its key (seed, t+1, Cholesky factor,
 batch shape and dtype), not on the state, so a worker process draws it
-while the controller evaluates step t.  Both processes run :func:`_fill_noise`, and
-row d's values depend only on the key and d, so every batch is
-bit-identical whichever process drew which of its rows, and the contract
-above holds unchanged.  The noise is drawn inline, with no worker, when
+while the controller evaluates step t.  Both processes run
+:func:`_fill_noise`, and row d's values depend only on the key and d, so
+every batch is bit-identical whichever process drew which of its rows,
+and the contract above holds unchanged.  The noise is drawn inline, with no worker, when
 the process may use fewer than two CPUs, when it is a multiprocessing
 child (``cli --workers N`` already keeps N processes busy), outside Linux
 or x86-64, and from the step on which the worker cannot start or is found
@@ -211,9 +211,9 @@ def _fill_noise(
 
 def worker_main(jobs_fd: int, bell_fd: int, mem_fd: int) -> None:
     """Worker loop.  Each count on the eventfd ``bell_fd`` announces one
-    job ``(seq, shape, dtype, seed, step, chol)`` on the pipe ``jobs_fd``, whose
-    batch is drawn into the shared memory file ``mem_fd`` chunk by chunk,
-    upward until the job word names another job.  The loop ends when the
+    job ``(seq, shape, dtype, seed, step, chol)`` on the pipe ``jobs_fd``,
+    whose batch is drawn into the shared memory file ``mem_fd`` chunk by
+    chunk, upward until the job word names another job.  The loop ends when the
     pipe hangs up: when its write end is closed, which the caller's death
     does too."""
     jobs = Connection(jobs_fd, writable=False)
@@ -264,10 +264,9 @@ class NoisePrefetch:
     memory, for :meth:`fill`.
 
     A batch is known by its key (shape, dtype, seed, step, Cholesky
-    factor).  The
-    worker starts on the first call.  Once it has failed (it could not
-    start, or died, or may not run in this process at all), :meth:`fill`
-    draws every row itself.
+    factor).  The worker starts on the first call.  Once it has failed (it
+    could not start, or died, or may not run in this process at all),
+    :meth:`fill` draws every row itself.
     """
 
     def __init__(self):

@@ -616,9 +616,9 @@ def test_single_step_brute_force_oracle(monkeypatch):
     assert np.array_equal(new_state.alpha, [1.0, 0.0])  # gamma=0 keeps primary-only
     # the controller evaluates and averages the float32 plan batch: each
     # perturbed input is rounded twice (the plan, then plan plus noise),
-    # and the costs behind the weights are float32 sums of ten terms of
-    # order 1 at temperature 0.7, so u_exec is the float64 result up to a
-    # few float32 epsilons; 32 of them bound it
+    # and the costs behind the weights sum ten float32 terms of order 1 at
+    # temperature 0.7, so u_exec is the float64 result up to a few float32
+    # epsilons; 32 of them bound it
     assert np.allclose(u_exec, expected_u, rtol=32 * np.finfo(np.float32).eps, atol=0)
 
 

@@ -1,5 +1,4 @@
 import math
-import mmap
 import multiprocessing
 import os
 import signal
@@ -274,17 +273,12 @@ def test_worker_rounds_a_mix_beyond_float32_range_to_inf_silently():
     # step, and the worker raises no overflow warning
     shape = (2, 5, 8)
     chol = np.array([[3e38, 0.0], [3e38, 3e38]])
-    shared = mmap.mmap(-1, noise.HEADER + 4 * math.prod(shape))
-    try:
-        words = np.ndarray(2, np.int64, buffer=shared)
-        words[noise.JOB] = 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            noise._run_job(shared, 1, shape, np.dtype(np.float32).str, 3, 4, chol)
-        batch = np.ndarray(shape, np.float32, buffer=shared, offset=noise.HEADER).copy()
-        del words
-    finally:
-        shared.close()
+    shared = bytearray(noise.HEADER + 4 * math.prod(shape))  # the shared file's layout
+    np.ndarray(2, np.int64, buffer=shared)[noise.JOB] = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        noise._run_job(shared, 1, shape, np.dtype(np.float32).str, 3, 4, chol)
+    batch = np.ndarray(shape, np.float32, buffer=shared, offset=noise.HEADER)
     with np.errstate(over="ignore"):
         expected = draw_noise(noise.stream_key(3, 4), shape, chol).astype(np.float32)
     assert np.isinf(expected).any() and np.isfinite(expected).any()
