@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhmppi import buffers
+from mhmppi import buffers, dynamics
 from mhmppi import controller as ctrl
+from mhmppi import cost as cost_mod
 from mhmppi.config import scenario_from_dict
 from mhmppi.cost import Mission, ObstacleSet
 from mhmppi.dynamics import DoubleIntegrator, SimpleCar, step
@@ -509,6 +510,44 @@ def test_float32_batch_costs_match_float64_route():
             assert costs.dtype == tails.dtype == np.float64, case
             assert np.allclose(costs, costs64, rtol=rtol, atol=0), case
             assert np.allclose(tails, tails64, rtol=rtol, atol=0), case
+
+
+def test_float32_batch_runs_no_float64_kernel(monkeypatch):
+    # an np.float64 scalar or array among a kernel's operands would promote
+    # a float32 slab operation to float64 (numpy's promotion rules), as the
+    # targets, box corners and mode scales once did: every ufunc that the
+    # evaluator, the cost kernels and the models call on a float32 array
+    # computes in float32, or in float64 only where a dtype asks for it
+    promoted = []
+
+    class Ufunc:
+        def __init__(self, ufunc):
+            self.ufunc = ufunc
+
+        def __getattr__(self, name):
+            return getattr(self.ufunc, name)
+
+        def __call__(self, *args, **kwargs):
+            operands = args[: self.ufunc.nin]
+            if kwargs.get("dtype") is None and any(
+                isinstance(a, np.ndarray) and a.dtype == np.float32 for a in operands
+            ):
+                if np.result_type(*operands) != np.float32:
+                    promoted.append((self.ufunc.__name__, [type(a) for a in operands]))
+            return self.ufunc(*args, **kwargs)
+
+    class Numpy:
+        def __getattr__(self, name):
+            value = getattr(np, name)
+            return Ufunc(value) if isinstance(value, np.ufunc) else value
+
+    for module in (ctrl, cost_mod, dynamics):
+        monkeypatch.setattr(module, "np", Numpy())
+    for model_cls in (DoubleIntegrator, SimpleCar):
+        model, missions, obstacles, _, flat_batch = _oracle_case(model_cls, 5, 2, seed=3)
+        batch = flat_batch.transpose(2, 1, 0).astype(np.float32)
+        ctrl.evaluate_plan_batch(model, np.zeros(model.n_x), batch, 5, missions, obstacles)
+    assert not promoted
 
 
 def test_float32_penalty_beyond_range_charges_only_the_boxes():
