@@ -49,11 +49,13 @@ Noise
 -----
 :func:`sample_noise` takes each step's noise batch from
 :mod:`mhmppi.noise`, whose substream contract fixes every batch by (seed,
-step, Cholesky factor, shape, dtype) alone, whichever process draws it:
+step, noise scale, shape, dtype) alone, whichever process draws it:
 each flat row's normals come from the raw words of its own Philox
 substream, by a float32 Box-Muller transform made in whole-array passes
-over chunks of rows.  The step draws it as float32, into its batch, so
-with an identity Cholesky factor the normals are written as computed.
+over chunks of rows.  The covariance Σ is diagonal, so component c of
+the noise is its normal times the scale s_c = √Σ_cc, one float64 product
+rounded once.  The step draws the batch as float32, into its plan
+batch, so with unit scales (Σ = I) the normals are written as computed.
 The weighted mean of the perturbed plans in :func:`mppi_update` sums over
 the samples in a fixed order, so whole runs are bit-reproducible on one
 machine with one numpy build.  They are not across AVX2 and AVX-512
@@ -69,7 +71,10 @@ tail cost, raises :class:`~mhmppi.errors.NonFiniteCostError` with the
 step index.  float32's range ends near 3.4e38, so a plan entry, state,
 target, mode scale or noise value beyond it rounds to inf in the batch,
 silently too, and takes the same path; so does a cost term whose float32
-value overflows, as the square of an entry beyond about 1.8e19 does.
+value overflows, as the square of an entry beyond about 1.8e19 does.  A
+sample of weight 0 still enters the weighted mean, where an inf entry
+gives 0 * inf = NaN, so a step whose updated plan is not finite raises
+the same error before it hands out an input.
 
 Step buffers
 ------------
@@ -117,9 +122,9 @@ from . import cost as cost_mod
 from .buffers import buffer
 from .cost import POSITION_DIMS, Mission, ObstacleSet
 from .dynamics import DynamicsModel
-from .errors import ConfigError, NonFiniteCostError, check_int, check_real, symmetric_matrix
+from .errors import NonFiniteCostError, check_int, check_real, diagonal_matrix
 from .multi_horizon import MultiHorizonInput, branch_rows, dims
-from .weights import WeightLawParams, desired_weights, update_weights
+from .weights import WeightLawParams, desired_weights, softmax_weights, update_weights
 
 
 @dataclass(frozen=True)
@@ -128,28 +133,26 @@ class ControllerParams:
     the missions tuple each step is given.  Every construction (direct,
     :meth:`build` or :func:`dataclasses.replace`) is validated here and
     raises :class:`ConfigError`.  ``noise_cov`` is a read-only copy of the
-    caller's array, and ``noise_chol`` its read-only Cholesky factor."""
+    caller's array, a diagonal Σ, and ``noise_scale`` the read-only
+    (n_u,) vector √diag Σ of the noise components' standard deviations."""
 
     n_samples: int
     horizon: int
-    noise_cov: np.ndarray  # (n_u, n_u) symmetric positive definite
+    noise_cov: np.ndarray  # (n_u, n_u) diagonal, entries > 0
     temperature: float = 0.5
     seed: int = 0
-    noise_chol: np.ndarray = field(init=False)
+    noise_scale: np.ndarray = field(init=False)
 
     def __post_init__(self):
         check_int("n_samples", self.n_samples, 1)
         check_int("horizon", self.horizon, 2)
         check_real("temperature", self.temperature, above=0.0)
         check_int("seed", self.seed, 0)
-        cov = symmetric_matrix("noise_cov", self.noise_cov)
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ConfigError("noise_cov must be positive definite") from None
-        chol.flags.writeable = False
+        cov = diagonal_matrix("noise_cov", self.noise_cov, positive=True)
+        scale = np.sqrt(np.diag(cov))
+        scale.flags.writeable = False
         object.__setattr__(self, "noise_cov", cov)
-        object.__setattr__(self, "noise_chol", chol)
+        object.__setattr__(self, "noise_scale", scale)
 
     @classmethod
     def build(
@@ -157,7 +160,7 @@ class ControllerParams:
     ) -> "ControllerParams":
         """As the constructor, with the other fields' defaults; a scalar
         ``noise_cov`` scales the n_u x n_u identity."""
-        return cls(n_samples, horizon, symmetric_matrix("noise_cov", noise_cov, n_u), **choices)
+        return cls(n_samples, horizon, diagonal_matrix("noise_cov", noise_cov, n_u), **choices)
 
     @property
     def n_u(self) -> int:
@@ -220,24 +223,8 @@ def sample_noise(
 
     if out is None:
         out = np.empty((params.n_u, n_inputs, params.n_samples))
-    process_prefetch().fill(out, params.seed, step_index, params.noise_chol)
+    process_prefetch().fill(out, params.seed, step_index, params.noise_scale)
     return out
-
-
-def softmax_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
-    """Gibbs sample weights with min-cost shift; sums to 1.
-
-    A non-finite cost gets weight 0; on finite costs the weights are those
-    of the plain formula, bit for bit.  Raises
-    :class:`NonFiniteCostError` when no cost is finite.
-    """
-    costs = np.asarray(costs, dtype=float)
-    finite = np.isfinite(costs)
-    if not finite.any():
-        raise NonFiniteCostError(f"all {costs.size} sample costs are non-finite")
-    shifted = np.where(finite, costs - costs[finite].min(), np.inf)
-    z = np.exp(-shifted / temperature)
-    return z / z.sum()
 
 
 def mppi_update(
@@ -437,6 +424,8 @@ def control_step(
         except NonFiniteCostError as exc:
             raise NonFiniteCostError(str(exc), step=state.step_index) from None
     new_inputs = mppi_update(shifted, samples, weights)
+    if not np.isfinite(new_inputs.flat).all():
+        raise NonFiniteCostError("the updated plan is not finite", step=state.step_index)
     u_exec = new_inputs.primary[0].copy()
     t_end = time.perf_counter()
 

@@ -1,10 +1,10 @@
 """Mission cost functions.
 
-Each mission i has a target state, quadratic stage weights Q (state) and
-R (input), and a dynamics mode for its branch rollouts.  A trajectory's
-cost charges, for k = 1..N, the stage term at the pair (state reached
-after step k, input applied at step k), plus a terminal quadratic at the
-final state.  The known initial state is never charged.  A problem's
+Each mission i has a target state, diagonal quadratic stage weights Q
+(state) and R (input), and a dynamics mode for its branch rollouts.  A
+trajectory's cost charges, for k = 1..N, the stage term at the pair
+(state reached after step k, input applied at step k), plus a terminal
+quadratic at the final state.  The known initial state is never charged.  A problem's
 missions are a plain tuple of :class:`Mission`: entry 0 is the primary
 mission and entries 1..m are the backup missions.
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .buffers import buffer
-from .errors import ConfigError, check_int, check_real, real_array, symmetric_matrix
+from .errors import ConfigError, check_int, check_real, diagonal_matrix, real_array
 
 POSITION_DIMS = 2
 
@@ -56,39 +56,25 @@ def distance(x: np.ndarray, target: np.ndarray, metric: str = "position") -> np.
     return np.sqrt(np.sum(d * d, axis=-1))
 
 
-def _psd_weight(M, what: str) -> np.ndarray:
-    M = symmetric_matrix(what, M)
-    if np.any(np.linalg.eigvalsh(M) < -1e-12):
-        raise ConfigError(f"{what} must be positive semidefinite")
-    return M
-
-
 def _support(M: np.ndarray) -> tuple:
-    """``(i, j, w)`` for each nonzero entry of M's upper triangle, row by
-    row: ``w`` is ``M[i, i]`` on the diagonal and ``2 M[i, j]`` off it, so
-    ``d^T M d`` is the sum of ``w d_i d_j``."""
-    rows = M.tolist()
-    return tuple(
-        (i, j, w if i == j else 2.0 * w)
-        for i, row in enumerate(rows)
-        for j, w in enumerate(row[i:], i)
-        if w
-    )
+    """``(i, w)`` for each nonzero diagonal entry ``w = M[i, i]`` of the
+    diagonal M, in order, so ``d^T M d`` is the sum of ``w d_i^2``."""
+    return tuple((i, w) for i, w in enumerate(np.diag(M).tolist()) if w)
 
 
 @dataclass(frozen=True)
 class Mission:
-    """One target with its quadratic weights and branch dynamics mode.
-    Every construction (direct, :meth:`build` or
+    """One target with its diagonal quadratic weights and branch dynamics
+    mode.  Every construction (direct, :meth:`build` or
     :func:`dataclasses.replace`) is validated and raises
     :class:`ConfigError`; the arrays are read-only copies of the caller's.
     ``state_support`` and ``input_support`` are the weights' nonzero
-    upper-triangle entries as ``(i, j, weight)`` triples, and ``center``
-    the target's entries, all Python floats (see :func:`_quad`)."""
+    diagonal entries as ``(i, weight)`` pairs, and ``center`` the
+    target's entries, all Python floats (see :func:`_quad`)."""
 
     target: np.ndarray  # (n_x,)
-    state_weight: np.ndarray  # Q, n_x x n_x PSD
-    input_weight: np.ndarray  # R, n_u x n_u PSD
+    state_weight: np.ndarray  # Q, n_x x n_x diagonal, entries >= 0
+    input_weight: np.ndarray  # R, n_u x n_u diagonal, entries >= 0
     mode: int = 0
     state_support: tuple = field(init=False)
     input_support: tuple = field(init=False)
@@ -98,11 +84,11 @@ class Mission:
         target = real_array("target", self.target)
         if target.ndim != 1:
             raise ConfigError(f"target must be a vector, got shape {target.shape}")
-        state_weight = _psd_weight(self.state_weight, "state_weight")
+        state_weight = diagonal_matrix("state_weight", self.state_weight)
         if len(state_weight) != len(target):
             raise ConfigError(f"state_weight must be {len(target)}x{len(target)} like the target")
         check_int("mode", self.mode, 0)
-        input_weight = _psd_weight(self.input_weight, "input_weight")
+        input_weight = diagonal_matrix("input_weight", self.input_weight)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "state_weight", state_weight)
         object.__setattr__(self, "input_weight", input_weight)
@@ -117,8 +103,8 @@ class Mission:
         target = real_array("target", target)
         return cls(
             target,
-            symmetric_matrix("state_weight", state_weight, target.size),
-            symmetric_matrix("input_weight", input_weight, n_u),
+            diagonal_matrix("state_weight", state_weight, target.size),
+            diagonal_matrix("input_weight", input_weight, n_u),
             **mode,
         )
 
@@ -176,24 +162,20 @@ class ObstacleSet:
 def _quad(x: np.ndarray, support: tuple, center=None, out=None) -> np.ndarray:
     """``d^T M d`` with ``d = x - center`` over the component axis 0 of
     ``x``, written into and returned as ``out`` (a new array of ``x``'s
-    dtype by default).  M is given as its ``support`` (see
-    :class:`Mission`): the sum runs one component slab at a time over M's
-    nonzero entries, so a diagonal M is a weighted sum of squares.  The
-    weights and ``center`` are Python floats, so the sum runs in the
-    dtype of ``x``."""
+    dtype by default).  The diagonal M is given as its ``support`` (see
+    :class:`Mission`): the weighted sum of squares runs one component
+    slab at a time over M's nonzero diagonal entries.  The weights and
+    ``center`` are Python floats, so the sum runs in the dtype of ``x``."""
     if out is None:
         out = np.empty(x.shape[1:], x.dtype)
     out[...] = 0.0
     d = buffer("cost.quad", out.shape, out.dtype)
-    for i, j, w in support:
+    for i, w in support:
         if center is None:
-            np.multiply(x[i], x[j], out=d)
+            np.multiply(x[i], x[i], out=d)
         else:
             np.subtract(x[i], center[i], out=d)
-            if i == j:
-                d *= d
-            else:
-                d *= np.subtract(x[j], center[j], out=buffer("cost.quad_j", out.shape, d.dtype))
+            d *= d
         if w != 1.0:
             d *= w
         out += d

@@ -24,7 +24,8 @@ class InfeasibleConstraintError(ValueError):
 
 
 class NonFiniteCostError(ValueError):
-    """No sample of a control step has a finite cost.
+    """A control step has no sample of finite cost, a noise-free plan of
+    non-finite cost, or a non-finite updated plan.
 
     Carries the control ``step`` index when the controller raised it.
     """
@@ -67,13 +68,22 @@ def real_array(name: str, value) -> np.ndarray:
     return arr
 
 
-def symmetric_matrix(name: str, value, n: int | None = None) -> np.ndarray:
-    """A read-only float copy of ``value``, a symmetric square matrix.  Build
-    methods pass ``n``, and then a scalar is that multiple of the n x n
-    identity, left unchecked, like any value, for their constructor."""
+def diagonal_matrix(
+    name: str, value, n: int | None = None, *, positive: bool = False
+) -> np.ndarray:
+    """A read-only float copy of ``value``, a square diagonal matrix whose
+    diagonal entries are >= 0, or > 0 when ``positive``.  Build methods
+    pass ``n``, and then a scalar is that multiple of the n x n identity,
+    left unchecked, like any value, for their constructor."""
     arr = real_array(name, value)
     if n is not None:
         return arr * np.eye(n) if arr.ndim == 0 else arr
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.allclose(arr, arr.T):
-        raise ConfigError(f"{name} must be a symmetric square matrix, got {arr.tolist()}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ConfigError(f"{name} must be a square diagonal matrix, got {arr.tolist()}")
+    if arr[~np.eye(len(arr), dtype=bool)].any():
+        raise ConfigError(f"{name} must be diagonal, got {arr.tolist()}")
+    diag = np.diag(arr)
+    if (diag <= 0.0 if positive else diag < 0.0).any():
+        what = "definite (entries > 0)" if positive else "semidefinite (entries >= 0)"
+        raise ConfigError(f"{name} must be positive {what}, got diagonal {diag.tolist()}")
     return arr

@@ -14,14 +14,15 @@ w, with a = w & 0xFFFFFFFF and b = w >> 32 and f(h) the float32 whose
 bits are (h >> 9) | 0x3F800000 (in [1, 2)), u = 2 - f(a) lies in (0, 1]
 and v = f(b) - 1 in [0, 1).  r = sqrt(-2 log u) and theta = 2 pi v are
 computed with numpy's float32 ufuncs, and the two components are
-r cos(theta) and r sin(theta).  Row d of the batch is ``chol @ z[:, d,
-:]``, summed element-wise in float64 over the columns of the Cholesky
-factor ``chol`` in order and rounded once to the batch's dtype, and left
-as z when ``chol`` is the identity.  The batch's dtype is that of the
-array it is drawn into: float32 for the control step's plan batch, which
-thus holds the float32 normals as computed (for the identity), and
+r cos(theta) and r sin(theta).  The covariance is diagonal, and
+``scale`` is the vector s of the square roots of its diagonal entries,
+the components' standard deviations: component c of row d is
+``s_c * z[c, d, :]``, formed in float64 and rounded once to the batch's
+dtype, and left as z where every s_c is 1.  The batch's dtype is that of
+the array it is drawn into: float32 for the control step's plan batch,
+which thus holds the float32 normals as computed (for unit scales), and
 float64 for a batch of the caller's own, which holds them widened.  A
-mixed value beyond float32's range rounds to inf in a float32 batch,
+scaled value beyond float32's range rounds to inf in a float32 batch,
 with no warning in the worker; the control step scopes that overflow in
 its own process.  :func:`_fill_noise` is the one loop that draws rows in
 this layout.
@@ -32,7 +33,7 @@ equivalence of :mod:`mhmppi.controller`); they are the only rows that do,
 as the tails are stored time by time (:mod:`mhmppi.multi_horizon`), so a
 tail input's row, and its noise, depend on m.  Sample q reads the same
 words in every batch wider than q, so its noise does not depend on K.
-And a batch depends only on (seed, t, chol, shape, dtype), and the
+And a batch depends only on (seed, t, scale, shape, dtype), and the
 controller's weighted mean of the perturbed plans sums over the samples
 in a fixed order, so whole runs are bit-reproducible on one machine.
 numpy's float32 ``log``, ``cos`` and ``sin`` give the same bits for an
@@ -43,8 +44,8 @@ contract gives other bits.
 
 Noise prefetch
 --------------
-Step t+1's batch depends only on its key (seed, t+1, Cholesky factor,
-batch shape and dtype), not on the state, so a worker process draws it
+Step t+1's batch depends only on its key (seed, t+1, scale, batch
+shape and dtype), not on the state, so a worker process draws it
 while the controller evaluates step t.  Both processes run
 :func:`_fill_noise`, and row d's values depend only on the key and d, so
 every batch is bit-identical whichever process drew which of its rows,
@@ -124,17 +125,13 @@ def stream_key(seed: int, step_index: int) -> np.ndarray:
     return np.random.SeedSequence((int(seed), int(step_index))).generate_state(2, np.uint64)
 
 
-def _is_identity(chol: np.ndarray) -> bool:
-    return bool(np.array_equal(chol, np.eye(chol.shape[0])))
-
-
 def _chunks(n_rows: int, start: int = 0):
     """Flat rows start..n_rows-1, upward, as ranges of at most CHUNK rows."""
     return (range(lo, min(lo + CHUNK, n_rows)) for lo in range(start, n_rows, CHUNK))
 
 
 def _fill_noise(
-    out: np.ndarray, seed: int, step_index: int, chol: np.ndarray, chunks: Iterable[range]
+    out: np.ndarray, seed: int, step_index: int, scale: np.ndarray, chunks: Iterable[range]
 ) -> None:
     """Write the flat rows of ``chunks``, each a range of consecutive rows,
     of step ``step_index``'s (n_u, n_inputs, K) noise batch into the same
@@ -156,7 +153,7 @@ def _fill_noise(
     }
     n_u, _, n_samples = out.shape
     n_words = (n_u + 1) // 2  # per sample
-    plain = _is_identity(chol)
+    plain = bool((scale == 1.0).all())
     for rows in chunks:
         n = len(rows)
         raw = buffer("noise.raw", (n, n_samples * n_words), np.uint64)
@@ -170,8 +167,7 @@ def _fill_noise(
         np.bitwise_and(raw, 0x007FFFFF007FFFFF, out=raw)
         np.bitwise_or(raw, 0x3F8000003F800000, out=raw)
         halves = raw.view(np.float32).reshape(n, n_samples, n_words, 2)
-        rows_out = out[:, rows.start : rows.stop]
-        z = rows_out if plain else buffer("noise.z", (n_u, n, n_samples))
+        z = out[:, rows.start : rows.stop]
         radius = buffer("noise.radius", (n, n_samples), np.float32)
         angle = buffer("noise.angle", (n, n_samples), np.float32)
         cos = buffer("noise.cos", (n, n_samples), np.float32)
@@ -194,24 +190,15 @@ def _fill_noise(
                 np.sin(angle, out=angle)
                 np.multiply(radius, angle, out=angle)
                 z[2 * k + 1] = angle
-        if plain:
-            continue
-        # chol @ z in float64 as element-wise products summed over the
-        # columns of chol in order (a matmul may fuse the multiply-adds, and
-        # how it does may depend on K), then rounded once to out's dtype
-        mix = buffer("noise.mix", (n, n_samples))
-        term = buffer("noise.term", (n, n_samples))
-        for c in range(n_u):
-            np.multiply(z[0], chol[c, 0], out=mix)
-            for j in range(1, n_u):
-                np.multiply(z[j], chol[c, j], out=term)
-                mix += term
-            rows_out[c] = mix
+        if not plain:
+            for c in range(n_u):
+                # s_c z in float64, rounded once to out's dtype
+                np.multiply(z[c], scale[c], out=z[c], dtype=np.float64)
 
 
 def worker_main(jobs_fd: int, bell_fd: int, mem_fd: int) -> None:
     """Worker loop.  Each count on the eventfd ``bell_fd`` announces one
-    job ``(seq, shape, dtype, seed, step, chol)`` on the pipe ``jobs_fd``,
+    job ``(seq, shape, dtype, seed, step, scale)`` on the pipe ``jobs_fd``,
     whose batch is drawn into the shared memory file ``mem_fd`` chunk by
     chunk, upward until the job word names another job.  The loop ends when the
     pipe hangs up: when its write end is closed, which the caller's death
@@ -238,14 +225,14 @@ def worker_main(jobs_fd: int, bell_fd: int, mem_fd: int) -> None:
 
 
 def _run_job(
-    shared: mmap.mmap, seq: int, shape: tuple, dtype: str, seed: int, step_index: int, chol
+    shared: mmap.mmap, seq: int, shape: tuple, dtype: str, seed: int, step_index: int, scale
 ):
     words = np.ndarray(2, np.int64, buffer=shared)
     batch = np.ndarray(shape, dtype, buffer=shared, offset=HEADER)
-    # a Cholesky mix beyond float32's range rounds to inf, as in the caller,
+    # a scaled value beyond float32's range rounds to inf, as in the caller,
     # where the control step scopes the same overflow
     with np.errstate(over="ignore"):
-        _fill_noise(batch, seed, step_index, chol, _upward(words, seq, shape[1]))
+        _fill_noise(batch, seed, step_index, scale, _upward(words, seq, shape[1]))
 
 
 def _upward(words: np.ndarray, seq: int, n_rows: int):
@@ -263,10 +250,10 @@ class NoisePrefetch:
     """One worker process that draws noise batches ahead, into shared
     memory, for :meth:`fill`.
 
-    A batch is known by its key (shape, dtype, seed, step, Cholesky
-    factor).  The worker starts on the first call.  Once it has failed (it
-    could not start, or died, or may not run in this process at all),
-    :meth:`fill` draws every row itself.
+    A batch is known by its key (shape, dtype, seed, step, scale).  The
+    worker starts on the first call.  Once it has failed (it could not
+    start, or died, or may not run in this process at all), :meth:`fill`
+    draws every row itself.
     """
 
     def __init__(self):
@@ -285,7 +272,7 @@ class NoisePrefetch:
         """The worker's process id, once started."""
         return None if self._proc is None else self._proc.pid
 
-    def fill(self, out: np.ndarray, seed: int, step_index: int, chol: np.ndarray) -> int:
+    def fill(self, out: np.ndarray, seed: int, step_index: int, scale: np.ndarray) -> int:
         """Write step ``step_index``'s noise batch into ``out``, and have the
         worker start on the next step's.  The flat rows the worker has
         finished of this batch are copied, none when its last job was
@@ -296,18 +283,18 @@ class NoisePrefetch:
             if self._proc is not None and self._proc.poll() is not None:
                 self._fail()  # the worker has died
             done = 0
-            if not self.failed and self._key == _key(out, seed, step_index, chol):
+            if not self.failed and self._key == _key(out, seed, step_index, scale):
                 progress = int(self._words[PROGRESS])
                 if progress >> 32 == self._seq:  # else it counts an older job's rows
                     done = progress & COUNT
                 batch = np.ndarray(out.shape, out.dtype, buffer=self._shared, offset=HEADER)
                 out[:, :done] = batch[:, :done]
                 del batch  # the mapping may be replaced on the next request
-            self._request(out, seed, step_index + 1, chol)
-            _fill_noise(out, seed, step_index, chol, _chunks(out.shape[1], done))
+            self._request(out, seed, step_index + 1, scale)
+            _fill_noise(out, seed, step_index, scale, _chunks(out.shape[1], done))
         return done
 
-    def _request(self, out: np.ndarray, seed: int, step_index: int, chol: np.ndarray) -> None:
+    def _request(self, out: np.ndarray, seed: int, step_index: int, scale: np.ndarray) -> None:
         """Send the worker the batch of this key, in ``out``'s shape and
         dtype, as a new job, after moving the job word on to it, which
         stops any older job."""
@@ -323,11 +310,11 @@ class NoisePrefetch:
                 self._map(size)
             self._seq += 1
             self._words[JOB] = self._seq
-            self._send((self._seq, out.shape, out.dtype.str, seed, step_index, chol))
+            self._send((self._seq, out.shape, out.dtype.str, seed, step_index, scale))
         except (OSError, subprocess.SubprocessError):
             self._fail()
             return
-        self._key = _key(out, seed, step_index, chol)
+        self._key = _key(out, seed, step_index, scale)
 
     def close(self) -> None:
         """Stop the worker and free the shared memory."""
@@ -385,8 +372,8 @@ class NoisePrefetch:
             self._jobs = None
 
 
-def _key(out: np.ndarray, seed: int, step_index: int, chol: np.ndarray) -> tuple:
-    return (out.shape, out.dtype, int(seed), int(step_index), chol.tobytes())
+def _key(out: np.ndarray, seed: int, step_index: int, scale: np.ndarray) -> tuple:
+    return (out.shape, out.dtype, int(seed), int(step_index), scale.tobytes())
 
 
 # pid -> that process's NoisePrefetch; keyed by pid so that a forked child

@@ -3,7 +3,8 @@
 The desired weight vector puts a fixed floor 1-gamma on the primary
 mission and distributes the remaining gamma over all missions through a
 Gibbs distribution of their distances to the current state: nearer
-missions get more of it.
+missions get more of it.  :func:`softmax_weights` is the one Gibbs
+weighting, of these distances and of the controller's sample costs.
 
 The weight actually applied each step is the Euclidean projection of the
 desired vector onto the probability simplex intersected with a descent
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import Mission, distance
-from .errors import ConfigError, InfeasibleConstraintError, check_real
+from .errors import ConfigError, InfeasibleConstraintError, NonFiniteCostError, check_real
 
 
 @dataclass(frozen=True)
@@ -40,28 +41,42 @@ class WeightLawParams:
         check_real("temperature", self.temperature, above=0.0)
 
 
+def softmax_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
+    """Gibbs weights ``exp(-cost / temperature)`` with min-cost shift;
+    sums to 1.
+
+    A non-finite cost gets weight 0; on finite costs the weights are those
+    of the plain formula, bit for bit.  Raises
+    :class:`NonFiniteCostError` when no cost is finite.
+    """
+    costs = np.asarray(costs, dtype=float)
+    finite = np.isfinite(costs)
+    if not finite.any():
+        raise NonFiniteCostError(f"all {costs.size} sample costs are non-finite")
+    shifted = np.where(finite, costs - costs[finite].min(), np.inf)
+    z = np.exp(-shifted / temperature)
+    return z / z.sum()
+
+
 def desired_weights(
     x: np.ndarray, missions: tuple[Mission, ...], params: WeightLawParams
 ) -> np.ndarray:
     """Distance-driven target weights on the m+1 simplex.
 
-    Entry 0 is 1 - gamma + w0*gamma, entry i is wi*gamma, where w is the
-    softmax of -distance/temperature over all missions, the distance being
-    on the position plane (max-shifted, so always finite).  When every
-    distance overflows to inf, no mission is nearer than another and w is
-    uniform.
+    Entry 0 is 1 - gamma + w0*gamma, entry i is wi*gamma, where w is
+    :func:`softmax_weights` of the missions' distances at the temperature,
+    the distance being on the position plane.  When no distance is finite
+    (a huge state's overflows to inf), no mission is nearer than another
+    and w is uniform.
     """
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):  # a huge state's distance is inf
-        logits = np.array(
-            [-distance(x, mission.target) / params.temperature for mission in missions]
-        )
-    if logits.max() == -np.inf:
-        logits[:] = 0.0
-    logits -= logits.max()
-    w = np.exp(logits)
-    w /= w.sum()
-    alpha = w * params.gamma
+    # a huge state's distance overflows to inf, and so may a distance over
+    # a tiny temperature in the softmax
+    with np.errstate(over="ignore"):
+        d = np.array([distance(x, mission.target) for mission in missions])
+        if not np.isfinite(d).any():
+            d[:] = 0.0
+        alpha = softmax_weights(d, params.temperature) * params.gamma
     alpha[0] += 1.0 - params.gamma
     return alpha
 

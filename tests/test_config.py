@@ -124,7 +124,7 @@ def test_section_keys_are_the_constructor_parameters(scenario, section, cls, giv
     "dotted",
     [
         "controller.n_samples",
-        "controller.noise_chol",
+        "controller.noise_scale",
         "weight_law",
         "name",
         "experiment.scenario_name",
@@ -143,6 +143,27 @@ def test_validation_errors_name_constraint():
     cfg["controller"]["samples"] = 0
     with pytest.raises(ConfigError, match="n_samples must be >= 1"):
         scenario_from_dict(cfg)
+
+
+@pytest.mark.parametrize(
+    "dotted, value, message",
+    [
+        ("controller.noise_cov", [[1.0, 0.2], [0.2, 1.0]], "noise_cov must be diagonal"),
+        ("controller.noise_cov", [[1.0, 0.0], [0.0, 0.0]], "positive definite"),
+        ("controller.noise_cov", 0.0, "positive definite"),
+        ("missions[1].state_weight", np.diag([1.0, 0, 0, 0]) + np.eye(4, k=1), "diagonal"),
+        ("missions[1].state_weight", np.diag([1.0, 0.0, -0.5, 1.0]), "positive semidefinite"),
+        ("missions[2].input_weight", [[0.5, 0.0], [-0.1, 0.5]], "input_weight must be diagonal"),
+        ("missions[2].input_weight", -1.0, "positive semidefinite"),
+    ],
+)
+def test_weights_and_covariance_must_be_diagonal(dotted, value, message):
+    # Q, R and the noise covariance are diagonal, weights >= 0 and
+    # variances > 0; each error names the section that holds the matrix
+    value = value.tolist() if isinstance(value, np.ndarray) else value
+    with pytest.raises(ConfigError, match=message) as err:
+        build_with("uav-free-1", dotted, value)
+    assert err.value.path == dotted.rsplit(".", 1)[0]
 
 
 def test_missing_and_invalid_files(tmp_path):

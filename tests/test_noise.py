@@ -36,24 +36,22 @@ def test_sample_noise_deterministic_and_matches_reference():
 
 @st.composite
 def noise_keys(draw):
-    """(seed, step, chol): one step's stream key and a Cholesky factor, the
-    identity or a random lower-triangular one, for 1 to 3 components."""
+    """(seed, step, scale): one step's stream key and the noise scales, the
+    standard deviations of a diagonal covariance, all 1 or random, for 1
+    to 3 components."""
     n_u = draw(st.integers(1, 3))
     seed, step_index = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 10**6))
     if draw(st.booleans()):
-        return seed, step_index, np.eye(n_u)
-    entries = st.lists(st.floats(-2.0, 2.0), min_size=n_u * n_u, max_size=n_u * n_u)
-    chol = np.tril(np.reshape(draw(entries), (n_u, n_u)))
-    diagonal = st.lists(st.floats(0.1, 3.0), min_size=n_u, max_size=n_u)
-    np.fill_diagonal(chol, draw(diagonal))
-    return seed, step_index, chol
+        return seed, step_index, np.ones(n_u)
+    scales = st.lists(st.floats(0.1, 3.0), min_size=n_u, max_size=n_u)
+    return seed, step_index, np.array(draw(scales))
 
 
 def _filled(key, horizon, m, n_samples):
     """A whole noise batch from ``_fill_noise``."""
-    seed, step_index, chol = key
-    out = np.full((chol.shape[0], dims(horizon, m)[0], n_samples), np.nan)
-    noise._fill_noise(out, seed, step_index, chol, noise._chunks(out.shape[1]))
+    seed, step_index, scale = key
+    out = np.full((scale.size, dims(horizon, m)[0], n_samples), np.nan)
+    noise._fill_noise(out, seed, step_index, scale, noise._chunks(out.shape[1]))
     return out
 
 
@@ -64,24 +62,24 @@ def test_fill_noise_matches_per_row_oracle(key, horizon, m, n_samples, data):
     # give the oracle's batch bit for bit.  The caller stops the worker's
     # job 7 by moving the job word on once the worker has drawn past the
     # split, and the progress word then counts the worker's whole chunks
-    seed, step_index, chol = key
+    seed, step_index, scale = key
     n_rows = dims(horizon, m)[0]
     split = data.draw(st.integers(0, n_rows))
-    shape = (chol.shape[0], n_rows, n_samples)
+    shape = (scale.size, n_rows, n_samples)
     shared = np.full(shape, np.nan)
     # the progress word is left over from job 6, which had every row; at
     # split 0 job 7 is handed over before it starts
     words = np.array([6 << 32 | n_rows, 7 if split else 8], np.int64)
     for rows in noise._upward(words, 7, n_rows):
-        noise._fill_noise(shared, seed, step_index, chol, [rows])
+        noise._fill_noise(shared, seed, step_index, scale, [rows])
         if rows.stop >= split:
             words[noise.JOB] = 8
     whole = min(-(-split // noise.CHUNK) * noise.CHUNK, n_rows)
     assert words[noise.PROGRESS] == (7 << 32 | whole if split else 6 << 32 | n_rows)
     out = np.full(shape, np.nan)
     out[:, :split] = shared[:, :split]
-    noise._fill_noise(out, seed, step_index, chol, noise._chunks(n_rows, split))
-    ref = draw_noise(noise.stream_key(seed, step_index), shape, chol)
+    noise._fill_noise(out, seed, step_index, scale, noise._chunks(n_rows, split))
+    ref = draw_noise(noise.stream_key(seed, step_index), shape, np.diag(scale))
     assert np.array_equal(out, ref)
 
 
@@ -123,7 +121,7 @@ def test_noise_stream_template_reuse_is_exact():
     # Chunks in any order, and rows drawn twice, give the same rows
     out = np.full((3, 40, 7), np.nan)
     chunks = [range(20, 36), range(3, 5), range(36, 40), range(0, 4), range(20, 21), range(4, 20)]
-    noise._fill_noise(out, 99, 0, np.eye(3), chunks)
+    noise._fill_noise(out, 99, 0, np.ones(3), chunks)
     assert np.array_equal(out, draw_noise(noise.stream_key(99, 0), out.shape, np.eye(3)))
 
 
@@ -139,7 +137,7 @@ def test_sample_noise_statistics():
 
 
 def test_sample_noise_applies_covariance():
-    cov = np.array([[4.0, 1.0], [1.0, 2.0]])
+    cov = np.diag([4.0, 2.0])
     params = make_params(n_samples=400, horizon=10, noise_cov=cov)
     batch = ctrl.sample_noise(params, 1, n_rows(params, 1)).reshape(2, -1).T
     emp = np.cov(batch.T)
@@ -180,7 +178,7 @@ def test_sample_noise_is_standard_normal():
 def _reference_batch(params, step_index, rows):
     """The noise batch of :func:`oracle.draw_noise`, one fresh generator per row."""
     key = noise.stream_key(params.seed, step_index)
-    return draw_noise(key, (params.n_u, rows, params.n_samples), params.noise_chol)
+    return draw_noise(key, (params.n_u, rows, params.n_samples), np.diag(params.noise_scale))
 
 
 @pytest.fixture
@@ -227,7 +225,7 @@ def _call_within(seconds, fn):
 
 def test_prefetched_noise_matches_draw_noise(own_prefetch):
     pf, ahead = own_prefetch
-    cov = np.array([[2.0, 0.5], [0.5, 1.0]])  # the worker applies the factor too
+    cov = np.diag([2.0, 0.5])  # the worker applies the scales too
     params = make_params(n_samples=16, horizon=5, noise_cov=cov, seed=8)
     # the worker's share of steps 1..5 in flat rows (25 at m=2, 5 at the
     # abort's m=0 problem): all, one, none (a stale job, with the worker
@@ -249,10 +247,10 @@ def test_prefetched_noise_matches_draw_noise(own_prefetch):
 
 def test_prefetched_float32_noise_is_the_reference_rounded_once(own_prefetch):
     # the control step's batch is float32: the worker draws and shares it
-    # as float32, each entry the float64 Cholesky mix rounded once, and a
+    # as float32, each entry the float64 scaled normal rounded once, and a
     # float64 batch of the same shape and step is another key, drawn anew
     pf, ahead = own_prefetch
-    cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+    cov = np.diag([2.0, 0.5])
     params = make_params(n_samples=16, horizon=5, noise_cov=cov, seed=8)
     for t in range(3):
         if t:
@@ -268,19 +266,19 @@ def test_prefetched_float32_noise_is_the_reference_rounded_once(own_prefetch):
 
 
 def test_worker_rounds_a_mix_beyond_float32_range_to_inf_silently():
-    # a worker's float32 job under a Cholesky factor of 3e38: mixed values
+    # a worker's float32 job under noise scales of 3e38: scaled values
     # beyond float32's range are inf, samples of weight 0 in the control
     # step, and the worker raises no overflow warning
     shape = (2, 5, 8)
-    chol = np.array([[3e38, 0.0], [3e38, 3e38]])
+    scale = np.array([3e38, 2e38])
     shared = bytearray(noise.HEADER + 4 * math.prod(shape))  # the shared file's layout
     np.ndarray(2, np.int64, buffer=shared)[noise.JOB] = 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        noise._run_job(shared, 1, shape, np.dtype(np.float32).str, 3, 4, chol)
+        noise._run_job(shared, 1, shape, np.dtype(np.float32).str, 3, 4, scale)
     batch = np.ndarray(shape, np.float32, buffer=shared, offset=noise.HEADER)
     with np.errstate(over="ignore"):
-        expected = draw_noise(noise.stream_key(3, 4), shape, chol).astype(np.float32)
+        expected = draw_noise(noise.stream_key(3, 4), shape, np.diag(scale)).astype(np.float32)
     assert np.isinf(expected).any() and np.isfinite(expected).any()
     assert np.array_equal(batch, expected)
 
