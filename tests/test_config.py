@@ -124,6 +124,7 @@ def test_section_keys_are_the_constructor_parameters(scenario, section, cls, giv
     "dotted",
     [
         "controller.n_samples",
+        "controller.noise_chol",
         "controller.noise_scale",
         "weight_law",
         "name",
