@@ -73,8 +73,12 @@ target, mode scale or noise value beyond it rounds to inf in the batch,
 silently too, and takes the same path; so does a cost term whose float32
 value overflows, as the square of an entry beyond about 1.8e19 does.  A
 sample of weight 0 still enters the weighted mean, where an inf entry
-gives 0 * inf = NaN, so a step whose updated plan is not finite raises
-the same error before it hands out an input.
+gives 0 * inf = NaN.  So when the updated plan is not finite, the step
+zeroes the non-finite entries of its weight-0 samples and updates once
+more; a finite update runs neither.  A plan that is still not finite,
+whose weighted mean overflows or reads a non-finite entry of a sample of
+positive weight, raises the same error before the step hands out an
+input.
 
 Step buffers
 ------------
@@ -425,7 +429,11 @@ def control_step(
             raise NonFiniteCostError(str(exc), step=state.step_index) from None
     new_inputs = mppi_update(shifted, samples, weights)
     if not np.isfinite(new_inputs.flat).all():
-        raise NonFiniteCostError("the updated plan is not finite", step=state.step_index)
+        # 0 * inf = NaN: zero the weight-0 samples' non-finite entries, retry
+        np.copyto(samples, 0.0, where=(weights == 0.0) & ~np.isfinite(samples))
+        new_inputs = mppi_update(shifted, samples, weights)
+        if not np.isfinite(new_inputs.flat).all():
+            raise NonFiniteCostError("the updated plan is not finite", step=state.step_index)
     u_exec = new_inputs.primary[0].copy()
     t_end = time.perf_counter()
 

@@ -5,7 +5,11 @@ Two models are provided:
 * :class:`DoubleIntegrator` -- planar point mass, state
   ``[px, py, vx, vy]``, input ``[ax, ay]``, 0.1 s sample time.
 * :class:`SimpleCar` -- kinematic car, state ``[px, py, theta]``, input
-  ``[v, phi]`` (speed, steering angle).
+  ``[v, phi]`` (speed, steering angle), 0.2 m wheelbase, 0.1 s sample
+  time.
+
+Wheelbase and time step are class constants, so a model is built from its
+modes alone.
 
 A model carries its modes as one read-only ``(n_modes, n_u)`` array of
 non-negative input scales.  Mode ``j`` multiplies the input channel-wise by
@@ -44,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .buffers import buffer
-from .errors import ConfigError, check_real, real_array
+from .errors import ConfigError, real_array
 
 
 class DynamicsModel:
@@ -117,18 +121,14 @@ class SimpleCar(DynamicsModel):
     """Kinematic simple car (nonholonomic).
 
     ``px += v*cos(theta)*dt``, ``py += v*sin(theta)*dt``,
-    ``theta += (v/L)*tan(phi)*dt`` with wheelbase L and time step dt.
+    ``theta += (v/L)*tan(phi)*dt`` with wheelbase L = 0.2 m and time step
+    dt = 0.1 s.
     """
 
     n_x = 3
     n_u = 2
-
-    def __init__(self, wheelbase: float = 0.2, time_step: float = 0.1, modes=None):
-        check_real("wheelbase", wheelbase, above=0.0)
-        check_real("time_step", time_step, above=0.0)
-        self.wheelbase = float(wheelbase)
-        self.time_step = float(time_step)
-        super().__init__(modes)
+    wheelbase = 0.2
+    time_step = 0.1
 
     def update(self, x, u, out=None, scale=1.0):
         # [i, ...] keeps a 0-d view of a single state's component; the

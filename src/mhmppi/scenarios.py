@@ -26,7 +26,7 @@ _UAV_BASE = {
         "noise_cov": 1.0,
         "seed": 0,
     },
-    "weights": {"gamma": 0.66, "temperature": 1.0},
+    "weights": {"gamma": 0.66},
     "x0": [0.0, 0.0, 0.0, 0.0],
     "max_steps": 400,
     "completion_tol": 0.5,
@@ -66,7 +66,7 @@ def builtin_scenarios() -> dict:
         "ugv-obstacles": _uav(
             [[2.0, 6.0, 0.0], [6.0, 12.0, 0.0]],
             primary=(10.0, 10.0, 0.0),
-            model={"kind": "simple_car", "wheelbase": 0.2, "time_step": 0.1},
+            model={"kind": "simple_car"},
             obstacles={"boxes": copy.deepcopy(_OBSTACLE_BOXES)},
             controller={"samples": 2000},
             x0=[0.0, 0.0, 0.0],

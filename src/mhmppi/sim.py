@@ -27,7 +27,7 @@ from .cost import Mission, ObstacleSet, distance
 from .dynamics import DynamicsModel, step
 from .errors import ConfigError, NonFiniteCostError, check_int, check_real, real_array
 from .multi_horizon import MultiHorizonInput
-from .weights import WeightLawParams, desired_weights
+from .weights import WeightLawParams
 
 ABORT_POLICIES = ("min_cost", "nearest")
 

@@ -2,9 +2,10 @@
 
 The desired weight vector puts a fixed floor 1-gamma on the primary
 mission and distributes the remaining gamma over all missions through a
-Gibbs distribution of their distances to the current state: nearer
-missions get more of it.  :func:`softmax_weights` is the one Gibbs
-weighting, of these distances and of the controller's sample costs.
+Gibbs distribution, at unit temperature, of their distances to the
+current state: nearer missions get more of it.  So gamma is the law's
+one parameter.  :func:`softmax_weights` is the one Gibbs weighting, of
+these distances and of the controller's sample costs.
 
 The weight actually applied each step is the Euclidean projection of the
 desired vector onto the probability simplex intersected with a descent
@@ -28,17 +29,14 @@ from .errors import ConfigError, InfeasibleConstraintError, NonFiniteCostError, 
 
 @dataclass(frozen=True)
 class WeightLawParams:
-    """gamma: total weight available to backup missions, in [0, 1).
-    temperature: Gibbs temperature of the distance weighting, > 0."""
+    """gamma: total weight available to backup missions, in [0, 1)."""
 
     gamma: float = 0.66
-    temperature: float = 1.0
 
     def __post_init__(self):
         check_real("gamma", self.gamma)
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
-        check_real("temperature", self.temperature, above=0.0)
 
 
 def softmax_weights(costs: np.ndarray, temperature: float) -> np.ndarray:
@@ -64,19 +62,18 @@ def desired_weights(
     """Distance-driven target weights on the m+1 simplex.
 
     Entry 0 is 1 - gamma + w0*gamma, entry i is wi*gamma, where w is
-    :func:`softmax_weights` of the missions' distances at the temperature,
+    :func:`softmax_weights` of the missions' distances at temperature 1,
     the distance being on the position plane.  When no distance is finite
     (a huge state's overflows to inf), no mission is nearer than another
     and w is uniform.
     """
     x = np.asarray(x, dtype=float)
-    # a huge state's distance overflows to inf, and so may a distance over
-    # a tiny temperature in the softmax
+    # a huge state's distance overflows to inf
     with np.errstate(over="ignore"):
         d = np.array([distance(x, mission.target) for mission in missions])
         if not np.isfinite(d).any():
             d[:] = 0.0
-        alpha = softmax_weights(d, params.temperature) * params.gamma
+        alpha = softmax_weights(d, 1.0) * params.gamma
     alpha[0] += 1.0 - params.gamma
     return alpha
 

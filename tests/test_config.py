@@ -50,7 +50,6 @@ def test_benchmark_reference_settings():
     assert scenario.controller.n_samples == 1000
     assert scenario.controller.temperature == 0.5
     assert scenario.weight_law.gamma == 0.66
-    assert scenario.weight_law.temperature == 1.0
     assert np.array_equal(scenario.missions[0].target, [10, 10, 0, 0])
     assert np.array_equal(scenario.missions[1].target, [2, 6, 0, 0])
     assert np.array_equal(scenario.missions[2].target, [8, 6, 0, 0])
@@ -129,14 +128,17 @@ def test_section_keys_are_the_constructor_parameters(scenario, section, cls, giv
         "weight_law",
         "name",
         "experiment.scenario_name",
-        "model.wheelbase",  # a double integrator's; it has no such parameter
+        "model.wheelbase",  # the car's constants, no parameters of either model
         "model.time_step",
+        "weights.temperature",  # the distance softmax runs at temperature 1
     ],
 )
 def test_python_only_and_other_models_keys_rejected(dotted):
-    key = dotted.rsplit(".", 1)[-1]
-    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-        build_with("uav-free-1", dotted, 1)
+    section, _, key = dotted.rpartition(".")
+    for scenario in ("uav-free-1", "ugv-obstacles"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'") as err:
+            build_with(scenario, dotted, 1)
+        assert err.value.path == (section or "scenario")
 
 
 def test_validation_errors_name_constraint():
@@ -362,9 +364,9 @@ def test_experiment_keeps_its_own_copies():
     [
         ({"completion_tol": float("nan")}, "scenario"),
         ({"x0": [0.0, float("nan"), 0.0, 0.0]}, "scenario"),
-        ({"weights.temperature": float("nan")}, "weights"),
+        ({"weights.gamma": float("nan")}, "weights"),
         ({"model.modes": [[1.0, float("nan")]]}, "model"),
-        ({"model": {"kind": "simple_car", "wheelbase": float("nan")}}, "model"),
+        ({"model": {"kind": "simple_car", "modes": [[float("nan"), 1.0]]}}, "model"),
         ({"missions[1].target": [2.0, float("nan"), 0.0, 0.0]}, "missions[1]"),
         ({"obstacles.penalty": float("nan")}, "obstacles"),
         ({"obstacles.boxes": [[[0, 0], [float("nan"), 1]]]}, "obstacles"),

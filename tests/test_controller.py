@@ -375,15 +375,15 @@ def extreme_problems(draw):
         temperature=draw(MAGNITUDES),
         seed=draw(st.integers(0, 1000)),
     )
-    wl = WeightLawParams(gamma=draw(st.floats(0.0, 0.99)), temperature=draw(MAGNITUDES))
+    wl = WeightLawParams(gamma=draw(st.floats(0.0, 0.99)))
     return model, missions, obstacles, params, wl, vec(model.n_x)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(extreme_problems())
 @example(
-    # three of the 1000 samples overflow float32 and get weight 0, and the
-    # weighted mean's 0 * inf made the step-0 plan NaN
+    # three of the 1000 samples overflow float32 and get weight 0, and
+    # their 0 * inf in the weighted mean must not make the plan NaN
     (
         DoubleIntegrator(modes=[[0.0, 0.0]]),
         (Mission.build([1, 1, 0, 0], input_weight=0.0),),
@@ -413,6 +413,26 @@ def test_control_step_gives_a_finite_plan_or_a_located_error(problem):
         assert c @ alpha <= max(c @ state.alpha, c.min())
         x = step(model, x, u, missions[0].mode)
         state = new_state
+
+
+def test_weight_zero_samples_beyond_float32_leave_the_plan_finite():
+    # at Σ = 1e76 I three of the 1000 samples hold inf entries, each of
+    # weight 0, so the weighted mean reads 0 * inf = NaN there; the step
+    # zeroes those entries and returns the mean of the other 997 samples
+    model = DoubleIntegrator(modes=[[0.0, 0.0]])
+    missions = (Mission.build([1, 1, 0, 0], input_weight=0.0),)
+    params = make_params(n_samples=1000, horizon=3, noise_cov=1e76, seed=1)
+    wl, x = WeightLawParams(), np.zeros(4)
+    state = ctrl.init_state(x, params, missions, wl)
+    u, new_state, diag = ctrl.control_step(x, state, model, missions, NO_OBS, params, wl)
+    assert np.isfinite(u).all() and np.isfinite(new_state.inputs.flat).all()
+    noise = np.empty((2, n_rows(params, 0), params.n_samples), np.float32)
+    with np.errstate(over="ignore"):
+        ctrl.sample_noise(params, 0, noise.shape[1], out=noise)
+    finite = np.isfinite(noise).all(axis=(0, 1))
+    assert finite.sum() == 997 and round(diag.ess) == 997
+    mean = noise[:, :, finite].astype(float).mean(axis=2).T
+    np.testing.assert_allclose(new_state.inputs.flat, mean, rtol=1e-12)
 
 
 def _spread(rng, n):

@@ -27,7 +27,7 @@ def test_double_integrator_rollout_recursion():
 
 
 def test_simple_car_straight_line():
-    model = SimpleCar(wheelbase=0.2, time_step=0.1)
+    model = SimpleCar()
     out = step(model, [0, 0, 0], [1, 0])
     assert np.allclose(out, [0.1, 0, 0])
     states = rollout(model, [0, 0, 0], [[1, 0]] * 3)
@@ -94,10 +94,6 @@ def test_dimension_and_mode_errors():
         step(model, [0, 0, 0, 0], [0, 0, 0])
     with pytest.raises(ConfigError):
         step(model, [0, 0, 0, 0], [0, 0], mode=3)
-    with pytest.raises(ConfigError):
-        SimpleCar(wheelbase=0.0)
-    with pytest.raises(ConfigError):
-        SimpleCar(time_step=-0.1)
     with pytest.raises(ConfigError):
         DoubleIntegrator([[1.0, -0.1]])
 

@@ -47,7 +47,7 @@ def test_desired_weights_gibbs_oracle():
     # distances (1, 2, 3), temperature 1, gamma 0.66; frozen from a direct
     # evaluation of the exponential weighting
     missions, x = missions_with_distances([1.0, 2.0, 3.0])
-    params = WeightLawParams(gamma=0.66, temperature=1.0)
+    params = WeightLawParams(gamma=0.66)
     alpha = desired_weights(x, missions, params)
     assert np.allclose(alpha, [0.77905903, 0.16152079, 0.05942018], atol=1e-8)
 
@@ -102,8 +102,6 @@ def test_weight_law_validation():
         WeightLawParams(gamma=1.0)
     with pytest.raises(ConfigError):
         WeightLawParams(gamma=-0.1)
-    with pytest.raises(ConfigError):
-        WeightLawParams(temperature=0.0)
 
 
 # ------------------------------------------------------------- projection
