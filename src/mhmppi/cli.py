@@ -15,8 +15,9 @@ Verbs:
   skeleton plus every built-in scenario dict as written.  A key a
   scenario leaves out (``completion_metric``, the mission weights and
   modes, ...) takes the default of the constructor its section feeds; see
-  :mod:`mhmppi.config`.  The car's wheelbase, each model's time step and
-  the weight law's distance temperature are constants, not keys.
+  :mod:`mhmppi.config`.  The car's wheelbase, each model's time step,
+  the weight law's distance temperature and the obstacle penalty are
+  constants, not keys.
 
 Runs are deterministic given their resolved config: trace payloads are
 byte identical across repeats except for the wall-time column.

@@ -313,10 +313,10 @@ def evaluate_plan_batch(
     stage = buffer("controller.terms", (horizon, n_batch), dtype)
     visited = states[:, 1:]  # the states charged a stage term
     hit = None
-    if obstacles.charged:
+    if len(obstacles.boxes):
         hit = buffer("controller.hit", stage.shape, bool)
         obstacles.inside(visited[:POSITION_DIMS], hit)
-    cost_mod.stage_cost_terms(missions[0], visited, primary_inputs, obstacles, stage, hit=hit)
+    cost_mod.stage_cost_terms(missions[0], visited, primary_inputs, stage, hit=hit)
     terminal = cost_mod.terminal_cost_terms(missions[0], states[:, -1])
     costs[:, 0] = np.add.reduce(stage, axis=0, dtype=float) + terminal
     tail_costs[:, 0] = np.add(stage[-1], terminal, dtype=float)
@@ -327,7 +327,7 @@ def evaluate_plan_batch(
     shared = np.arange(horizon - 1, 0, -1.0)  # branches through primary stage k = 1..N-1
     branch_sum = np.empty((m, n_batch))
     for j, mission in backups:
-        cost_mod.stage_cost_terms(mission, visited, primary_inputs, obstacles, stage, hit=hit)
+        cost_mod.stage_cost_terms(mission, visited, primary_inputs, stage, hit=hit)
         np.einsum("k,kq->q", shared, stage[:-1], out=branch_sum[j])
 
     rows = branch_rows(horizon, m)
@@ -343,14 +343,12 @@ def evaluate_plan_batch(
         u = flat_batch[:, first : first + m * t].reshape(n_u, m, t, n_batch)
         model.update(running, u, out=running, scale=tail_scales)
         hit = [None] * m
-        if obstacles.charged:
+        if len(obstacles.boxes):
             hit = buffer("controller.tail_hit", (m, t, n_batch), bool)
             obstacles.inside(running[:POSITION_DIMS], hit)
         terms = buffer("controller.terms", (t, n_batch), dtype)
         for j, mission in backups:
-            cost_mod.stage_cost_terms(
-                mission, running[:, j], u[:, j], obstacles, terms, hit=hit[j]
-            )
+            cost_mod.stage_cost_terms(mission, running[:, j], u[:, j], terms, hit=hit[j])
             np.add.reduce(terms, axis=0, dtype=float, out=stage[j])
         branch_sum += stage
     terms = buffer("controller.terms", (horizon - 1, n_batch), dtype)
@@ -387,6 +385,12 @@ def control_step(
     """One full receding-horizon step; see the module docstring.  m is
     ``len(missions) - 1``, and a plan in ``state`` of another m or horizon
     raises ValueError.  ``params`` was validated when it was made."""
+    shape = (state.inputs.horizon, state.inputs.n_alternatives)
+    if shape != (params.horizon, len(missions) - 1):
+        raise ValueError(
+            f"plan has horizon {shape[0]} with m={shape[1]}, expected horizon "
+            f"{params.horizon} with m={len(missions) - 1}"
+        )
     t_start = time.perf_counter()
     x = np.asarray(x, dtype=float)
 

@@ -8,10 +8,11 @@ quadratic at the final state.  The known initial state is never charged.  A prob
 missions are a plain tuple of :class:`Mission`: entry 0 is the primary
 mission and entries 1..m are the backup missions.
 
-Obstacles are axis-aligned boxes on the position plane; occupancy adds a
-constant penalty to the stage term (soft constraint), which keeps every
-cost finite for the sampling weights downstream.  The caller tests the
-boxes and passes the occupancy to the stage kernel.
+Obstacles are axis-aligned boxes on the position plane; occupancy adds
+the constant penalty :attr:`ObstacleSet.penalty` to the stage term (soft
+constraint), which keeps every cost finite for the sampling weights
+downstream.  The caller tests the boxes and passes the occupancy to the
+stage kernel.
 
 The cost of the whole plan structure is a vector of m+1 entries: entry 0
 is the primary plan's cost, entry i >= 1 averages mission i's cost over
@@ -26,7 +27,8 @@ temporaries are :mod:`mhmppi.buffers` scratch of that dtype.  The
 constants they apply, target entries, weights and box corners, are
 Python floats, which under numpy's promotion rules take the array's
 dtype, and the penalty is made a scalar of that dtype: an ``np.float64``
-scalar would promote a float32 kernel to float64.
+scalar would promote a float32 kernel to float64.  The penalty, 1e4, is
+exact in float32 and float64 alike.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .buffers import buffer
-from .errors import ConfigError, check_int, check_real, diagonal_matrix, real_array
+from .errors import ConfigError, check_int, diagonal_matrix, real_array
 
 POSITION_DIMS = 2
 
@@ -111,12 +113,14 @@ class Mission:
 
 @dataclass(frozen=True)
 class ObstacleSet:
-    """Axis-aligned boxes on the position plane with a constant penalty.
-    ``boxes`` holds (min corner, max corner) pairs as a read-only [box,
-    corner, axis] array.  Every construction is validated here."""
+    """Axis-aligned boxes on the position plane.  ``boxes`` holds (min
+    corner, max corner) pairs as a read-only [box, corner, axis] array.
+    Every construction is validated here.  ``penalty``, the stage cost
+    that occupancy of any box adds, is a class constant, as the car's
+    wheelbase is: no scenario sets another."""
 
     boxes: np.ndarray = ()
-    penalty: float = 1.0e4
+    penalty = 1.0e4
 
     def __post_init__(self):
         boxes = real_array("boxes", self.boxes)
@@ -128,15 +132,7 @@ class ObstacleSet:
         boxes = boxes.reshape(-1, 2, POSITION_DIMS)
         if np.any(boxes[:, 0] > boxes[:, 1]):
             raise ConfigError("obstacle min corner must be <= max corner")
-        check_real("obstacle penalty", self.penalty)
-        if self.penalty < 0.0:
-            raise ConfigError("obstacle penalty must be >= 0")
         object.__setattr__(self, "boxes", boxes)
-
-    @property
-    def charged(self) -> bool:
-        """Whether occupancy adds to the cost: some box, nonzero penalty."""
-        return len(self.boxes) > 0 and self.penalty != 0.0
 
     def inside(self, positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Boolean occupancy of any box for (2, ...) positions (inclusive),
@@ -186,23 +182,21 @@ def stage_cost_terms(
     mission: Mission,
     states: np.ndarray,
     inputs: np.ndarray,
-    obstacles: ObstacleSet,
     out: np.ndarray | None = None,
     *,
     hit: np.ndarray | None,
 ) -> np.ndarray:
     """Element-wise stage costs for matching (n_x, ...)/(n_u, ...) arrays,
     written into and returned as ``out`` (a new array by default).
-    The penalty is added where ``hit``, the caller's ``obstacles.inside``
-    of the states' positions, is true; None adds none."""
+    :attr:`ObstacleSet.penalty` is added where ``hit``, the caller's
+    :meth:`ObstacleSet.inside` of the states' positions, is true; None
+    adds none."""
     cost = _quad(states, mission.state_support, mission.center, out)
     cost += _quad(inputs, mission.input_support, out=buffer("cost.input", cost.shape, cost.dtype))
     if hit is not None:
         # hit * penalty, then one add: a masked add (where=hit) takes about
-        # six times as long, and adding 0.0 outside the boxes changes no
-        # bit.  A penalty beyond float32's range is charged as its largest
-        # value, as an inf one would charge inf * 0 = NaN outside the boxes
-        penalty = cost.dtype.type(min(obstacles.penalty, float(np.finfo(cost.dtype).max)))
+        # six times as long, and adding 0.0 outside the boxes changes no bit
+        penalty = cost.dtype.type(ObstacleSet.penalty)
         cost += np.multiply(hit, penalty, out=buffer("cost.charge", cost.shape, cost.dtype))
     return cost
 

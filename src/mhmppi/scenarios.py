@@ -18,7 +18,7 @@ from .errors import ConfigError
 
 _UAV_BASE = {
     "model": {"kind": "double_integrator"},
-    "obstacles": {"boxes": [], "penalty": 1.0e4},
+    "obstacles": {"boxes": []},
     "controller": {
         "samples": 1000,
         "horizon": 10,

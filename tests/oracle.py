@@ -203,7 +203,7 @@ def _stage_terms(mission: Mission, states, inputs, obstacles: ObstacleSet) -> np
     """Stage costs for matching (..., n_x)/(..., n_u) arrays."""
     cost = _dense_quad(states - mission.target, mission.state_weight)
     cost = cost + _dense_quad(inputs, mission.input_weight)
-    if len(obstacles.boxes) and obstacles.penalty:
+    if len(obstacles.boxes):
         # in a box: every position entry between its corners (inclusive)
         positions = states[..., None, :POSITION_DIMS]
         lo, hi = obstacles.boxes[:, 0], obstacles.boxes[:, 1]

@@ -131,6 +131,7 @@ def test_section_keys_are_the_constructor_parameters(scenario, section, cls, giv
         "model.wheelbase",  # the car's constants, no parameters of either model
         "model.time_step",
         "weights.temperature",  # the distance softmax runs at temperature 1
+        "obstacles.penalty",  # one constant penalty for every box
     ],
 )
 def test_python_only_and_other_models_keys_rejected(dotted):
@@ -368,7 +369,6 @@ def test_experiment_keeps_its_own_copies():
         ({"model.modes": [[1.0, float("nan")]]}, "model"),
         ({"model": {"kind": "simple_car", "modes": [[float("nan"), 1.0]]}}, "model"),
         ({"missions[1].target": [2.0, float("nan"), 0.0, 0.0]}, "missions[1]"),
-        ({"obstacles.penalty": float("nan")}, "obstacles"),
         ({"obstacles.boxes": [[[0, 0], [float("nan"), 1]]]}, "obstacles"),
     ],
 )

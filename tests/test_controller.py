@@ -314,6 +314,20 @@ def test_control_step_is_deterministic():
     assert np.array_equal(s1.alpha, s2.alpha)
 
 
+@pytest.mark.parametrize("plan_horizon, plan_m", [(6, 0), (3, 0), (4, 1)])
+def test_control_step_rejects_a_plan_of_another_horizon_or_m(plan_horizon, plan_m):
+    # (N=6, m=0) and (N=3, m=1) both have 6 flat rows, so a check of the
+    # row count alone lets the first plan through as a plan of the second
+    params = ctrl.ControllerParams.build(64, 3, n_u=2)
+    missions = (Mission.build([1.0, 1.0, 0, 0]), Mission.build([0.0, 1.0, 0, 0]))
+    plan = MultiHorizonInput.zeros(plan_horizon, plan_m, 2)
+    state = ctrl.ControllerState(plan, np.array([0.5, 0.5]))
+    wl = WeightLawParams(gamma=0.66)
+    expected = f"horizon {plan_horizon} with m={plan_m}, expected horizon 3 with m=1"
+    with pytest.raises(ValueError, match=expected):
+        ctrl.control_step(np.zeros(4), state, DoubleIntegrator(), missions, NO_OBS, params, wl)
+
+
 def test_control_step_alpha_on_simplex_and_descent():
     params = make_params(n_samples=48, horizon=6, seed=5)
     model = DoubleIntegrator()
@@ -364,10 +378,7 @@ def extreme_problems(draw):
         for _ in range(draw(st.integers(1, 3)))
     )
     corners = [vec(2) for _ in range(draw(st.integers(0, 2)))]
-    obstacles = ObstacleSet(
-        [[corner, corner + vec(2, MAGNITUDES)] for corner in corners],
-        penalty=draw(st.just(0.0) | MAGNITUDES),
-    )
+    obstacles = ObstacleSet([[corner, corner + vec(2, MAGNITUDES)] for corner in corners])
     params = make_params(
         n_samples=draw(st.integers(1, 8)),
         horizon=draw(st.integers(2, 4)),
@@ -459,9 +470,7 @@ def _oracle_case(model_cls, horizon, m, seed, spread=False):
         )
         for i in range(m + 1)
     )
-    obstacles = ObstacleSet(
-        [((-0.05, -0.3), (0.3, 0.05)), ((0.1, 0.1), (0.6, 0.6))], penalty=5.0
-    )
+    obstacles = ObstacleSet([((-0.05, -0.3), (0.3, 0.05)), ((0.1, 0.1), (0.6, 0.6))])
     base = MultiHorizonInput(horizon, m, rng.standard_normal((dims(horizon, m)[0], 2)))
     base = base.shift()  # the last input of every plan is the zero pad
     flat_batch = base.flat[None] + 0.8 * rng.standard_normal((6, *base.flat.shape))
@@ -511,8 +520,8 @@ def test_float32_batch_costs_match_float64_route():
     # to |phi| near 4, past the poles of tan, which amplify the rounding of
     # phi by about 1 / |sin(2 phi)|: 1024 epsilons.  A state within float32
     # rounding of a box face may count the box in one route only, so the
-    # hits are compared first: doubling the penalty adds one penalty share
-    # per hit, and the routes must add the same number
+    # hits are compared first: the boxes add one penalty share per hit over
+    # the costs with no boxes, and the routes must add the same number
     eps = float(np.finfo(np.float32).eps)
     for model_cls, rtol in ((DoubleIntegrator, 8 * eps), (SimpleCar, 1024 * eps)):
         for horizon, m, spread in [
@@ -522,7 +531,6 @@ def test_float32_batch_costs_match_float64_route():
             model, missions, obstacles, _, flat_batch = _oracle_case(
                 model_cls, horizon, m, seed=10 * horizon + m, spread=spread
             )
-            doubled = replace(obstacles, penalty=2 * obstacles.penalty)
             batch = flat_batch.transpose(2, 1, 0).astype(np.float32)
             x0 = np.zeros(model.n_x)
             routes = []
@@ -530,9 +538,9 @@ def test_float32_batch_costs_match_float64_route():
                 costs, tails = ctrl.evaluate_plan_batch(
                     model, x0, plans, horizon, missions, obstacles
                 )
-                more, _ = ctrl.evaluate_plan_batch(model, x0, plans, horizon, missions, doubled)
+                free, _ = ctrl.evaluate_plan_batch(model, x0, plans, horizon, missions, NO_OBS)
                 # hits, each branch-averaged backup hit counted N-1 times
-                hits = np.rint((more - costs) * (horizon - 1) / obstacles.penalty)
+                hits = np.rint((costs - free) * (horizon - 1) / ObstacleSet.penalty)
                 routes.append((costs, tails, hits))
             (costs, tails, hits), (costs64, tails64, hits64) = routes
             assert hits.any() and np.array_equal(hits, hits64), case
@@ -577,23 +585,6 @@ def test_float32_batch_runs_no_float64_kernel(monkeypatch):
         batch = flat_batch.transpose(2, 1, 0).astype(np.float32)
         ctrl.evaluate_plan_batch(model, np.zeros(model.n_x), batch, 5, missions, obstacles)
     assert not promoted
-
-
-def test_float32_penalty_beyond_range_charges_only_the_boxes():
-    # a 1e39 penalty is beyond float32's range: a plan that enters a box
-    # costs at least float32's largest value, finite as in float64, and
-    # every other plan what it costs with no boxes at all
-    model, missions, obstacles, _, flat_batch = _oracle_case(DoubleIntegrator, 5, 2, seed=52)
-    boxes = replace(obstacles, penalty=1e39)
-    batch = flat_batch.transpose(2, 1, 0).astype(np.float32)
-    x0 = np.zeros(4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        costs, _ = ctrl.evaluate_plan_batch(model, x0, batch, 5, missions, boxes)
-    free, _ = ctrl.evaluate_plan_batch(model, x0, batch, 5, missions, NO_OBS)
-    hit = costs >= np.finfo(np.float32).max / (5 - 1)
-    assert hit.any() and np.isfinite(costs).all()
-    assert np.array_equal(costs[~hit], free[~hit])
 
 
 def test_plan_beyond_float32_range_names_the_step():
@@ -806,11 +797,7 @@ def test_each_simulated_state_is_tested_against_the_boxes_once(monkeypatch, hori
     flat_batch = np.random.default_rng(m).standard_normal((2, dims(horizon, m)[0], n_batch))
     box = [((0.0, 0.0), (1.0, 1.0))]
     states = dims(horizon, m)[1] - 1  # all but the known initial state
-    for obstacles, expected in [
-        (ObstacleSet(box, penalty=5.0), states),
-        (ObstacleSet(), 0),
-        (ObstacleSet(box, penalty=0.0), 0),
-    ]:
+    for obstacles, expected in [(ObstacleSet(box), states), (ObstacleSet(), 0)]:
         tested.clear()
         ctrl.evaluate_plan_batch(model, np.zeros(4), flat_batch, horizon, missions, obstacles)
         assert sum(tested) == expected * n_batch, obstacles
@@ -825,7 +812,7 @@ def _buffer_case():
         Mission.build([0.0, 1.5, 0, 0], mode=1),
         Mission.build([1.5, 0.0, 0, 0], state_weight=2.0),
     )
-    obstacles = ObstacleSet([((0.2, 0.2), (0.8, 0.8))], penalty=50.0)
+    obstacles = ObstacleSet([((0.2, 0.2), (0.8, 0.8))])
     params = make_params(n_samples=64, horizon=6, seed=11)
     return model, missions, obstacles, params, WeightLawParams(gamma=0.66)
 

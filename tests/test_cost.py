@@ -35,7 +35,7 @@ def test_stage_cost_quadratic_value():
 
 
 def test_stage_cost_obstacle_penalty_only():
-    obstacles = ObstacleSet([([9, 9], [11, 11])], penalty=1e4)
+    obstacles = ObstacleSet([([9, 9], [11, 11])])
     mission = Mission.build([10, 10, 0, 0])
     assert stage_cost(mission, [10, 10, 0, 0], [0, 0], obstacles) == pytest.approx(1e4)
     # boundary is inclusive
@@ -213,8 +213,6 @@ def test_distance_metrics():
 def test_obstacle_validation():
     with pytest.raises(ConfigError):
         ObstacleSet([([1, 1], [0, 0])])
-    with pytest.raises(ConfigError):
-        ObstacleSet([([0, 0], [1, 1])], penalty=-1.0)
     obstacles = ObstacleSet([([0, 0], [1, 1]), ([5, 5], [6, 6])])
     inside = obstacles.inside(np.array([[0.5, 0.5], [2.0, 2.0], [5.5, 6.0]]).T)
     assert inside.tolist() == [True, False, True]
@@ -222,11 +220,8 @@ def test_obstacle_validation():
 
 def test_obstacle_set_keeps_one_read_only_box_array():
     corners = [[[0.0, 0.0], [1.0, 1.0]], [[5.0, 5.0], [6.0, 7.0]]]
-    obstacles = ObstacleSet(corners, penalty=2.0)
+    obstacles = ObstacleSet(corners)
     assert obstacles.boxes.shape == (2, 2, 2) and not obstacles.boxes.flags.writeable
-    assert obstacles.charged
-    assert not ObstacleSet().charged
-    assert not ObstacleSet(corners, penalty=0.0).charged
     assert ObstacleSet().boxes.shape == (0, 2, 2)
     corners[0][0][0] = 9.0  # the caller's list stays the caller's
     assert obstacles.boxes[0, 0, 0] == 0.0
@@ -238,15 +233,15 @@ def test_obstacle_set_keeps_one_read_only_box_array():
 
 def test_stage_cost_terms_takes_the_occupancy_from_its_caller():
     mission = Mission.build([10, 10, 0, 0])
-    obstacles = ObstacleSet([([9, 9], [11, 11])], penalty=1e4)
+    obstacles = ObstacleSet([([9, 9], [11, 11])])
     states = np.array([[10.0, 0.0], [10.0, 0.0], [0.0, 0.0], [0.0, 0.0]])  # on target, at 0
     inputs = np.zeros((2, 2))
     with pytest.raises(TypeError, match="hit"):
-        stage_cost_terms(mission, states, inputs, obstacles)
-    free = stage_cost_terms(mission, states, inputs, obstacles, hit=None)
+        stage_cost_terms(mission, states, inputs)
+    free = stage_cost_terms(mission, states, inputs, hit=None)
     assert free.tolist() == [0.0, 200.0]  # None adds no penalty
     hit = obstacles.inside(states[:2])
-    assert stage_cost_terms(mission, states, inputs, obstacles, hit=hit).tolist() == [1e4, 200.0]
+    assert stage_cost_terms(mission, states, inputs, hit=hit).tolist() == [1e4, 200.0]
 
 
 def test_weight_matrix_validation():
@@ -296,5 +291,5 @@ def test_weight_support_lists_the_nonzero_diagonal():
     states, inputs = rng.standard_normal((3, 7)), rng.standard_normal((2, 7))
     d = states - mission.target[:, None]
     expected = np.einsum("ik,ij,jk->k", d, q, d) + 0.5 * (inputs * inputs).sum(0)
-    terms = stage_cost_terms(mission, states, inputs, NO_OBS, hit=None)
+    terms = stage_cost_terms(mission, states, inputs, hit=None)
     assert np.allclose(terms, expected, rtol=1e-13)

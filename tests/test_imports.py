@@ -1,13 +1,16 @@
-"""Every name a package module imports is read; ``__init__.py`` is left
-out, since its imports are the package's re-exports."""
+"""Every name a package module or test file imports is read; the
+package's ``__init__.py`` is left out, since its imports are the
+package's re-exports."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "mhmppi"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "mhmppi"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -3,10 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mhmppi import config as config_mod
 from mhmppi import sim as sim_mod
 from mhmppi.controller import ControllerParams, ControllerState
-from mhmppi.cost import Mission, ObstacleSet, distance
+from mhmppi.cost import Mission, ObstacleSet
 from mhmppi.dynamics import DoubleIntegrator, step
 from mhmppi.errors import ConfigError, NonFiniteCostError
 from mhmppi.multi_horizon import MultiHorizonInput, branch_rows, dims
