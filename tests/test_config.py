@@ -369,6 +369,7 @@ def test_experiment_keeps_its_own_copies():
         ({"model.modes": [[1.0, float("nan")]]}, "model"),
         ({"model": {"kind": "simple_car", "modes": [[float("nan"), 1.0]]}}, "model"),
         ({"missions[1].target": [2.0, float("nan"), 0.0, 0.0]}, "missions[1]"),
+        ({"obstacles.boxes": [[[float("nan"), 0], [1, 1]]]}, "obstacles"),
         ({"obstacles.boxes": [[[0, 0], [float("nan"), 1]]]}, "obstacles"),
     ],
 )
