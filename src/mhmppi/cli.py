@@ -13,10 +13,11 @@ Verbs:
 * ``list-scenarios`` -- names and one-line notes of the built-in scenarios.
 * ``print-defaults`` -- the config reference as JSON: an experiment
   skeleton plus every built-in scenario dict as written.  A key a
-  scenario leaves out (``completion_metric``, the mission weights and
-  modes, ...) takes the default of the constructor its section feeds; see
+  scenario leaves out (``abort``, the mission weights and modes, ...)
+  takes the default of the constructor its section feeds; see
   :mod:`mhmppi.config`.  The car's wheelbase, each model's time step,
-  the weight law's distance temperature and the obstacle penalty are
+  the weight law's distance temperature, the obstacle penalty and the
+  completion rule (within 0.5 of the target on the position plane) are
   constants, not keys.
 
 Runs are deterministic given their resolved config: trace payloads are

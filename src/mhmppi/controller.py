@@ -84,8 +84,8 @@ Step buffers
 ------------
 A step allocates none of its slab arrays, those with a K-wide slab per
 component, state, input or time, after the first step of its shape.  The
-plan batch, the primary rollout and its occupancy, the branch-tail states
-and the tail loop's occupancy and stage costs, and the temporaries of the
+plan batch, the primary rollout and its box charge, the branch-tail states
+and the tail loop's box charges and stage costs, and the temporaries of the
 dynamics and cost kernels, are per-thread
 :mod:`mhmppi.buffers` scratch: made on first use (never in
 :func:`init_state`), and reused by every later step of the same or a
@@ -274,10 +274,12 @@ def evaluate_plan_batch(
     (n_x, m, N-1, K) state array, in place.  Their inputs t are read where
     they lie: one block of rows from :func:`branch_rows`' ``[t, 0, 0]`` on,
     viewed as (n_u, m, t, K).  Each simulated state is tested once against
-    the boxes.  Time N-1 is the final stage of every branch, which gives
-    the tail costs.  The slab arrays are step-buffer scratch (module
-    docstring); the two returned matrices and the per-sample cost vectors
-    summed into them are new arrays on every call.
+    the boxes: one :meth:`~mhmppi.cost.ObstacleSet.charge` of the primary
+    states serves all m+1 missions, and one per tail time the m backups.
+    Time N-1 is the final stage of every branch, which gives the tail
+    costs.  The slab arrays are step-buffer scratch (module docstring);
+    the two returned matrices and the per-sample cost vectors summed into
+    them are new arrays on every call.
 
     The batch's dtype is the arithmetic's.  :func:`control_step` and the
     abort's backup choice pass float32 batches: x0 and the mode scales are
@@ -312,11 +314,11 @@ def evaluate_plan_batch(
     tail_costs = np.empty((n_batch, m + 1))
     stage = buffer("controller.terms", (horizon, n_batch), dtype)
     visited = states[:, 1:]  # the states charged a stage term
-    hit = None
+    charge = None
     if len(obstacles.boxes):
-        hit = buffer("controller.hit", stage.shape, bool)
-        obstacles.inside(visited[:POSITION_DIMS], hit)
-    cost_mod.stage_cost_terms(missions[0], visited, primary_inputs, stage, hit=hit)
+        charge = buffer("controller.charge", stage.shape, dtype)
+        obstacles.charge(visited[:POSITION_DIMS], charge)
+    cost_mod.stage_cost_terms(missions[0], visited, primary_inputs, stage, charge=charge)
     terminal = cost_mod.terminal_cost_terms(missions[0], states[:, -1])
     costs[:, 0] = np.add.reduce(stage, axis=0, dtype=float) + terminal
     tail_costs[:, 0] = np.add(stage[-1], terminal, dtype=float)
@@ -327,7 +329,7 @@ def evaluate_plan_batch(
     shared = np.arange(horizon - 1, 0, -1.0)  # branches through primary stage k = 1..N-1
     branch_sum = np.empty((m, n_batch))
     for j, mission in backups:
-        cost_mod.stage_cost_terms(mission, visited, primary_inputs, stage, hit=hit)
+        cost_mod.stage_cost_terms(mission, visited, primary_inputs, stage, charge=charge)
         np.einsum("k,kq->q", shared, stage[:-1], out=branch_sum[j])
 
     rows = branch_rows(horizon, m)
@@ -342,13 +344,13 @@ def evaluate_plan_batch(
         first = rows[t, 0, 0]
         u = flat_batch[:, first : first + m * t].reshape(n_u, m, t, n_batch)
         model.update(running, u, out=running, scale=tail_scales)
-        hit = [None] * m
+        charge = [None] * m
         if len(obstacles.boxes):
-            hit = buffer("controller.tail_hit", (m, t, n_batch), bool)
-            obstacles.inside(running[:POSITION_DIMS], hit)
+            charge = buffer("controller.charge", (m, t, n_batch), dtype)
+            obstacles.charge(running[:POSITION_DIMS], charge)
         terms = buffer("controller.terms", (t, n_batch), dtype)
         for j, mission in backups:
-            cost_mod.stage_cost_terms(mission, running[:, j], u[:, j], terms, hit=hit[j])
+            cost_mod.stage_cost_terms(mission, running[:, j], u[:, j], terms, charge=charge[j])
             np.add.reduce(terms, axis=0, dtype=float, out=stage[j])
         branch_sum += stage
     terms = buffer("controller.terms", (horizon - 1, n_batch), dtype)

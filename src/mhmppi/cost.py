@@ -11,8 +11,9 @@ mission and entries 1..m are the backup missions.
 Obstacles are axis-aligned boxes on the position plane; occupancy adds
 the constant penalty :attr:`ObstacleSet.penalty` to the stage term (soft
 constraint), which keeps every cost finite for the sampling weights
-downstream.  The caller tests the boxes and passes the occupancy to the
-stage kernel.
+downstream.  The caller charges an array of states once, with
+:meth:`ObstacleSet.charge`, and passes that charge to the stage kernel
+of every mission that reads those states.
 
 The cost of the whole plan structure is a vector of m+1 entries: entry 0
 is the primary plan's cost, entry i >= 1 averages mission i's cost over
@@ -26,9 +27,9 @@ sums them into the cost vectors of a whole batch of plans.  Their
 temporaries are :mod:`mhmppi.buffers` scratch of that dtype.  The
 constants they apply, target entries, weights and box corners, are
 Python floats, which under numpy's promotion rules take the array's
-dtype, and the penalty is made a scalar of that dtype: an ``np.float64``
-scalar would promote a float32 kernel to float64.  The penalty, 1e4, is
-exact in float32 and float64 alike.
+dtype, and :meth:`ObstacleSet.charge` makes the penalty a scalar of its
+output's dtype: an ``np.float64`` scalar would promote a float32 charge
+to float64.  The penalty, 1e4, is exact in float32 and float64 alike.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ class ObstacleSet:
     """Axis-aligned boxes on the position plane.  ``boxes`` holds (min
     corner, max corner) pairs as a read-only [box, corner, axis] array.
     Every construction is validated here.  ``penalty``, the stage cost
-    that occupancy of any box adds, is a class constant, as the car's
-    wheelbase is: no scenario sets another."""
+    that occupancy of any box adds (:meth:`charge`), is a class constant,
+    as the car's wheelbase is: no scenario sets another."""
 
     boxes: np.ndarray = ()
     penalty = 1.0e4
@@ -134,25 +135,24 @@ class ObstacleSet:
             raise ConfigError("obstacle min corner must be <= max corner")
         object.__setattr__(self, "boxes", boxes)
 
-    def inside(self, positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Boolean occupancy of any box for (2, ...) positions (inclusive),
-        written into and returned as ``out`` (a new array by default)."""
-        positions = np.asarray(positions)
-        if out is None:
-            out = np.zeros(positions.shape[1:], dtype=bool)
-        else:
-            out[...] = False
+    def charge(self, positions: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The stage cost the boxes add at (2, ...) positions: ``penalty``
+        where they occupy any box (inclusive), 0 elsewhere, written into
+        and returned as ``out``, in its dtype."""
         x, y = positions[0, ...], positions[1, ...]
-        scratch = buffer("cost.box", (2,) + out.shape, bool)
-        box, test = scratch[0, ...], scratch[1, ...]
+        hit, box, test = buffer("cost.box", (3,) + out.shape, bool)
+        hit[...] = False
         # corners as Python floats: compared in the positions' dtype
         for (lx, ly), (hx, hy) in self.boxes.tolist():
             np.greater_equal(x, lx, out=box)
             box &= np.less_equal(x, hx, out=test)
             box &= np.greater_equal(y, ly, out=test)
             box &= np.less_equal(y, hy, out=test)
-            out |= box
-        return out
+            hit |= box
+        # hit * penalty, which the stage kernel adds in one pass: a masked
+        # add (where=hit) takes about six times as long, and adding 0.0
+        # outside the boxes changes no bit
+        return np.multiply(hit, out.dtype.type(self.penalty), out=out)
 
 
 def _quad(x: np.ndarray, support: tuple, center=None, out=None) -> np.ndarray:
@@ -184,20 +184,16 @@ def stage_cost_terms(
     inputs: np.ndarray,
     out: np.ndarray | None = None,
     *,
-    hit: np.ndarray | None,
+    charge: np.ndarray | None,
 ) -> np.ndarray:
     """Element-wise stage costs for matching (n_x, ...)/(n_u, ...) arrays,
     written into and returned as ``out`` (a new array by default).
-    :attr:`ObstacleSet.penalty` is added where ``hit``, the caller's
-    :meth:`ObstacleSet.inside` of the states' positions, is true; None
-    adds none."""
+    ``charge``, the caller's :meth:`ObstacleSet.charge` of the states'
+    positions, is added to the quadratic terms; None adds nothing."""
     cost = _quad(states, mission.state_support, mission.center, out)
     cost += _quad(inputs, mission.input_support, out=buffer("cost.input", cost.shape, cost.dtype))
-    if hit is not None:
-        # hit * penalty, then one add: a masked add (where=hit) takes about
-        # six times as long, and adding 0.0 outside the boxes changes no bit
-        penalty = cost.dtype.type(ObstacleSet.penalty)
-        cost += np.multiply(hit, penalty, out=buffer("cost.charge", cost.shape, cost.dtype))
+    if charge is not None:
+        cost += charge
     return cost
 
 

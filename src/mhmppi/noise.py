@@ -96,6 +96,7 @@ kills the worker and reaps it.
 from __future__ import annotations
 
 import atexit
+import itertools
 import math
 import mmap
 import multiprocessing
@@ -136,8 +137,13 @@ def _fill_noise(
     """Write the flat rows of ``chunks``, each a range of consecutive rows,
     of step ``step_index``'s (n_u, n_inputs, K) noise batch into the same
     rows of ``out``.  One bit generator serves every row; only its counter
-    is reset between rows.  A chunk's normals are made in whole-chunk
-    passes over :mod:`mhmppi.buffers` scratch the size of the chunk."""
+    is reset between rows, and none is built when there is no chunk.  A
+    chunk's normals are made in whole-chunk passes over
+    :mod:`mhmppi.buffers` scratch the size of the chunk."""
+    chunks = iter(chunks)
+    first = next(chunks, None)
+    if first is None:
+        return
     key = stream_key(seed, step_index)
     bits = np.random.Philox(key=key)
     # the generator's state in plain ints, which its setter reads fastest;
@@ -154,7 +160,7 @@ def _fill_noise(
     n_u, _, n_samples = out.shape
     n_words = (n_u + 1) // 2  # per sample
     plain = bool((scale == 1.0).all())
-    for rows in chunks:
+    for rows in itertools.chain([first], chunks):
         n = len(rows)
         raw = buffer("noise.raw", (n, n_samples * n_words), np.uint64)
         for i, d in enumerate(rows):

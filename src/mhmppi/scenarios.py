@@ -29,7 +29,6 @@ _UAV_BASE = {
     "weights": {"gamma": 0.66},
     "x0": [0.0, 0.0, 0.0, 0.0],
     "max_steps": 400,
-    "completion_tol": 0.5,
 }
 
 # Two buildings astride the straight route to [10, 10]; the free corridor

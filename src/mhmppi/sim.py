@@ -54,7 +54,10 @@ class Scenario:
     :func:`dataclasses.replace`) is validated and raises
     :class:`ConfigError`; ``x0`` is a read-only copy of the caller's, and
     ``missions`` a tuple copy of the caller's tuple or list, primary
-    first."""
+    first.  A mission is completed within ``completion_tol`` of its target
+    on the position plane (``completion_metric``, see :func:`is_completed`).
+    Both are class constants, as the obstacle penalty is: no scenario sets
+    another."""
 
     name: str
     model: DynamicsModel
@@ -64,9 +67,9 @@ class Scenario:
     weight_law: WeightLawParams
     x0: np.ndarray
     max_steps: int = 400
-    completion_tol: float = 0.5
-    completion_metric: str = "position"
     abort: AbortSpec | None = None
+    completion_tol = 0.5
+    completion_metric = "position"
 
     def __post_init__(self):
         x0 = real_array("x0", self.x0)
@@ -74,8 +77,6 @@ class Scenario:
             raise ConfigError(f"x0 must have dim {self.model.n_x}, got shape {x0.shape}")
         object.__setattr__(self, "x0", x0)
         check_int("max_steps", self.max_steps, 1)
-        check_real("completion_tol", self.completion_tol, above=0.0)
-        distance(np.zeros(2), np.zeros(2), self.completion_metric)  # validates the selector
         if not isinstance(self.missions, (tuple, list)) or not self.missions:
             raise ConfigError("missions must be a non-empty tuple, the primary mission first")
         object.__setattr__(self, "missions", tuple(self.missions))

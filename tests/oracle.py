@@ -199,16 +199,20 @@ def _dense_quad(dz: np.ndarray, M: np.ndarray) -> np.ndarray:
     return ((dz @ M) * dz).sum(axis=-1)
 
 
+def occupied(obstacles: ObstacleSet, states) -> np.ndarray:
+    """Whether each of the (..., n_x) states lies in any box: every
+    position entry between the box's corners (inclusive)."""
+    positions = np.asarray(states)[..., None, :POSITION_DIMS]
+    lo, hi = obstacles.boxes[:, 0], obstacles.boxes[:, 1]
+    return ((lo <= positions) & (positions <= hi)).all(axis=-1).any(axis=-1)
+
+
 def _stage_terms(mission: Mission, states, inputs, obstacles: ObstacleSet) -> np.ndarray:
     """Stage costs for matching (..., n_x)/(..., n_u) arrays."""
     cost = _dense_quad(states - mission.target, mission.state_weight)
     cost = cost + _dense_quad(inputs, mission.input_weight)
     if len(obstacles.boxes):
-        # in a box: every position entry between its corners (inclusive)
-        positions = states[..., None, :POSITION_DIMS]
-        lo, hi = obstacles.boxes[:, 0], obstacles.boxes[:, 1]
-        occupied = ((lo <= positions) & (positions <= hi)).all(axis=-1).any(axis=-1)
-        cost = cost + obstacles.penalty * occupied
+        cost = cost + obstacles.penalty * occupied(obstacles, states)
     return cost
 
 

@@ -23,7 +23,6 @@ def fast_inline_scenario():
         "weights": {"gamma": 0.5},
         "x0": [0.0, 0.0, 0.0, 0.0],
         "max_steps": 60,
-        "completion_tol": 0.5,
     }
 
 

@@ -132,6 +132,8 @@ def test_section_keys_are_the_constructor_parameters(scenario, section, cls, giv
         "model.time_step",
         "weights.temperature",  # the distance softmax runs at temperature 1
         "obstacles.penalty",  # one constant penalty for every box
+        "completion_tol",  # one completion rule for every scenario
+        "completion_metric",
     ],
 )
 def test_python_only_and_other_models_keys_rejected(dotted):
@@ -363,7 +365,7 @@ def test_experiment_keeps_its_own_copies():
 @pytest.mark.parametrize(
     "override, path",
     [
-        ({"completion_tol": float("nan")}, "scenario"),
+        ({"x0": [float("nan"), 0.0, 0.0, 0.0]}, "scenario"),
         ({"x0": [0.0, float("nan"), 0.0, 0.0]}, "scenario"),
         ({"weights.gamma": float("nan")}, "weights"),
         ({"model.modes": [[1.0, float("nan")]]}, "model"),

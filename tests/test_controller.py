@@ -17,7 +17,7 @@ from mhmppi.errors import ConfigError, NonFiniteCostError
 from mhmppi.multi_horizon import MultiHorizonInput, dims
 from mhmppi.scenarios import get_scenario_dict
 from mhmppi.weights import WeightLawParams
-from oracle import cost_vector, expand, from_parts, tail_cost_vector
+from oracle import cost_vector, expand, from_parts, occupied, tail_cost_vector
 from quadratic import fit_quadratic, gap, plan_costs
 
 NO_OBS = ObstacleSet()
@@ -502,9 +502,9 @@ def test_batch_costs_match_structure_route():
                 direct_tails = tail_cost_vector(traj, plan, missions, obstacles)
                 assert np.allclose(costs[q], direct, rtol=1e-11, atol=0), case
                 assert np.allclose(tails[q], direct_tails, rtol=1e-11, atol=0), case
-                primary_hits += obstacles.inside(traj.primary_states[1:, :2].T).sum()
+                primary_hits += occupied(obstacles, traj.primary_states[1:]).sum()
                 tail_hits += sum(
-                    obstacles.inside(states[:, :2].T).sum()
+                    occupied(obstacles, states).sum()
                     for branch in traj.tail_states
                     for states in branch
                 )
@@ -782,25 +782,29 @@ def test_narrow_batch_matches_rows_of_wide_batch(model_cls, m):
 def test_each_simulated_state_is_tested_against_the_boxes_once(monkeypatch, horizon, m):
     # (20, 2) is the branches-n20 shape: 400 simulated states per sample,
     # which were 438 positions tested when each mission tested the primary
-    # states again for its own primary stage terms
+    # states again for its own primary stage terms.  Each charge call forms
+    # one penalty product, shared by the missions that read its states:
+    # one for the primary states and one per tail time, 20 calls where
+    # each mission used to form its own (41)
     tested = []
-    inside = ObstacleSet.inside
+    charge = ObstacleSet.charge
 
-    def spy(self, positions, out=None):
+    def spy(self, positions, out):
         tested.append(np.asarray(positions)[0].size)
-        return inside(self, positions, out)
+        return charge(self, positions, out)
 
-    monkeypatch.setattr(ObstacleSet, "inside", spy)
+    monkeypatch.setattr(ObstacleSet, "charge", spy)
     model = DoubleIntegrator()
     missions = tuple(Mission.build([1.0 + i, 1.0, 0, 0]) for i in range(m + 1))
     n_batch = 3
     flat_batch = np.random.default_rng(m).standard_normal((2, dims(horizon, m)[0], n_batch))
     box = [((0.0, 0.0), (1.0, 1.0))]
     states = dims(horizon, m)[1] - 1  # all but the known initial state
-    for obstacles, expected in [(ObstacleSet(box), states), (ObstacleSet(), 0)]:
+    calls = 1 + (horizon - 1 if m else 0)
+    for obstacles, expected in [(ObstacleSet(box), (states, calls)), (ObstacleSet(), (0, 0))]:
         tested.clear()
         ctrl.evaluate_plan_batch(model, np.zeros(4), flat_batch, horizon, missions, obstacles)
-        assert sum(tested) == expected * n_batch, obstacles
+        assert (sum(tested), len(tested)) == (expected[0] * n_batch, expected[1]), obstacles
 
 
 def _buffer_case():

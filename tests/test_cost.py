@@ -12,6 +12,7 @@ from oracle import (
     expand,
     from_parts,
     mission_cost,
+    occupied,
     rollout,
     stage_cost,
     tail_cost_vector,
@@ -214,8 +215,24 @@ def test_obstacle_validation():
     with pytest.raises(ConfigError):
         ObstacleSet([([1, 1], [0, 0])])
     obstacles = ObstacleSet([([0, 0], [1, 1]), ([5, 5], [6, 6])])
-    inside = obstacles.inside(np.array([[0.5, 0.5], [2.0, 2.0], [5.5, 6.0]]).T)
-    assert inside.tolist() == [True, False, True]
+    charge = obstacles.charge(np.array([[0.5, 0.5], [2.0, 2.0], [5.5, 6.0]]).T, np.empty(3))
+    assert charge.tolist() == [1e4, 0.0, 1e4]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_charge_is_the_penalty_times_the_oracle_occupancy(dtype):
+    # two overlapping boxes and one apart; the positions land on their
+    # faces and corners too (inclusive), and charge reuses its scratch,
+    # so a second call over other positions must not see the first's hits
+    obstacles = ObstacleSet([([0, 0], [1, 1]), ([0.5, 0.5], [2, 1.5]), ([-3, 2], [-2, 4])])
+    rng = np.random.default_rng(5)
+    for shape in [(3, 7, 11), (40,)]:
+        positions = rng.choice(np.arange(-4.0, 4.5, 0.5), (2, *shape)).astype(dtype)
+        out = np.full(shape, np.nan, dtype)
+        assert obstacles.charge(positions, out) is out
+        expected = obstacles.penalty * occupied(obstacles, np.moveaxis(positions, 0, -1))
+        assert expected.any() and not expected.all()
+        assert out.tobytes() == expected.astype(dtype).tobytes()
 
 
 def test_obstacle_set_keeps_one_read_only_box_array():
@@ -236,12 +253,12 @@ def test_stage_cost_terms_takes_the_occupancy_from_its_caller():
     obstacles = ObstacleSet([([9, 9], [11, 11])])
     states = np.array([[10.0, 0.0], [10.0, 0.0], [0.0, 0.0], [0.0, 0.0]])  # on target, at 0
     inputs = np.zeros((2, 2))
-    with pytest.raises(TypeError, match="hit"):
+    with pytest.raises(TypeError, match="charge"):
         stage_cost_terms(mission, states, inputs)
-    free = stage_cost_terms(mission, states, inputs, hit=None)
+    free = stage_cost_terms(mission, states, inputs, charge=None)
     assert free.tolist() == [0.0, 200.0]  # None adds no penalty
-    hit = obstacles.inside(states[:2])
-    assert stage_cost_terms(mission, states, inputs, hit=hit).tolist() == [1e4, 200.0]
+    charge = obstacles.charge(states[:2], np.empty(2))
+    assert stage_cost_terms(mission, states, inputs, charge=charge).tolist() == [1e4, 200.0]
 
 
 def test_weight_matrix_validation():
@@ -291,5 +308,5 @@ def test_weight_support_lists_the_nonzero_diagonal():
     states, inputs = rng.standard_normal((3, 7)), rng.standard_normal((2, 7))
     d = states - mission.target[:, None]
     expected = np.einsum("ik,ij,jk->k", d, q, d) + 0.5 * (inputs * inputs).sum(0)
-    terms = stage_cost_terms(mission, states, inputs, hit=None)
+    terms = stage_cost_terms(mission, states, inputs, charge=None)
     assert np.allclose(terms, expected, rtol=1e-13)

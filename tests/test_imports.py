@@ -1,4 +1,4 @@
-"""Every name a package module or test file imports is read; the
+"""Every name a package module, test file or tool imports is read; the
 package's ``__init__.py`` is left out, since its imports are the
 package's re-exports."""
 
@@ -11,6 +11,7 @@ TESTS = pathlib.Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "mhmppi"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 MODULES += sorted(TESTS.glob("*.py"))
+MODULES += sorted((TESTS.parent / "tools").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

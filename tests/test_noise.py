@@ -1,3 +1,4 @@
+import json
 import math
 import multiprocessing
 import os
@@ -123,6 +124,66 @@ def test_noise_stream_template_reuse_is_exact():
     chunks = [range(20, 36), range(3, 5), range(36, 40), range(0, 4), range(20, 21), range(4, 20)]
     noise._fill_noise(out, 99, 0, np.ones(3), chunks)
     assert np.array_equal(out, draw_noise(noise.stream_key(99, 0), out.shape, np.eye(3)))
+
+
+_DISPATCH_DRAW = """
+import hashlib, json
+import numpy as np
+from mhmppi import noise
+digests = []
+for scale in ([1.0, 1.0], [0.5, 2.0]):
+    out = np.empty((2, 400, 1000), np.float32)
+    noise._fill_noise(out, 7, 3, np.array(scale), noise._chunks(400))
+    digests.append(hashlib.sha256(out.tobytes()).hexdigest())
+print(json.dumps([np.show_config(mode="dicts")["SIMD Extensions"].get("found", []), digests]))
+"""
+
+
+def _dispatch_draw(disabled: list) -> tuple:
+    """(SIMD extensions numpy dispatches to, digests of a 400 x 1000 float32
+    batch at unit scales and at scales (0.5, 2)) from a fresh interpreter
+    whose numpy has the features ``disabled`` switched off."""
+    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(noise.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DISPATCH_DRAW], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+def test_noise_is_bit_identical_under_avx2_and_avx512_dispatch():
+    # the noise contract's claim that numpy's float32 log, cos and sin give
+    # the same bits under its AVX2 and AVX-512 code paths.  The host's
+    # features are read with no NPY_DISABLE_CPU_FEATURES, which this
+    # process may run under; the batch is drawn inline, with no worker
+    found, digests = _dispatch_draw([])
+    avx512 = [name for name in found if name == "X86_V4" or name.startswith("AVX512")]
+    if not avx512 or not {"X86_V3", "AVX2"} & set(found):
+        pytest.skip(f"numpy finds no AVX2 and AVX-512 code paths on this host to compare: {found}")
+    narrowed, avx2_digests = _dispatch_draw(avx512)
+    assert not set(avx512) & set(narrowed), narrowed
+    assert avx2_digests == digests
+
+
+def test_fill_noise_builds_no_generator_for_no_rows(monkeypatch):
+    # the caller's share is empty when the worker finished every row; a
+    # stream key and a Philox generator cost about 25 us for nothing
+    keys = []
+    key = noise.stream_key
+
+    def spy(seed, step_index):
+        keys.append((seed, step_index))
+        return key(seed, step_index)
+
+    monkeypatch.setattr(noise, "stream_key", spy)
+    out = np.full((2, 20, 5), np.nan)
+    noise._fill_noise(out, 3, 4, np.ones(2), noise._chunks(20, 20))
+    assert keys == [] and np.isnan(out).all()
+    noise._fill_noise(out, 3, 4, np.ones(2), noise._chunks(20, 18))
+    assert keys == [(3, 4)] and np.isnan(out[:, :18]).all() and not np.isnan(out[:, 18:]).any()
 
 
 def test_sample_noise_statistics():

@@ -52,7 +52,6 @@ def small_scenario(seed=0, **kw):
         weight_law=WeightLawParams(gamma=0.4),
         x0=np.zeros(4),
         max_steps=150,
-        completion_tol=0.5,
     )
     defaults.update(kw)
     return Scenario(**defaults)
@@ -85,14 +84,6 @@ def test_trace_satisfies_true_dynamics_exactly():
     states = [r.state for r in trace.records] + [trace.final_state]
     for k, rec in enumerate(trace.records):
         assert np.array_equal(states[k + 1], step(model, rec.state, rec.inp, 0))
-
-
-def test_completion_monotone_in_tolerance():
-    loose = run_closed_loop(small_scenario(completion_tol=1.0, seed=1))
-    tight = run_closed_loop(small_scenario(completion_tol=0.4, seed=1))
-    assert loose.termination.kind == "completed"
-    assert tight.termination.kind == "completed"
-    assert loose.termination.steps <= tight.termination.steps
 
 
 def test_max_steps_termination():
@@ -360,8 +351,6 @@ def test_scenario_validation():
     with pytest.raises(ConfigError):
         small_scenario(max_steps=0)
     with pytest.raises(ConfigError):
-        small_scenario(completion_tol=0.0)
-    with pytest.raises(ConfigError):
         small_scenario(x0=np.zeros(3))
     bad = (Mission.build([0.0, 0, 0, 0]), Mission.build([1.0, 0, 0]))
     with pytest.raises(ConfigError):
@@ -397,8 +386,6 @@ def test_scenario_fields_checked_not_coerced():
     for bad in (
         dict(max_steps=10.5),
         dict(max_steps=True),
-        dict(completion_tol=float("nan")),
-        dict(completion_metric="bogus"),
         dict(x0=[0.0, float("inf"), 0.0, 0.0]),
         dict(abort=AbortSpec(step=5, new_mode=0), max_steps=4.0),
     ):
