@@ -188,8 +188,9 @@ def stage_cost_terms(
 ) -> np.ndarray:
     """Element-wise stage costs for matching (n_x, ...)/(n_u, ...) arrays,
     written into and returned as ``out`` (a new array by default).
-    ``charge``, the caller's :meth:`ObstacleSet.charge` of the states'
-    positions, is added to the quadratic terms; None adds nothing."""
+    ``charge``, the caller's obstacle charge of the states' positions
+    (module docstring), is added to the quadratic terms; None adds
+    nothing."""
     cost = _quad(states, mission.state_support, mission.center, out)
     cost += _quad(inputs, mission.input_support, out=buffer("cost.input", cost.shape, cost.dtype))
     if charge is not None:

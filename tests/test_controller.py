@@ -801,10 +801,11 @@ def test_each_simulated_state_is_tested_against_the_boxes_once(monkeypatch, hori
     box = [((0.0, 0.0), (1.0, 1.0))]
     states = dims(horizon, m)[1] - 1  # all but the known initial state
     calls = 1 + (horizon - 1 if m else 0)
-    for obstacles, expected in [(ObstacleSet(box), (states, calls)), (ObstacleSet(), (0, 0))]:
+    cases = [(ObstacleSet(box), (states * n_batch, calls)), (ObstacleSet(), (0, 0))]
+    for obstacles, expected in cases:
         tested.clear()
         ctrl.evaluate_plan_batch(model, np.zeros(4), flat_batch, horizon, missions, obstacles)
-        assert (sum(tested), len(tested)) == (expected[0] * n_batch, expected[1]), obstacles
+        assert (sum(tested), len(tested)) == expected, obstacles
 
 
 def _buffer_case():
